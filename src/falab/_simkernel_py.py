@@ -1,22 +1,17 @@
-"""Pure-Python byte-stream stepping kernel.
+"""Byte-stream stepping kernel: the inner loop of :class:`falab.Simulator`.
 
-Mirrors the compiled kernel in ``_simkernel.pyx`` exactly: same outputs,
-same ordering, same operation counting.  The program is a triple
-``(step, init, always)`` where ``step[state]`` maps a byte value to the
-tuple of epsilon-closed successor states, and ``init`` / ``always`` are
-sorted tuples of the closed initial and every-cycle activation sets.
+The program is a triple ``(step, init, always)``: ``step[state]`` maps a
+byte value to the tuple of epsilon-closed successor states, ``init`` is
+the closed initial active set and ``always`` the closed set that
+activates on every cycle.  The operation count adds one per successor
+visited and one per every-cycle state per byte.
 """
 
 from __future__ import annotations
 
 
-def build_program(step: list[dict[int, tuple[int, ...]]],
-                  init: tuple[int, ...], always: tuple[int, ...]):
-    return (step, init, always)
-
-
 def step_stream(program, data: bytes):
-    """Return (per-cycle sorted active tuples, operation count)."""
+    """Return (per-cycle active frozensets, operation count)."""
     step, init, always = program
     active = init
     out = []
@@ -30,6 +25,6 @@ def step_stream(program, data: bytes):
                 nxt.update(targets)
         work += len(always)
         nxt.update(always)
-        active = tuple(sorted(nxt))
+        active = frozenset(nxt)
         out.append(active)
     return out, work

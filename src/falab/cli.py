@@ -204,7 +204,6 @@ def _cmd_active_rules(args) -> int:
 
 def _growth_thresholds(args) -> GrowthThresholds:
     return GrowthThresholds(polynomial_slope=args.poly_slope,
-                            linear_slope_min=args.linear_slope_min,
                             r2_margin=args.r2_margin)
 
 
@@ -342,7 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write wall-clock cells (breaks byte-identical "
                             "reruns)")
         p.add_argument("--poly-slope", type=float, default=1.2)
-        p.add_argument("--linear-slope-min", type=float, default=0.8)
         p.add_argument("--r2-margin", type=float, default=0.05)
         p.set_defaults(func=_cmd_report, merge=merge)
 

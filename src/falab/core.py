@@ -114,8 +114,7 @@ class Automaton:
     ``edges`` carry :class:`SymbolClass` labels; ``epsilon_edges`` consume
     no input.  ``deterministic`` asserts the DFA invariants (checked by
     :func:`validate`).  ``component_labels`` optionally assigns states to
-    the pattern/rule they came from; ``origins`` optionally records, per
-    state, the source-state subset a determinized state was built from.
+    the pattern/rule they came from.
 
     Treat instances as immutable: the contained collections must not be
     mutated after construction.
@@ -128,7 +127,6 @@ class Automaton:
     accepts: frozenset[int] = frozenset()
     deterministic: bool = False
     component_labels: Mapping[int, int] | None = None
-    origins: tuple[frozenset[int], ...] | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "edges", tuple(self.edges))
@@ -139,8 +137,6 @@ class Automaton:
         if self.component_labels is not None:
             labels = {int(s): int(l) for s, l in self.component_labels.items()}
             object.__setattr__(self, "component_labels", labels)
-        if self.origins is not None:
-            object.__setattr__(self, "origins", tuple(frozenset(o) for o in self.origins))
 
     def adjacency(self) -> list[list[tuple[SymbolClass, int]]]:
         """Outgoing symbol edges per state.  Built fresh on every call."""
@@ -158,7 +154,7 @@ class Automaton:
     def structurally_equal(self, other: "Automaton") -> bool:
         """Equality on the language-relevant structure.
 
-        Ignores ``component_labels`` and ``origins``; edge order matters
+        Ignores ``component_labels``; edge order matters
         (compare canonical forms for order independence).
         """
         return (self.state_count == other.state_count
@@ -246,9 +242,6 @@ def validate(a: Automaton) -> list[str]:
                 problems.append(
                     f"epsilon edge {src}->{dst} crosses component label boundary")
 
-    if a.origins is not None and len(a.origins) != n:
-        problems.append("origins length does not match state count")
-
     return problems
 
 
@@ -286,12 +279,6 @@ def relabel(a: Automaton, perm: list[int]) -> Automaton:
     labels = None
     if a.component_labels is not None:
         labels = {perm[s]: l for s, l in a.component_labels.items()}
-    origins = None
-    if a.origins is not None:
-        inv = [0] * a.state_count
-        for old, new in enumerate(perm):
-            inv[new] = old
-        origins = tuple(a.origins[inv[i]] for i in range(a.state_count))
     return Automaton(
         state_count=a.state_count,
         edges=edges,
@@ -300,7 +287,6 @@ def relabel(a: Automaton, perm: list[int]) -> Automaton:
         accepts=frozenset(perm[s] for s in a.accepts),
         deterministic=a.deterministic,
         component_labels=labels,
-        origins=origins,
     )
 
 

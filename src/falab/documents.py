@@ -12,6 +12,7 @@ for exactness.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 from dataclasses import dataclass
@@ -300,13 +301,21 @@ def _dump(doc: dict) -> str:
 
 
 def write_text_atomic(path: str, text: str) -> None:
+    """Write-temp-then-rename so readers never see partial files.
+
+    The temporary file is removed when the write or the rename fails.
+    """
     tmp = f"{path}.tmp.{os.getpid()}"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except OSError as exc:
-        raise OSError(f"cannot write {path!r}: {exc}") from exc
+    except BaseException as exc:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        if isinstance(exc, OSError):
+            raise OSError(f"cannot write {path!r}: {exc}") from exc
+        raise
 
 
 def save_automaton(a: Automaton, path: str) -> None:

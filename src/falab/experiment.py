@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import enum
 import math
-import os
 import time
 from dataclasses import dataclass, field
 from statistics import correlation, linear_regression
 
 from ._version import __version__
 from .core import Automaton, StartKind, stats
+from .documents import write_text_atomic
 from .generators import Pattern, SplitMix64, compile_pattern, pattern_size
 from .transform import (CapExceededError, DEFAULT_STATE_CAP, determinize,
                         equivalent, merge_patterns, minimize_brzozowski,
@@ -87,7 +87,6 @@ class GrowthThresholds:
     """Defaults for the fit-based classification; all overridable."""
 
     polynomial_slope: float = 1.2
-    linear_slope_min: float = 0.8
     r2_margin: float = 0.05
 
 
@@ -324,27 +323,16 @@ def render_plot_data(rows: list[ReportRow], xs: list[int]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_atomic(path: str, text: str) -> None:
-    """Write-temp-then-rename so readers never see partial files."""
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-
-
 def emit_report(rows: list[ReportRow], xs: list[int], destination: str,
                 growth: dict[str, GrowthClass] | None = None,
                 seed: int | None = None,
                 cap: int = DEFAULT_STATE_CAP,
                 include_timings: bool = False) -> list[str]:
     """Write the CSV and its companion plot-data file; returns the paths."""
-    try:
-        write_atomic(destination, render_report(rows, growth, seed, cap,
-                                                include_timings))
-        plot_path = destination + ".plot.tsv"
-        write_atomic(plot_path, render_plot_data(rows, xs))
-    except OSError as exc:
-        raise OSError(f"cannot write report to {destination!r}: {exc}") from exc
+    write_text_atomic(destination, render_report(rows, growth, seed, cap,
+                                                 include_timings))
+    plot_path = destination + ".plot.tsv"
+    write_text_atomic(plot_path, render_plot_data(rows, xs))
     return [destination, plot_path]
 
 

@@ -7,16 +7,12 @@ before the first byte (the internal "cycle -1" set, exposed as
 states re-activate at the start of every cycle and are therefore part of
 every recorded set.  Epsilon closure is applied after every step.
 
-The stepping loop is the hot path: a compiled kernel is used when the
-``falab._simkernel`` extension is importable, with a pure-Python fallback
-selected automatically (force it with FALAB_PURE_PYTHON=1).  Both kernels
-produce identical traces and identical operation counts.
+:class:`Simulator` builds a per-state byte-to-successors table once and
+hands it to the stepping loop in ``_simkernel_py``, the one scan kernel.
 """
 
 from __future__ import annotations
 
-import os
-from array import array
 from collections import Counter
 from dataclasses import dataclass
 
@@ -25,20 +21,14 @@ from .transform import close_over, epsilon_closures
 
 from . import _simkernel_py
 
-try:  # compiled kernel is optional
-    from . import _simkernel
-except ImportError:  # pragma: no cover - depends on the build
-    _simkernel = None
 
-
+# Kept so that callers which record the kernel that ran keep working.
 def available_kernels() -> tuple[str, ...]:
-    return ("python",) if _simkernel is None else ("compiled", "python")
+    return ("python",)
 
 
 def default_kernel() -> str:
-    if _simkernel is None or os.environ.get("FALAB_PURE_PYTHON"):
-        return "python"
-    return "compiled"
+    return "python"
 
 
 @dataclass(frozen=True)
@@ -67,11 +57,8 @@ class Simulator:
     when scanning several inputs.
     """
 
-    def __init__(self, automaton: Automaton, kernel: str | None = None):
+    def __init__(self, automaton: Automaton):
         self.automaton = automaton
-        self.kernel = kernel or default_kernel()
-        if self.kernel not in available_kernels():
-            raise ValueError(f"kernel {self.kernel!r} not available")
         closures = epsilon_closures(automaton)
         adjacency = automaton.adjacency()
         step: list[dict[int, tuple[int, ...]]] = []
@@ -81,41 +68,18 @@ class Simulator:
                 closed = closures[dst]
                 for b in cls.values():
                     per_byte.setdefault(b, set()).update(closed)
-            step.append({b: tuple(sorted(t)) for b, t in per_byte.items()})
+            step.append({b: tuple(t) for b, t in per_byte.items()})
         always = close_over(closures, (s for s, k in automaton.starts.items()
                                        if k is StartKind.ALL_INPUT))
-        init = close_over(closures, automaton.starts) | always
-        self._init = tuple(sorted(init))
-        self._always = tuple(sorted(always))
-        if self.kernel == "compiled":
-            offsets = array("i", [0])
-            targets = array("i")
-            for s in range(automaton.state_count):
-                row = step[s]
-                for b in range(256):
-                    targets.extend(row.get(b, ()))
-                    offsets.append(len(targets))
-            self._program = _simkernel.build_program(
-                automaton.state_count, offsets, targets,
-                array("i", self._init), array("i", self._always))
-        else:
-            self._program = _simkernel_py.build_program(step, self._init,
-                                                        self._always)
-
-    def _step_stream(self, data: bytes):
-        if not data:
-            return [], 0
-        if self.kernel == "compiled":
-            return _simkernel.step_stream(self._program, data)
-        return _simkernel_py.step_stream(self._program, data)
+        self._init = close_over(closures, automaton.starts) | always
+        self._program = (step, self._init, always)
 
     def run(self, data: bytes) -> SimulationTrace:
-        sets, _work = self._step_stream(data)
-        return self._assemble(sets)
+        return self.run_counting(data)[0]
 
     def run_counting(self, data: bytes) -> tuple[SimulationTrace, int]:
         """Like run(), also returning the kernel's basic-operation count."""
-        sets, work = self._step_stream(data)
+        sets, work = _simkernel_py.step_stream(self._program, data)
         return self._assemble(sets), work
 
     def _assemble(self, sets) -> SimulationTrace:
@@ -136,16 +100,16 @@ class Simulator:
                     reports.append((t, best[pid], pid))
         return SimulationTrace(
             cycles=len(sets),
-            per_cycle_active=tuple(frozenset(s) for s in sets),
+            per_cycle_active=tuple(sets),
             reports=tuple(reports),
             per_state_activation_count=dict(counts),
-            initial_active=frozenset(self._init),
+            initial_active=self._init,
         )
 
 
-def run(a: Automaton, data: bytes, kernel: str | None = None) -> SimulationTrace:
+def run(a: Automaton, data: bytes) -> SimulationTrace:
     """Simulate ``a`` over ``data``; empty input gives a zero-cycle trace."""
-    return Simulator(a, kernel).run(data)
+    return Simulator(a).run(data)
 
 
 @dataclass(frozen=True)
@@ -165,9 +129,9 @@ def _component_pattern_id(component: Automaton, index: int) -> int:
     return index
 
 
-def _rule_traces(components: list[Automaton], data: bytes,
-                 kernel: str | None) -> list[SimulationTrace]:
-    return [Simulator(c, kernel).run(data) for c in components]
+def _rule_traces(components: list[Automaton],
+                 data: bytes) -> list[SimulationTrace]:
+    return [Simulator(c).run(data) for c in components]
 
 
 def _start_only_average(components: list[Automaton],
@@ -196,8 +160,8 @@ def _start_only_average(components: list[Automaton],
     return 100.0 * total / counted if counted else 0.0
 
 
-def active_rule_frequency(components: list[Automaton], data: bytes,
-                          kernel: str | None = None) -> ActiveRuleStats:
+def active_rule_frequency(components: list[Automaton],
+                          data: bytes) -> ActiveRuleStats:
     """Count rules with >= 1 active state per input cycle.
 
     Components must carry distinct pattern ids (their start states count
@@ -206,7 +170,7 @@ def active_rule_frequency(components: list[Automaton], data: bytes,
     ids = [_component_pattern_id(c, i) for i, c in enumerate(components)]
     if len(set(ids)) != len(ids):
         raise ValueError("components must carry distinct pattern ids")
-    traces = _rule_traces(components, data, kernel)
+    traces = _rule_traces(components, data)
     per_cycle = tuple(
         sum(1 for trace in traces if trace.per_cycle_active[t])
         for t in range(len(data)))
@@ -218,8 +182,7 @@ def active_rule_frequency(components: list[Automaton], data: bytes,
     )
 
 
-def start_only_fraction(components: list[Automaton], data: bytes,
-                        kernel: str | None = None) -> float:
+def start_only_fraction(components: list[Automaton], data: bytes) -> float:
     """Average percentage of active rules stuck at their start state.
 
     Each component must have exactly one start state.
@@ -227,7 +190,7 @@ def start_only_fraction(components: list[Automaton], data: bytes,
     bad = [i for i, c in enumerate(components) if len(c.starts) != 1]
     if bad:
         raise ValueError(f"components {bad} must have exactly one start state")
-    traces = _rule_traces(components, data, kernel)
+    traces = _rule_traces(components, data)
     return _start_only_average(components, traces, len(data))
 
 

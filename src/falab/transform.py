@@ -190,8 +190,7 @@ def determinize(a: Automaton, cap: int = DEFAULT_STATE_CAP) -> Automaton:
     """Subset construction.  Only reachable subset states materialize.
 
     ALL_INPUT starts are lowered first.  The empty subset (dead state) is
-    never created: missing transitions mean rejection.  Each output state
-    records its source subset in ``origins``.  Raises
+    never created: missing transitions mean rejection.  Raises
     :class:`CapExceededError` when more than ``cap`` states materialize.
     """
     a = lower_all_input(a)
@@ -205,7 +204,6 @@ def determinize(a: Automaton, cap: int = DEFAULT_STATE_CAP) -> Automaton:
     init = close_over(closures, (s for s, k in a.starts.items()
                                  if k is StartKind.START_OF_DATA))
     ids: dict[frozenset[int], int] = {init: 0}
-    order: list[frozenset[int]] = [init]
     edges: list[tuple[int, SymbolClass, int]] = []
     queue = deque([init])
     while queue:
@@ -221,7 +219,6 @@ def determinize(a: Automaton, cap: int = DEFAULT_STATE_CAP) -> Automaton:
                     raise CapExceededError(cap)
                 tid = len(ids)
                 ids[target] = tid
-                order.append(target)
                 queue.append(target)
             edges.append((sid, SymbolClass(atom), tid))
 
@@ -233,13 +230,12 @@ def determinize(a: Automaton, cap: int = DEFAULT_STATE_CAP) -> Automaton:
                                 for (s, d), m in merged.items()),
                                key=lambda e: (e[0], e[1].mask, e[2])))
     return Automaton(
-        state_count=len(order),
+        state_count=len(ids),
         edges=final_edges,
         starts={0: StartKind.START_OF_DATA},
-        accepts=frozenset(i for i, subset in enumerate(order)
+        accepts=frozenset(i for i, subset in enumerate(ids)
                           if subset & a.accepts),
         deterministic=True,
-        origins=tuple(order),
     )
 
 

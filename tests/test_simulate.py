@@ -1,0 +1,210 @@
+from collections import Counter
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from falab.core import Automaton, StartKind, SymbolClass
+from falab.generators import SplitMix64
+from falab.regex import compile_regex
+from falab.simulate import (Simulator, active_rule_frequency, run,
+                            start_only_fraction, throughput)
+from falab.transform import accepts, connected_components, merge_patterns
+
+from corpus import random_regex
+
+SOD = StartKind.START_OF_DATA
+ALL = StartKind.ALL_INPUT
+KINDS = (SOD, ALL)
+ALPHABET = b"abc"
+
+
+@st.composite
+def automata(draw):
+    """Small NFAs over ``ALPHABET`` with epsilon edges and mixed starts."""
+    n = draw(st.integers(1, 6))
+    state = st.integers(0, n - 1)
+    cls = st.sets(st.sampled_from(ALPHABET), min_size=1).map(SymbolClass.of)
+    edges = draw(st.lists(st.tuples(state, cls, state), max_size=10))
+    eps = draw(st.lists(st.tuples(state, state), max_size=4))
+    starts = draw(st.dictionaries(state, st.sampled_from(KINDS), min_size=1))
+    finals = draw(st.frozensets(state))
+    return Automaton(state_count=n, edges=tuple(edges),
+                     epsilon_edges=tuple(eps), starts=starts, accepts=finals)
+
+
+# "d" is outside every edge class, so it empties all but the every-cycle set.
+inputs = st.binary(max_size=8).map(lambda b: bytes(b"abcd"[x % 4] for x in b))
+
+
+def reference_active_sets(a: Automaton, data: bytes) -> list[frozenset[int]]:
+    """Per-cycle active sets by direct search over the edge lists."""
+
+    def close(states):
+        seen = set(states)
+        stack = list(seen)
+        while stack:
+            s = stack.pop()
+            for src, dst in a.epsilon_edges:
+                if src == s and dst not in seen:
+                    seen.add(dst)
+                    stack.append(dst)
+        return seen
+
+    always = close(s for s, k in a.starts.items() if k is ALL)
+    active = close(a.starts) | always
+    out = []
+    for byte in data:
+        active = close(d for s, c, d in a.edges
+                       if s in active and byte in c) | always
+        out.append(frozenset(active))
+    return out
+
+
+def regex_rules(seed: int, kind: StartKind, count: int = 3) -> list[Automaton]:
+    rng = SplitMix64(seed)
+    return [compile_regex(random_regex(rng, 2, 3), kind) for _ in range(count)]
+
+
+def streams(seed: int, count: int = 4, length: int = 12) -> list[bytes]:
+    rng = SplitMix64(seed ^ 0xDA7A)
+    return [bytes(b"abcd"[rng.below(4)] for _ in range(length))
+            for _ in range(count)]
+
+
+def chain(kind: StartKind) -> Automaton:
+    """0 -a-> 1 -b-> 2, accepting 2."""
+    return Automaton(state_count=3,
+                     edges=((0, SymbolClass.of(b"a"), 1),
+                            (1, SymbolClass.of(b"b"), 2)),
+                     starts={0: kind}, accepts=frozenset([2]))
+
+
+class TestRun:
+    @settings(max_examples=150, deadline=None)
+    @given(automata(), inputs)
+    def test_reports_match_accepts_at_every_cycle(self, a, data):
+        trace = run(a, data)
+        reported = {t for t, _, _ in trace.reports}
+        assert trace.cycles == len(data)
+        for t in range(len(data)):
+            assert (t in reported) == accepts(a, data[:t + 1]), t
+
+    @settings(max_examples=150, deadline=None)
+    @given(automata(), inputs)
+    def test_active_sets_match_reference(self, a, data):
+        trace = run(a, data)
+        assert list(trace.per_cycle_active) == reference_active_sets(a, data)
+        assert all(isinstance(s, frozenset) for s in trace.per_cycle_active)
+
+    @settings(max_examples=100, deadline=None)
+    @given(automata(), inputs)
+    def test_activation_counts_agree_with_active_sets(self, a, data):
+        trace = run(a, data)
+        expected = Counter(s for active in trace.per_cycle_active
+                           for s in active)
+        assert trace.per_state_activation_count == dict(expected)
+
+    @settings(max_examples=60, deadline=None)
+    @given(automata())
+    def test_empty_input_is_a_zero_cycle_trace(self, a):
+        trace = run(a, b"")
+        assert trace.cycles == 0
+        assert trace.per_cycle_active == ()
+        assert trace.reports == ()
+        assert trace.per_state_activation_count == {}
+        assert trace.initial_active >= frozenset(a.starts)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32), st.sampled_from(KINDS))
+    def test_reports_carry_the_pattern_that_accepts(self, seed, kind):
+        rules = regex_rules(seed, kind)
+        ids = [10, 20, 30]
+        sim = Simulator(merge_patterns(rules, ids))
+        for data in streams(seed):
+            trace = sim.run(data)
+            assert sim.run(data) == trace  # the program is reusable
+            for t in range(len(data)):
+                got = {pid for c, _, pid in trace.reports if c == t}
+                want = {pid for pid, rule in zip(ids, rules)
+                        if accepts(rule, data[:t + 1])}
+                assert got == want, (t, data)
+
+    @pytest.mark.parametrize("kind, data, cycles, work", [
+        # one successor per byte, plus the every-cycle start when unanchored
+        (SOD, b"ab", [{1}, {2}], 2),
+        (ALL, b"ab", [{0, 1}, {0, 2}], 4),
+        (SOD, b"ba", [set(), set()], 0),
+    ])
+    def test_kernel_work_count(self, kind, data, cycles, work):
+        trace, counted = Simulator(chain(kind)).run_counting(data)
+        assert [set(s) for s in trace.per_cycle_active] == cycles
+        assert counted == work
+
+    def test_reports_smallest_accepting_state_per_pattern(self):
+        a = Automaton(state_count=3,
+                      edges=((0, SymbolClass.of(b"a"), 1),
+                             (0, SymbolClass.of(b"a"), 2)),
+                      starts={0: SOD}, accepts=frozenset([1, 2]))
+        assert run(a, b"a").reports == ((0, 1, None),)
+
+
+class TestActiveRules:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32), st.sampled_from(KINDS))
+    def test_counts_equal_labels_active_in_merged_scan(self, seed, kind):
+        rules = regex_rules(seed, kind)
+        merged = merge_patterns(rules)
+        labels = merged.component_labels
+        for data in streams(seed):
+            expected = tuple(len({labels[s] for s in active if s in labels})
+                             for active in run(merged, data).per_cycle_active)
+            stats = active_rule_frequency(rules, data)
+            assert stats.per_cycle_rule_count == expected
+            assert stats.min_active == min(expected)
+            assert stats.max_active == max(expected)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32))
+    def test_connected_components_of_an_all_input_merge(self, seed):
+        merged = merge_patterns(regex_rules(seed, ALL), [10, 20, 30])
+        components = connected_components(merged)
+        labels = merged.component_labels
+        for data in streams(seed):
+            expected = tuple(len({labels[s] for s in active if s in labels})
+                             for active in run(merged, data).per_cycle_active)
+            assert (active_rule_frequency(components, data)
+                    .per_cycle_rule_count == expected)
+
+    @pytest.mark.parametrize("data, percent", [
+        (b"bb", 100.0), (b"aa", 0.0), (b"ab", 50.0), (b"", 0.0)])
+    def test_start_only_fraction(self, data, percent):
+        rule = Automaton(state_count=2, edges=((0, SymbolClass.of(b"a"), 1),),
+                         starts={0: ALL}, accepts=frozenset([1]))
+        assert start_only_fraction([rule], data) == percent
+        assert active_rule_frequency([rule], data).start_only_fraction == percent
+
+    def test_empty_input(self):
+        stats = active_rule_frequency([chain(ALL)], b"")
+        assert stats.per_cycle_rule_count == ()
+        assert (stats.min_active, stats.max_active) == (0, 0)
+        assert stats.start_only_fraction == 0.0
+
+    def test_duplicate_pattern_ids_rejected(self):
+        a = Automaton(state_count=1, starts={0: ALL}, component_labels={0: 5})
+        with pytest.raises(ValueError, match="distinct pattern ids"):
+            active_rule_frequency([a, a], b"a")
+
+    def test_start_only_fraction_needs_one_start_per_rule(self):
+        two_starts = Automaton(state_count=2, starts={0: ALL, 1: SOD})
+        with pytest.raises(ValueError, match=r"components \[1\]"):
+            start_only_fraction([chain(ALL), two_starts], b"a")
+
+
+class TestThroughput:
+    def test_gbps(self):
+        assert throughput(8e9, 2.0) == 4.0
+
+    @pytest.mark.parametrize("bits, seconds", [(8, 0), (-1, 1)])
+    def test_rejects_bad_arguments(self, bits, seconds):
+        with pytest.raises(ValueError):
+            throughput(bits, seconds)
