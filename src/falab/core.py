@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, Mapping
 
 ALPHABET_SIZE = 256
@@ -330,22 +330,16 @@ def canonicalize(a: Automaton) -> Automaton:
     return relabel(a, perm)
 
 
-def _merge_parallel_edges(a: Automaton) -> Automaton:
-    """Union the classes of edges sharing (src, dst)."""
+def merge_parallel_edges(edges: Iterable[Edge]) -> tuple[Edge, ...]:
+    """Union the classes of edges sharing (src, dst).
+
+    The result is sorted by (src, class mask, dst).
+    """
     merged: dict[tuple[int, int], int] = {}
-    for src, cls, dst in a.edges:
-        key = (src, dst)
-        merged[key] = merged.get(key, 0) | cls.mask
-    edges = tuple(sorted(((s, SymbolClass(m), d) for (s, d), m in merged.items()),
-                         key=lambda e: (e[0], e[1].mask, e[2])))
-    return Automaton(
-        state_count=a.state_count,
-        edges=edges,
-        epsilon_edges=a.epsilon_edges,
-        starts=a.starts,
-        accepts=a.accepts,
-        deterministic=a.deterministic,
-    )
+    for src, cls, dst in edges:
+        merged[src, dst] = merged.get((src, dst), 0) | cls.mask
+    edges = sorted((src, mask, dst) for (src, dst), mask in merged.items())
+    return tuple((src, SymbolClass(mask), dst) for src, mask, dst in edges)
 
 
 def is_deterministic(a: Automaton) -> bool:
@@ -374,6 +368,6 @@ def isomorphic(a: Automaton, b: Automaton) -> bool:
     for name, x in (("first", a), ("second", b)):
         if not is_deterministic(x):
             raise ValueError(f"isomorphic: {name} input is not deterministic")
-    ca = canonicalize(_merge_parallel_edges(a))
-    cb = canonicalize(_merge_parallel_edges(b))
+    ca = canonicalize(replace(a, edges=merge_parallel_edges(a.edges)))
+    cb = canonicalize(replace(b, edges=merge_parallel_edges(b.edges)))
     return ca.structurally_equal(cb)

@@ -7,17 +7,20 @@ before the first byte (the internal "cycle -1" set, exposed as
 states re-activate at the start of every cycle and are therefore part of
 every recorded set.  Epsilon closure is applied after every step.
 
-:class:`Simulator` builds a per-state byte-to-successors table once and
-hands it to the stepping loop in ``_simkernel_py``, the one scan kernel.
+:class:`Simulator` builds a per-state byte-class-to-successors table once
+and hands it, with the input translated to class indices, to the stepping
+loop in ``_simkernel_py``, the one scan kernel.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
 
-from .core import Automaton, StartKind
-from .transform import close_over, epsilon_closures
+from .core import ALPHABET_SIZE, Automaton, StartKind, SymbolClass
+from .transform import (close_over, epsilon_closures, merge_patterns,
+                        partition_masks)
 
 from . import _simkernel_py
 
@@ -53,22 +56,29 @@ class SimulationTrace:
 class Simulator:
     """Reusable stepping program for one automaton.
 
-    Building the program costs O(states x alphabet); reuse the instance
+    Byte classes are the atoms of ``partition_masks`` over the edge
+    classes; bytes that no edge reads map to a class with no successors.
+    Building the program costs O(edges x classes); reuse the instance
     when scanning several inputs.
     """
 
     def __init__(self, automaton: Automaton):
         self.automaton = automaton
+        atoms = partition_masks([cls.mask for _, cls, _ in automaton.edges])
+        class_of = [len(atoms)] * ALPHABET_SIZE
+        for index, atom in enumerate(atoms):
+            for b in SymbolClass(atom).values():
+                class_of[b] = index
+        self._table = bytes(class_of)
         closures = epsilon_closures(automaton)
-        adjacency = automaton.adjacency()
-        step: list[dict[int, tuple[int, ...]]] = []
-        for s in range(automaton.state_count):
-            per_byte: dict[int, set[int]] = {}
-            for cls, dst in adjacency[s]:
-                closed = closures[dst]
-                for b in cls.values():
-                    per_byte.setdefault(b, set()).update(closed)
-            step.append({b: tuple(t) for b, t in per_byte.items()})
+        per_class: list[dict[int, set[int]]] = [
+            {} for _ in range(automaton.state_count)]
+        for src, cls, dst in automaton.edges:
+            for index, atom in enumerate(atoms):
+                if atom & cls.mask:
+                    per_class[src].setdefault(index, set()).update(
+                        closures[dst])
+        step = [{i: tuple(t) for i, t in table.items()} for table in per_class]
         always = close_over(closures, (s for s, k in automaton.starts.items()
                                        if k is StartKind.ALL_INPUT))
         self._init = close_over(closures, automaton.starts) | always
@@ -79,7 +89,8 @@ class Simulator:
 
     def run_counting(self, data: bytes) -> tuple[SimulationTrace, int]:
         """Like run(), also returning the kernel's basic-operation count."""
-        sets, work = _simkernel_py.step_stream(self._program, data)
+        sets, work = _simkernel_py.step_stream(self._program,
+                                               data.translate(self._table))
         return self._assemble(sets), work
 
     def _assemble(self, sets) -> SimulationTrace:
@@ -114,7 +125,13 @@ def run(a: Automaton, data: bytes) -> SimulationTrace:
 
 @dataclass(frozen=True)
 class ActiveRuleStats:
-    """Per-cycle counts of rules with at least one active state."""
+    """Per-cycle counts of rules with at least one active state.
+
+    ``start_only_fraction`` averages, over cycles with an active rule, the
+    percentage of active rules with no active state outside their raw
+    ``starts``.  Raw, not epsilon-closed: a rule whose start has epsilon
+    edges (a Levenshtein rule's deletions) is never start-stalled.
+    """
 
     per_cycle_rule_count: tuple[int, ...]
     min_active: int
@@ -122,76 +139,53 @@ class ActiveRuleStats:
     start_only_fraction: float
 
 
-def _component_pattern_id(component: Automaton, index: int) -> int:
-    labels = component.component_labels
-    if labels:
-        return next(iter(labels.values()))
-    return index
-
-
-def _rule_traces(components: list[Automaton],
-                 data: bytes) -> list[SimulationTrace]:
-    return [Simulator(c).run(data) for c in components]
-
-
-def _start_only_average(components: list[Automaton],
-                        traces: list[SimulationTrace], cycles: int) -> float:
-    """Average over cycles of start-stalled / active rules, in percent.
-
-    A rule is start-stalled in a cycle when it is active but no state
-    beyond its start states is.  Cycles with no active rule are excluded;
-    returns 0.0 if no cycle had one.
-    """
-    start_sets = [frozenset(c.starts) for c in components]
-    total = 0.0
-    counted = 0
-    for t in range(cycles):
-        active = 0
-        stalled = 0
-        for starts, trace in zip(start_sets, traces):
-            states = trace.per_cycle_active[t]
-            if states:
-                active += 1
-                if states <= starts:
-                    stalled += 1
-        if active:
-            counted += 1
-            total += stalled / active
-    return 100.0 * total / counted if counted else 0.0
-
-
 def active_rule_frequency(components: list[Automaton],
                           data: bytes) -> ActiveRuleStats:
     """Count rules with >= 1 active state per input cycle.
 
     Components must carry distinct pattern ids (their start states count
-    as active states).
+    as active states).  One scan of the rules' union gives every count: a
+    rule is active in a cycle when one of its states is.
     """
-    ids = [_component_pattern_id(c, i) for i, c in enumerate(components)]
+    ids = [next(iter(c.component_labels.values())) if c.component_labels
+           else index for index, c in enumerate(components)]
     if len(set(ids)) != len(ids):
         raise ValueError("components must carry distinct pattern ids")
-    traces = _rule_traces(components, data)
-    per_cycle = tuple(
-        sum(1 for trace in traces if trace.per_cycle_active[t])
-        for t in range(len(data)))
+    if not components:
+        return ActiveRuleStats((0,) * len(data), 0, 0, 0.0)
+    merged = merge_patterns(components)
+    rule_of = [merged.component_labels.get(s)
+               for s in range(merged.state_count)]
+    offsets = accumulate((c.state_count for c in components), initial=0)
+    starts = {s + off for c, off in zip(components, offsets) for s in c.starts}
+    per_cycle = []
+    total = 0.0
+    counted = 0
+    for active in Simulator(merged).run(data).per_cycle_active:
+        active_rules = len(set(map(rule_of.__getitem__, active)))
+        moving_rules = len(set(map(rule_of.__getitem__, active - starts)))
+        per_cycle.append(active_rules)
+        if active_rules:
+            counted += 1
+            total += (active_rules - moving_rules) / active_rules
     return ActiveRuleStats(
-        per_cycle_rule_count=per_cycle,
+        per_cycle_rule_count=tuple(per_cycle),
         min_active=min(per_cycle, default=0),
         max_active=max(per_cycle, default=0),
-        start_only_fraction=_start_only_average(components, traces, len(data)),
+        start_only_fraction=100.0 * total / counted if counted else 0.0,
     )
 
 
 def start_only_fraction(components: list[Automaton], data: bytes) -> float:
     """Average percentage of active rules stuck at their start state.
 
-    Each component must have exactly one start state.
+    Each component must have exactly one start state, compared raw, not
+    epsilon-closed (see :class:`ActiveRuleStats`).
     """
     bad = [i for i, c in enumerate(components) if len(c.starts) != 1]
     if bad:
         raise ValueError(f"components {bad} must have exactly one start state")
-    traces = _rule_traces(components, data)
-    return _start_only_average(components, traces, len(data))
+    return active_rule_frequency(components, data).start_only_fraction
 
 
 def throughput(input_size_bits: float, scan_time_seconds: float) -> float:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import deque
 
 from .core import (Automaton, StartKind, SymbolClass, FULL_MASK,
-                   is_deterministic)
+                   is_deterministic, merge_parallel_edges)
 
 DEFAULT_STATE_CAP = 1 << 20
 ORACLE_STATE_LIMIT = 512
@@ -221,17 +221,9 @@ def determinize(a: Automaton, cap: int = DEFAULT_STATE_CAP) -> Automaton:
                 ids[target] = tid
                 queue.append(target)
             edges.append((sid, SymbolClass(atom), tid))
-
-    # merge atoms that lead to the same successor
-    merged: dict[tuple[int, int], int] = {}
-    for src, cls, dst in edges:
-        merged[(src, dst)] = merged.get((src, dst), 0) | cls.mask
-    final_edges = tuple(sorted(((s, SymbolClass(m), d)
-                                for (s, d), m in merged.items()),
-                               key=lambda e: (e[0], e[1].mask, e[2])))
     return Automaton(
         state_count=len(ids),
-        edges=final_edges,
+        edges=merge_parallel_edges(edges),
         starts={0: StartKind.START_OF_DATA},
         accepts=frozenset(i for i, subset in enumerate(ids)
                           if subset & a.accepts),
@@ -356,21 +348,16 @@ def minimize_hopcroft(a: Automaton) -> Automaton:
     # stable numbering: order blocks by their smallest member state
     live.sort(key=lambda b: min(blocks[b]))
     new_id = {b: i for i, b in enumerate(live)}
-    merged: dict[tuple[int, int], int] = {}
+    edges = []
     for b in live:
         rep = min(blocks[b])
         for i, m in enumerate(atoms):
-            t = delta[rep][i]
-            tb = block_of[t]
-            if tb == dead_block:
-                continue
-            key = (new_id[b], new_id[tb])
-            merged[key] = merged.get(key, 0) | m
-    edges = tuple(sorted(((s, SymbolClass(m), d) for (s, d), m in merged.items()),
-                         key=lambda e: (e[0], e[1].mask, e[2])))
+            tb = block_of[delta[rep][i]]
+            if tb != dead_block:
+                edges.append((new_id[b], SymbolClass(m), new_id[tb]))
     return Automaton(
         state_count=len(live),
-        edges=edges,
+        edges=merge_parallel_edges(edges),
         starts={new_id[block_of[start]]: StartKind.START_OF_DATA},
         accepts=frozenset(new_id[block_of[s]] for s in a.accepts),
         deterministic=True,
@@ -415,18 +402,13 @@ def optimize_nfa(a: Automaton) -> Automaton:
         keep = sorted(set(target))
         newid = {old: new for new, old in enumerate(keep)}
         remap = [newid[target[s]] for s in range(a.state_count)]
-        merged_edges: dict[tuple[int, int], int] = {}
-        for src, cls, dst in a.edges:
-            key = (remap[src], remap[dst])
-            merged_edges[key] = merged_edges.get(key, 0) | cls.mask
         new_labels = None
         if a.component_labels is not None:
             new_labels = {remap[s]: l for s, l in a.component_labels.items()}
         a = Automaton(
             state_count=len(keep),
-            edges=tuple(sorted(((s, SymbolClass(m), d)
-                                for (s, d), m in merged_edges.items()),
-                               key=lambda e: (e[0], e[1].mask, e[2]))),
+            edges=merge_parallel_edges((remap[s], c, remap[d])
+                                       for s, c, d in a.edges),
             starts={remap[s]: k for s, k in a.starts.items()},
             accepts=frozenset(remap[s] for s in a.accepts),
             deterministic=a.deterministic,
@@ -439,14 +421,17 @@ def optimize_nfa(a: Automaton) -> Automaton:
 
 
 def connected_components(a: Automaton) -> list[Automaton]:
-    """Split into weakly-connected components, one automaton each.
+    """Split into rules, one automaton each.
 
-    Components are ordered by their smallest original state index and
-    keep their states in the original relative order.  Each component's
-    states are labeled with the originating pattern id: the input's
-    component label when present, else the component's position.  A
-    component with accepts but no start is still returned; validate()
-    flags it.
+    With ``component_labels`` a rule is the set of states with one label.
+    The unlabeled shared start that :func:`merge_patterns` adds (a
+    START_OF_DATA state with only outgoing epsilon edges) is dropped, and
+    its epsilon targets get back their START_OF_DATA marking; any other
+    unlabeled state, or an edge between two labels, is a ValueError.
+    Without labels a rule is a weakly-connected component, labeled with
+    its position.  Rules are ordered by their smallest original state
+    index and keep their states in the original relative order.  A rule
+    with accepts but no start is still returned; validate() flags it.
     """
     parent = list(range(a.state_count))
 
@@ -461,32 +446,49 @@ def connected_components(a: Automaton) -> list[Automaton]:
         if rx != ry:
             parent[max(rx, ry)] = min(rx, ry)
 
-    for s, _, d in a.edges:
-        union(s, d)
-    for s, d in a.epsilon_edges:
-        union(s, d)
+    labels = a.component_labels
+    starts = dict(a.starts)
+    if labels:
+        touched = {x for s, _, d in a.edges for x in (s, d)}
+        touched.update(d for _, d in a.epsilon_edges)
+        strays = [s for s in range(a.state_count) if s not in labels
+                  and (starts.get(s) is not StartKind.START_OF_DATA
+                       or s in touched or s in a.accepts)]
+        if strays:
+            raise ValueError(f"states {strays} carry no component label")
+        crossing = [(s, d) for s, _, d in a.edges if labels[s] != labels[d]]
+        crossing += [(s, d) for s, d in a.epsilon_edges
+                     if s in labels and labels[s] != labels[d]]
+        if crossing:
+            raise ValueError(f"edges {crossing} cross component labels")
+        for s, d in a.epsilon_edges:
+            if s not in labels:
+                starts.setdefault(d, StartKind.START_OF_DATA)
+        rule_of = labels.get
+    else:
+        for s, _, d in a.edges:
+            union(s, d)
+        for s, d in a.epsilon_edges:
+            union(s, d)
+        rule_of = find
 
+    # Ascending states: each rule first appears at its smallest state.
     members: dict[int, list[int]] = {}
     for s in range(a.state_count):
-        members.setdefault(find(s), []).append(s)
-    roots = sorted(members)
+        if rule_of(s) is not None:
+            members.setdefault(rule_of(s), []).append(s)
     out = []
-    for index, root in enumerate(roots):
-        states = members[root]
+    for index, states in enumerate(members.values()):
         newid = {old: new for new, old in enumerate(states)}
-        in_comp = set(states)
-        if a.component_labels is not None and states[0] in a.component_labels:
-            label = a.component_labels[states[0]]
-        else:
-            label = index
+        label = labels[states[0]] if labels else index
         out.append(Automaton(
             state_count=len(states),
             edges=tuple((newid[s], c, newid[d]) for s, c, d in a.edges
-                        if s in in_comp),
+                        if s in newid),
             epsilon_edges=tuple((newid[s], newid[d])
-                                for s, d in a.epsilon_edges if s in in_comp),
-            starts={newid[s]: k for s, k in a.starts.items() if s in in_comp},
-            accepts=frozenset(newid[s] for s in a.accepts if s in in_comp),
+                                for s, d in a.epsilon_edges if s in newid),
+            starts={newid[s]: k for s, k in starts.items() if s in newid},
+            accepts=frozenset(newid[s] for s in a.accepts if s in newid),
             component_labels={newid[s]: label for s in states},
         ))
     return out

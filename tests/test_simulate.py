@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from falab.core import Automaton, StartKind, SymbolClass
-from falab.generators import SplitMix64
+from falab.generators import SplitMix64, gen_levenshtein
 from falab.regex import compile_regex
 from falab.simulate import (Simulator, active_rule_frequency, run,
                             start_only_fraction, throughput)
@@ -20,10 +20,16 @@ ALPHABET = b"abc"
 
 @st.composite
 def automata(draw):
-    """Small NFAs over ``ALPHABET`` with epsilon edges and mixed starts."""
+    """Small NFAs with epsilon edges and mixed starts.
+
+    Edge classes are subsets of ``ALPHABET``, their complements, or the
+    full byte range.
+    """
     n = draw(st.integers(1, 6))
     state = st.integers(0, n - 1)
-    cls = st.sets(st.sampled_from(ALPHABET), min_size=1).map(SymbolClass.of)
+    subset = st.sets(st.sampled_from(ALPHABET), min_size=1).map(SymbolClass.of)
+    cls = st.one_of(subset, subset.map(SymbolClass.complement),
+                    st.just(SymbolClass.full()))
     edges = draw(st.lists(st.tuples(state, cls, state), max_size=10))
     eps = draw(st.lists(st.tuples(state, state), max_size=4))
     starts = draw(st.dictionaries(state, st.sampled_from(KINDS), min_size=1))
@@ -32,8 +38,11 @@ def automata(draw):
                      epsilon_edges=tuple(eps), starts=starts, accepts=finals)
 
 
-# "d" is outside every edge class, so it empties all but the every-cycle set.
-inputs = st.binary(max_size=8).map(lambda b: bytes(b"abcd"[x % 4] for x in b))
+# "d", 0x00 and 0xFF lie outside every subset of ALPHABET, so on most
+# automata they empty all but the every-cycle set.
+INPUT_BYTES = b"abcd\x00\xff"
+inputs = st.binary(max_size=8).map(
+    lambda b: bytes(INPUT_BYTES[x % len(INPUT_BYTES)] for x in b))
 
 
 def reference_active_sets(a: Automaton, data: bytes) -> list[frozenset[int]]:
@@ -140,6 +149,29 @@ class TestRun:
         assert [set(s) for s in trace.per_cycle_active] == cycles
         assert counted == work
 
+    def test_classes_covering_every_byte(self):
+        # 256 singleton edges plus a full edge: 256 byte classes, no byte
+        # left outside every class.
+        edges = [(0, SymbolClass.of([b]), b % 2 + 1) for b in range(256)]
+        edges.append((1, SymbolClass.full(), 0))
+        a = Automaton(state_count=3, edges=tuple(edges), starts={0: ALL},
+                      accepts=frozenset([2]))
+        data = bytes([0, 1, 255, 254, 7, 0])
+        trace = run(a, data)
+        assert list(trace.per_cycle_active) == reference_active_sets(a, data)
+        assert ({t for t, _, _ in trace.reports}
+                == {t for t in range(len(data)) if accepts(a, data[:t + 1])})
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_automaton_without_edges(self, kind):
+        a = Automaton(state_count=2, epsilon_edges=((0, 1),),
+                      starts={0: kind}, accepts=frozenset([1]))
+        data = bytes([0, 97, 255])
+        trace = run(a, data)
+        assert list(trace.per_cycle_active) == reference_active_sets(a, data)
+        assert [t for t, _, _ in trace.reports] == (
+            [0, 1, 2] if kind is ALL else [])
+
     def test_reports_smallest_accepting_state_per_pattern(self):
         a = Automaton(state_count=3,
                       edges=((0, SymbolClass.of(b"a"), 1),
@@ -148,7 +180,63 @@ class TestRun:
         assert run(a, b"a").reports == ((0, 1, None),)
 
 
+def reference_rule_stats(components: list[Automaton], data: bytes):
+    """Rule statistics from one scan per rule.
+
+    Returns (per-cycle active-rule counts, start-only percentage): a rule
+    is active when its own scan has an active state, and start-stalled
+    when every active state is one of its raw start states.
+    """
+    sets = [run(c, data).per_cycle_active for c in components]
+    per_cycle = []
+    total = 0.0
+    counted = 0
+    for t in range(len(data)):
+        active = [s[t] for s, c in zip(sets, components) if s[t]]
+        stalled = [c for s, c in zip(sets, components)
+                   if s[t] and s[t] <= frozenset(c.starts)]
+        per_cycle.append(len(active))
+        if active:
+            counted += 1
+            total += len(stalled) / len(active)
+    return tuple(per_cycle), (100.0 * total / counted if counted else 0.0)
+
+
 class TestActiveRules:
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32), st.sampled_from(KINDS))
+    def test_regex_rules_match_one_scan_per_rule(self, seed, kind):
+        rules = connected_components(
+            merge_patterns(regex_rules(seed, kind), [7, 3, 5]))
+        for data in streams(seed):
+            per_cycle, start_only = reference_rule_stats(rules, data)
+            stats = active_rule_frequency(rules, data)
+            assert stats.per_cycle_rule_count == per_cycle
+            assert stats.min_active == min(per_cycle)
+            assert stats.max_active == max(per_cycle)
+            assert stats.start_only_fraction == start_only
+            assert start_only_fraction(rules, data) == start_only
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_levenshtein_rules_match_one_scan_per_rule(self, kind):
+        rules = [gen_levenshtein(p, d, kind)
+                 for p, d in ((b"abc", 1), (b"ca", 1), (b"bcab", 2))]
+        for data in streams(17, count=3, length=20):
+            per_cycle, start_only = reference_rule_stats(rules, data)
+            stats = active_rule_frequency(rules, data)
+            assert stats.per_cycle_rule_count == per_cycle
+            assert (stats.min_active, stats.max_active) == (min(per_cycle),
+                                                            max(per_cycle))
+            assert stats.start_only_fraction == start_only
+
+    def test_levenshtein_rule_is_never_start_stalled(self):
+        # The start's deletion epsilon edge activates a second state every
+        # cycle, so the active set is never within the raw starts.
+        rule = gen_levenshtein(b"abc", 1, ALL)
+        assert start_only_fraction([rule], b"dddd") == 0.0
+        assert active_rule_frequency([rule], b"dddd").per_cycle_rule_count \
+            == (1, 1, 1, 1)
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32), st.sampled_from(KINDS))
     def test_counts_equal_labels_active_in_merged_scan(self, seed, kind):
