@@ -39,6 +39,17 @@ def _start_kind(value: str) -> StartKind:
     return StartKind(value)
 
 
+def _positive_int(value: str) -> int:
+    try:
+        number = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"not an integer: {value!r}") from None
+    if number < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1 (got {number})")
+    return number
+
+
 def _write_automaton(a, out: str | None) -> None:
     if out:
         save_automaton(a, out)
@@ -242,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def cap_flag(p):
-        p.add_argument("--cap", type=int, default=DEFAULT_STATE_CAP,
+        p.add_argument("--cap", type=_positive_int, default=DEFAULT_STATE_CAP,
                        help="determinization state cap")
 
     p = sub.add_parser("compile", help="compile a pattern to an NFA document")

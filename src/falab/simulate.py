@@ -89,9 +89,13 @@ class Simulator:
 
     def run_counting(self, data: bytes) -> tuple[SimulationTrace, int]:
         """Like run(), also returning the kernel's basic-operation count."""
-        sets, work = _simkernel_py.step_stream(self._program,
-                                               data.translate(self._table))
+        sets, work = self._scan(data)
         return self._assemble(sets), work
+
+    def _scan(self, data: bytes) -> tuple[list[frozenset[int]], int]:
+        """The kernel's per-cycle active sets and operation count, no trace."""
+        return _simkernel_py.step_stream(self._program,
+                                         data.translate(self._table))
 
     def _assemble(self, sets) -> SimulationTrace:
         a = self.automaton
@@ -161,7 +165,7 @@ def active_rule_frequency(components: list[Automaton],
     per_cycle = []
     total = 0.0
     counted = 0
-    for active in Simulator(merged).run(data).per_cycle_active:
+    for active in Simulator(merged)._scan(data)[0]:
         active_rules = len(set(map(rule_of.__getitem__, active)))
         moving_rules = len(set(map(rule_of.__getitem__, active - starts)))
         per_cycle.append(active_rules)

@@ -189,44 +189,71 @@ def remove_epsilon(a: Automaton) -> Automaton:
 def determinize(a: Automaton, cap: int = DEFAULT_STATE_CAP) -> Automaton:
     """Subset construction.  Only reachable subset states materialize.
 
-    ALL_INPUT starts are lowered first.  The empty subset (dead state) is
-    never created: missing transitions mean rejection.  Raises
-    :class:`CapExceededError` when more than ``cap`` states materialize.
+    ALL_INPUT starts are lowered first.  Subsets are int bitsets of NFA
+    states, stepped over the NFA's byte classes (the atoms of
+    :func:`partition_masks` over every edge class, computed once): each
+    state maps each class it reads to the bitset of its epsilon-closed
+    successors.  The empty subset (dead state) is never created: missing
+    transitions mean rejection.  Each output state gets one edge per
+    target, the union of the classes leading there, and edges come out
+    sorted by (src, class mask, dst).  States are numbered breadth-first
+    from the start-of-data closure, new targets in ascending mask order,
+    which is :func:`~falab.core.canonicalize`'s order; compare DFAs from
+    elsewhere with ``canonicalize`` or ``isomorphic``.  Raises
+    :class:`CapExceededError` when more than ``cap`` states materialize,
+    and ValueError when ``cap`` is below 1.
     """
+    if cap < 1:
+        raise ValueError(f"determinization cap must be at least 1 (got {cap})")
     a = lower_all_input(a)
-    closures = epsilon_closures(a)
-    adj = a.adjacency()
-    out_masks: list[list[tuple[int, int]]] = [[] for _ in range(a.state_count)]
-    for s in range(a.state_count):
-        for cls, dst in adj[s]:
-            out_masks[s].append((cls.mask, dst))
+    closures = [sum(1 << t for t in c) for c in epsilon_closures(a)]
+    atoms = partition_masks([cls.mask for _, cls, _ in a.edges])
+    moves: list[dict[int, int]] = [{} for _ in range(a.state_count)]
+    for src, cls, dst in a.edges:
+        row = moves[src]
+        for i, atom in enumerate(atoms):
+            if atom & cls.mask:
+                row[i] = row.get(i, 0) | closures[dst]
+    rows = [tuple(row.items()) for row in moves]
 
-    init = close_over(closures, (s for s, k in a.starts.items()
-                                 if k is StartKind.START_OF_DATA))
-    ids: dict[frozenset[int], int] = {init: 0}
+    init = 0
+    for s, k in a.starts.items():
+        if k is StartKind.START_OF_DATA:
+            init |= closures[s]
+    ids: dict[int, int] = {init: 0}
+    subsets = [init]
+    classes: dict[int, SymbolClass] = {}
     edges: list[tuple[int, SymbolClass, int]] = []
-    queue = deque([init])
-    while queue:
-        subset = queue.popleft()
-        sid = ids[subset]
-        pairs = [pair for s in subset for pair in out_masks[s]]
-        for atom in partition_masks([m for m, _ in pairs]):
-            target = close_over(closures,
-                                (d for m, d in pairs if m & atom))
+    for sid, subset in enumerate(subsets):  # grows while it is walked: BFS
+        step = [0] * len(atoms)
+        while subset:
+            low = subset & -subset
+            subset ^= low
+            for i, bits in rows[low.bit_length() - 1]:
+                step[i] |= bits
+        by_target: dict[int, int] = {}
+        for atom, target in zip(atoms, step):
+            if target:
+                by_target[target] = by_target.get(target, 0) | atom
+        for mask, target in sorted((m, t) for t, m in by_target.items()):
             tid = ids.get(target)
             if tid is None:
                 if len(ids) >= cap:
                     raise CapExceededError(cap)
                 tid = len(ids)
                 ids[target] = tid
-                queue.append(target)
-            edges.append((sid, SymbolClass(atom), tid))
+                subsets.append(target)
+            cls = classes.get(mask)
+            if cls is None:
+                cls = classes[mask] = SymbolClass(mask)
+            edges.append((sid, cls, tid))
+    accept_bits = sum(1 << s for s in a.accepts)
     return Automaton(
         state_count=len(ids),
-        edges=merge_parallel_edges(edges),
+        edges=tuple(edges),
         starts={0: StartKind.START_OF_DATA},
-        accepts=frozenset(i for i, subset in enumerate(ids)
-                          if subset & a.accepts),
+        accepts=frozenset(i for i, subset in enumerate(subsets)
+                          if subset & accept_bits),
         deterministic=True,
     )
 

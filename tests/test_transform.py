@@ -1,14 +1,19 @@
 import json
+from collections import deque
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from falab.cli import main
-from falab.core import Automaton, StartKind, SymbolClass, merge_parallel_edges
+from falab.core import (Automaton, StartKind, SymbolClass, canonicalize,
+                        isomorphic, merge_parallel_edges, validate)
 from falab.documents import save_automaton
 from falab.generators import SplitMix64
 from falab.regex import compile_regex
-from falab.transform import connected_components, equivalent, merge_patterns
+from falab.transform import (CapExceededError, close_over,
+                             connected_components, determinize,
+                             epsilon_closures, equivalent, lower_all_input,
+                             merge_patterns, partition_masks)
 
 from corpus import random_regex
 
@@ -81,3 +86,103 @@ class TestMergeParallelEdges:
                                       (0, b, 0)])
         # sorted by (src, class mask, dst): the mask of "b" is below "ab"'s
         assert edges == ((0, b, 0), (0, SymbolClass.of(b"ab"), 1), (1, c, 0))
+
+
+def frozenset_determinize(a: Automaton, cap: int) -> Automaton:
+    """Reference subset construction: frozenset subsets, atoms per subset."""
+    a = lower_all_input(a)
+    closures = epsilon_closures(a)
+    out_masks = [[] for _ in range(a.state_count)]
+    for src, cls, dst in a.edges:
+        out_masks[src].append((cls.mask, dst))
+    init = close_over(closures, (s for s, k in a.starts.items() if k is SOD))
+    ids = {init: 0}
+    edges = []
+    queue = deque([init])
+    while queue:
+        subset = queue.popleft()
+        pairs = [pair for s in subset for pair in out_masks[s]]
+        for atom in partition_masks([m for m, _ in pairs]):
+            target = close_over(closures, (d for m, d in pairs if m & atom))
+            if target not in ids:
+                if len(ids) >= cap:
+                    raise CapExceededError(cap)
+                ids[target] = len(ids)
+                queue.append(target)
+            edges.append((ids[subset], SymbolClass(atom), ids[target]))
+    return Automaton(
+        state_count=len(ids),
+        edges=merge_parallel_edges(edges),
+        starts={0: SOD},
+        accepts=frozenset(i for i, subset in enumerate(ids)
+                          if subset & a.accepts),
+        deterministic=True,
+    )
+
+
+BYTES = b"ab\x00\xff"
+
+
+@st.composite
+def nfas(draw):
+    """Small NFAs with epsilon edges; starts may be all ALL_INPUT or none.
+
+    Classes are subsets of ``BYTES`` (0x00 and 0xFF included), their
+    complements, or the full byte range.
+    """
+    n = draw(st.integers(1, 7))
+    state = st.integers(0, n - 1)
+    subset = st.sets(st.sampled_from(BYTES), min_size=1).map(SymbolClass.of)
+    cls = st.one_of(subset, subset.map(SymbolClass.complement),
+                    st.just(SymbolClass.full()))
+    edges = draw(st.lists(st.tuples(state, cls, state), max_size=12))
+    eps = draw(st.lists(st.tuples(state, state), max_size=4))
+    starts = draw(st.dictionaries(state, st.sampled_from([SOD, ALL])))
+    finals = draw(st.frozensets(state))
+    return Automaton(state_count=n, edges=tuple(edges),
+                     epsilon_edges=tuple(eps), starts=starts, accepts=finals)
+
+
+class TestDeterminize:
+    @settings(max_examples=300, deadline=None)
+    @given(nfas())
+    def test_matches_frozenset_construction(self, nfa):
+        expected = frozenset_determinize(nfa, 1 << 20)
+        dfa = determinize(nfa)
+        assert dfa.state_count == expected.state_count
+        assert isomorphic(dfa, expected)
+        assert validate(dfa) == []
+        assert equivalent(nfa, dfa)
+        assert dfa.edges == merge_parallel_edges(dfa.edges)
+        assert canonicalize(dfa).structurally_equal(dfa)
+
+    @settings(max_examples=100, deadline=None)
+    @given(nfas())
+    def test_cap_boundary(self, nfa):
+        n = frozenset_determinize(nfa, 1 << 20).state_count
+        assert determinize(nfa, n).state_count == n
+        if n > 1:
+            with pytest.raises(CapExceededError):
+                determinize(nfa, n - 1)
+
+    @pytest.mark.parametrize("cap", [0, -3])
+    def test_cap_below_one_is_rejected(self, cap):
+        one_state = Automaton(state_count=1, starts={0: SOD})
+        with pytest.raises(ValueError,
+                           match=rf"cap must be at least 1 \(got {cap}\)"):
+            determinize(one_state, cap)
+
+    @pytest.mark.parametrize("cap", ["0", "-2", "many"])
+    def test_cli_cap_below_one_is_a_usage_error(self, tmp_path, capsys, cap):
+        path = tmp_path / "a.json"
+        save_automaton(compile_regex("ab", SOD), str(path))
+        with pytest.raises(SystemExit) as exc:
+            main(["determinize", str(path), "--cap", cap])
+        assert exc.value.code == 2
+        assert "--cap" in capsys.readouterr().err
+
+    def test_cli_cap_one_is_accepted(self, tmp_path, capsys):
+        path = tmp_path / "a.json"
+        save_automaton(Automaton(state_count=1, starts={0: SOD}), str(path))
+        assert main(["determinize", str(path), "--cap", "1"]) == 0
+        assert json.loads(capsys.readouterr().out)["states"] == 1
