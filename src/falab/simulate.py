@@ -9,7 +9,11 @@ every recorded set.  Epsilon closure is applied after every step.
 
 :class:`Simulator` builds a per-state byte-class-to-successors table once
 and hands it, with the input translated to class indices, to the stepping
-loop in ``_simkernel_py``, the one scan kernel.
+kernel.  The kernel is the compiled ``_simkernel`` when the extension was
+built (``python setup.py build_ext --inplace``) and otherwise
+``_simkernel_py``, whose plain-Python loop is the specification both
+follow.  :func:`active_rule_frequency` runs the kernel in its counting
+mode, which yields per-cycle rule counts instead of active sets.
 """
 
 from __future__ import annotations
@@ -24,14 +28,23 @@ from .transform import (close_over, epsilon_closures, merge_patterns,
 
 from . import _simkernel_py
 
+try:
+    from . import _simkernel
+except ImportError:  # built without a C compiler: scan in Python
+    _simkernel = None
 
-# Kept so that callers which record the kernel that ran keep working.
+# The kernel every scan calls, looked up through this name on each call.
+_kernel = _simkernel or _simkernel_py
+
+
 def available_kernels() -> tuple[str, ...]:
-    return ("python",)
+    """Names of the scan kernels this installation has, the default first."""
+    return ("python",) if _simkernel is None else ("c", "python")
 
 
 def default_kernel() -> str:
-    return "python"
+    """Name of the kernel :class:`Simulator` scans with."""
+    return available_kernels()[0]
 
 
 @dataclass(frozen=True)
@@ -92,10 +105,14 @@ class Simulator:
         sets, work = self._scan(data)
         return self._assemble(sets), work
 
-    def _scan(self, data: bytes) -> tuple[list[frozenset[int]], int]:
-        """The kernel's per-cycle active sets and operation count, no trace."""
-        return _simkernel_py.step_stream(self._program,
-                                         data.translate(self._table))
+    def _scan(self, data: bytes, rules=None) -> tuple[list, int]:
+        """The kernel's per-cycle active sets and operation count, no trace.
+
+        With ``rules`` the kernel counts rules instead of returning sets
+        (see ``_simkernel_py``).
+        """
+        return _kernel.step_stream(self._program,
+                                   data.translate(self._table), rules)
 
     def _assemble(self, sets) -> SimulationTrace:
         a = self.automaton
@@ -158,16 +175,18 @@ def active_rule_frequency(components: list[Automaton],
     if not components:
         return ActiveRuleStats((0,) * len(data), 0, 0, 0.0)
     merged = merge_patterns(components)
-    rule_of = [merged.component_labels.get(s)
-               for s in range(merged.state_count)]
+    # Rules as dense indices; the unlabeled shared start is one of its own.
+    labels = [merged.component_labels.get(s)
+              for s in range(merged.state_count)]
+    index = {label: i for i, label in enumerate(dict.fromkeys(labels))}
     offsets = accumulate((c.state_count for c in components), initial=0)
     starts = {s + off for c, off in zip(components, offsets) for s in c.starts}
+    rules = ([index[label] for label in labels],
+             [s in starts for s in range(merged.state_count)])
     per_cycle = []
     total = 0.0
     counted = 0
-    for active in Simulator(merged)._scan(data)[0]:
-        active_rules = len(set(map(rule_of.__getitem__, active)))
-        moving_rules = len(set(map(rule_of.__getitem__, active - starts)))
+    for active_rules, moving_rules in Simulator(merged)._scan(data, rules)[0]:
         per_cycle.append(active_rules)
         if active_rules:
             counted += 1
