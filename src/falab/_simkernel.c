@@ -2,218 +2,107 @@
 
    step_stream(program, data, rules=None) keeps the contract of
    falab._simkernel_py.step_stream, which is its specification: the same
-   (step, init, always) program triple, the same per-cycle frozensets or,
-   with rules, the same (active_rules, moving_rules) pairs, and the same
-   operation count.  Each call flattens step into a dense table of
-   states x byte classes, sized by the class count (1 + the largest class
-   key); input bytes at or above the class count have no successors.  A
-   malformed program or rules argument, or data that is not bytes-like,
-   raises TypeError or ValueError naming the bad item before the scan. */
+   flat program (n, ncls, off, succ, init, always), the same per-cycle
+   frozensets or, with rules = (rule_of, raw_start), the same
+   (active_rules, moving_rules) pairs, and the same operation count.  The
+   arrays are read in place through the buffer protocol, never copied.
+   One pass checks them all before the scan: an argument that is not a
+   buffer, or whose items are not 'i' (raw_start: 'B'), raises TypeError;
+   a wrong length, offsets that decrease or do not end at len(succ), or a
+   state outside 0..n-1 raises ValueError naming the array and index.
+   FORMAT numbers this program layout; falab.simulate uses the module only
+   when it equals falab._simkernel_py.FORMAT. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <stdint.h>
 
+#define FORMAT 2
+
+/* Buffer views, acquired in this order (RULE_OF and RAW_START only with
+   rules), with their names and item formats; data may be any bytes-like
+   object. */
+enum { DATA, OFF, SUCC, INIT, ALWAYS, RULE_OF, RAW_START, NVIEWS };
+static const char *const names[NVIEWS] = {
+    "data", "off", "succ", "init", "always", "rule_of", "raw_start"};
+static const char *const formats[NVIEWS] = {
+    NULL, "i", "i", "i", "i", "i", "B"};
+
 typedef struct {
-    Py_ssize_t n, ncls, ninit, nalways;
-    uint32_t *off;     /* n * ncls + 1 offsets into succ, row s * ncls + c */
-    int32_t *succ, *init, *always;
-    int32_t *rule;     /* per-state rule index, NULL without rules */
-    char *raw_start;   /* per-state raw-start flag, NULL without rules */
+    Py_ssize_t n, ncls;
+    Py_buffer views[NVIEWS];
+    Py_ssize_t len[NVIEWS];  /* items per view */
+    int held;                /* views[0..held-1] are acquired */
 } Program;
 
-static void
-program_free(Program *p)
-{
-    PyMem_Free(p->off);
-    PyMem_Free(p->succ);
-    PyMem_Free(p->init);
-    PyMem_Free(p->always);
-    PyMem_Free(p->rule);
-    PyMem_Free(p->raw_start);
-}
+#define ITEMS(p, i) ((const int32_t *)(p)->views[i].buf)
 
-/* obj as an index in 0..bound-1; -1 with an exception naming the item,
-   whose label is formatted from fmt, a and b only on error. */
-static Py_ssize_t
-index_of(PyObject *obj, Py_ssize_t bound, const char *fmt, Py_ssize_t a,
-         Py_ssize_t b)
-{
-    char label[80];
-    Py_ssize_t v = PyLong_Check(obj) ? PyLong_AsSsize_t(obj) : -1;
-
-    if (v >= 0 && v < bound)
-        return v;
-    PyErr_Clear();  /* a value too large is reported as out of range */
-    PyOS_snprintf(label, sizeof label, fmt, a, b);
-    if (!PyLong_Check(obj)) {
-        PyErr_Format(PyExc_TypeError, "%s must be an int, not '%.100s'",
-                     label, Py_TYPE(obj)->tp_name);
-        return -1;
-    }
-    PyErr_Format(PyExc_ValueError, "%s is %R, outside 0..%zd", label, obj,
-                 bound - 1);
-    return -1;
-}
-
-/* The items of iterable obj (init, always or rule_of) as indices in
-   0..bound-1, duplicates kept. */
-static int32_t *
-read_indices(PyObject *obj, Py_ssize_t bound, const char *name,
-             Py_ssize_t *count)
-{
-    char label[64];
-    int32_t *out = NULL;
-    PyObject *seq;
-
-    PyOS_snprintf(label, sizeof label, "%s must be iterable", name);
-    if ((seq = PySequence_Fast(obj, label)) == NULL)
-        return NULL;
-    *count = PySequence_Fast_GET_SIZE(seq);
-    if ((out = PyMem_Malloc((*count + 1) * sizeof *out)) == NULL) {
-        PyErr_NoMemory();
-        goto done;
-    }
-    PyOS_snprintf(label, sizeof label, "an item of %s", name);
-    for (Py_ssize_t i = 0; i < *count; i++) {
-        Py_ssize_t v = index_of(PySequence_Fast_GET_ITEM(seq, i), bound,
-                                label, 0, 0);
-        if (v < 0) {
-            PyMem_Free(out);
-            out = NULL;
-            break;
-        }
-        out[i] = (int32_t)v;
-    }
-done:
-    Py_DECREF(seq);
-    return out;
-}
-
-/* Flatten step: pass 1 checks rows and keys and finds the class count,
-   pass 2 sets the row offsets, pass 3 copies the checked successors. */
+/* Acquire obj as view i. */
 static int
-read_step(PyObject *step, Program *p)
+acquire(Program *p, int i, PyObject *obj)
 {
-    PyObject *seq, *key, *value;
-    Py_ssize_t pos, total = 0, maxkey = -1;
-    int ok = -1;
+    Py_buffer *view = &p->views[i];
+    const char *fmt = formats[i];
 
-    seq = PySequence_Fast(step, "program step must be a sequence of dicts");
-    if (seq == NULL)
+    if (!PyObject_CheckBuffer(obj)) {
+        PyErr_Format(PyExc_TypeError, "%s must be a %s, not '%.100s'",
+                     names[i], fmt ? "buffer" : "bytes-like object",
+                     Py_TYPE(obj)->tp_name);
         return -1;
-    p->n = PySequence_Fast_GET_SIZE(seq);
-    if (p->n >= INT32_MAX) {
-        PyErr_SetString(PyExc_ValueError, "program has too many states");
-        goto done;
     }
-    for (Py_ssize_t s = 0; s < p->n; s++) {
-        PyObject *row = PySequence_Fast_GET_ITEM(seq, s);
-        if (!PyDict_Check(row)) {
-            PyErr_Format(PyExc_TypeError, "step[%zd] must be a dict, not "
-                         "'%.100s'", s, Py_TYPE(row)->tp_name);
-            goto done;
-        }
-        for (pos = 0; PyDict_Next(row, &pos, &key, &value);) {
-            Py_ssize_t c = index_of(key, 256, "a class key of step[%zd]", s,
-                                    0);
-            if (c < 0)
-                goto done;
-            if (!PyTuple_Check(value) && !PyList_Check(value)) {
-                PyErr_Format(PyExc_TypeError, "step[%zd][%zd] must be a "
-                             "tuple of states, not '%.100s'", s, c,
-                             Py_TYPE(value)->tp_name);
-                goto done;
-            }
-            maxkey = c > maxkey ? c : maxkey;
-            total += PySequence_Fast_GET_SIZE(value);
-        }
+    if (PyObject_GetBuffer(obj, view, fmt ? PyBUF_FORMAT | PyBUF_C_CONTIGUOUS
+                                          : PyBUF_SIMPLE) < 0)
+        return -1;
+    p->held = i + 1;
+    if (fmt && strcmp(view->format, fmt) != 0) {
+        PyErr_Format(PyExc_TypeError, "%s must hold '%s' items, not '%s'",
+                     names[i], fmt, view->format);
+        return -1;
     }
-    if (total >= UINT32_MAX) {
-        PyErr_SetString(PyExc_ValueError, "program has too many successors");
-        goto done;
-    }
-    p->ncls = maxkey + 1;
-    p->off = PyMem_Calloc(p->n * p->ncls + 1, sizeof *p->off);
-    p->succ = PyMem_Malloc((total + 1) * sizeof *p->succ);
-    if (p->off == NULL || p->succ == NULL) {
-        PyErr_NoMemory();
-        goto done;
-    }
-    for (Py_ssize_t s = 0; s < p->n; s++)
-        for (pos = 0; PyDict_Next(PySequence_Fast_GET_ITEM(seq, s), &pos,
-                                  &key, &value);)
-            p->off[s * p->ncls + PyLong_AsSsize_t(key) + 1] =
-                (uint32_t)PySequence_Fast_GET_SIZE(value);
-    for (Py_ssize_t i = 1; i <= p->n * p->ncls; i++)
-        p->off[i] += p->off[i - 1];
-    for (Py_ssize_t s = 0; s < p->n; s++) {
-        for (pos = 0; PyDict_Next(PySequence_Fast_GET_ITEM(seq, s), &pos,
-                                  &key, &value);) {
-            Py_ssize_t c = PyLong_AsSsize_t(key);
-            int32_t *dst = p->succ + p->off[s * p->ncls + c];
-            for (Py_ssize_t j = 0; j < PySequence_Fast_GET_SIZE(value); j++) {
-                Py_ssize_t d = index_of(PySequence_Fast_GET_ITEM(value, j),
-                                        p->n, "a successor in step[%zd][%zd]",
-                                        s, c);
-                if (d < 0)
-                    goto done;
-                dst[j] = (int32_t)d;
-            }
-        }
-    }
-    ok = 0;
-done:
-    Py_DECREF(seq);
-    return ok;
+    p->len[i] = fmt ? view->len / view->itemsize : view->len;
+    return 0;
 }
 
-/* rules = (rule_of, raw_start): a rule index in 0..n-1 and a flag per
-   state. */
+/* The checks that read the items, in one pass over the views. */
 static int
-read_rules(PyObject *rules, Program *p)
+check(const Program *p)
 {
-    static const char pair_error[] = "rules must be a (rule_of, raw_start) "
-                                     "pair";
-    PyObject *pair, *raw = NULL;
-    Py_ssize_t count = 0;
-    int ok = -1;
+    const int32_t *off = ITEMS(p, OFF);
+    Py_ssize_t rows = p->n * p->ncls;
 
-    if ((pair = PySequence_Fast(rules, pair_error)) == NULL)
+    if (p->len[OFF] != rows + 1) {
+        PyErr_Format(PyExc_ValueError, "off must have n * ncls + 1 = %zd "
+                     "items, not %zd", rows + 1, p->len[OFF]);
         return -1;
-    if (PySequence_Fast_GET_SIZE(pair) != 2) {
-        PyErr_SetString(PyExc_ValueError, pair_error);
-        goto done;
     }
-    p->rule = read_indices(PySequence_Fast_GET_ITEM(pair, 0), p->n, "rule_of",
-                           &count);
-    if (p->rule == NULL)
-        goto done;
-    raw = PySequence_Fast(PySequence_Fast_GET_ITEM(pair, 1),
-                          "raw_start must be iterable");
-    if (raw == NULL)
-        goto done;
-    if (count != p->n || PySequence_Fast_GET_SIZE(raw) != p->n) {
+    for (Py_ssize_t k = 0; k <= rows; k++)
+        if (off[k] < (k ? off[k - 1] : 0)) {
+            PyErr_Format(PyExc_ValueError, "off[%zd] is %d, below %d before "
+                         "it", k, (int)off[k], k ? (int)off[k - 1] : 0);
+            return -1;
+        }
+    if (off[rows] != p->len[SUCC]) {
+        PyErr_Format(PyExc_ValueError, "off[%zd] is %d, not len(succ) = %zd",
+                     rows, (int)off[rows], p->len[SUCC]);
+        return -1;
+    }
+    if (p->held > RULE_OF && (p->len[RULE_OF] != p->n
+                              || p->len[RAW_START] != p->n)) {
         PyErr_Format(PyExc_ValueError, "rule_of and raw_start must have one "
-                     "item per state (%zd), not %zd and %zd", p->n, count,
-                     PySequence_Fast_GET_SIZE(raw));
-        goto done;
+                     "item per state (%zd), not %zd and %zd", p->n,
+                     p->len[RULE_OF], p->len[RAW_START]);
+        return -1;
     }
-    if ((p->raw_start = PyMem_Malloc(p->n + 1)) == NULL) {
-        PyErr_NoMemory();
-        goto done;
+    for (int i = SUCC; i < p->held && i <= RULE_OF; i++) {
+        const int32_t *items = ITEMS(p, i);
+        for (Py_ssize_t k = 0; k < p->len[i]; k++)
+            if (items[k] < 0 || items[k] >= p->n) {
+                PyErr_Format(PyExc_ValueError, "%s[%zd] is %d, outside "
+                             "0..%zd", names[i], k, (int)items[k], p->n - 1);
+                return -1;
+            }
     }
-    for (Py_ssize_t s = 0; s < p->n; s++) {
-        int flag = PyObject_IsTrue(PySequence_Fast_GET_ITEM(raw, s));
-        if (flag < 0)
-            goto done;
-        p->raw_start[s] = (char)flag;
-    }
-    ok = 0;
-done:
-    Py_XDECREF(raw);
-    Py_DECREF(pair);
-    return ok;
+    return 0;
 }
 
 /* One cycle's record: the active set, or its (active, moving) rule counts.
@@ -222,21 +111,23 @@ static PyObject *
 record(const Program *p, const int32_t *active, Py_ssize_t count,
        PyObject *ints, Py_ssize_t *seen, Py_ssize_t *moving, Py_ssize_t stamp)
 {
-    if (p->rule == NULL) {
+    if (p->held <= RULE_OF) {
         PyObject *set = PyFrozenSet_New(NULL);
         for (Py_ssize_t i = 0; set != NULL && i < count; i++)
             if (PySet_Add(set, PyList_GET_ITEM(ints, active[i])) < 0)
                 Py_CLEAR(set);
         return set;
     }
+    const int32_t *rule = ITEMS(p, RULE_OF);
+    const unsigned char *raw_start = p->views[RAW_START].buf;
     Py_ssize_t rules = 0, moved = 0;
     for (Py_ssize_t i = 0; i < count; i++) {
-        int32_t s = active[i], r = p->rule[s];
+        int32_t s = active[i], r = rule[s];
         if (seen[r] != stamp) {
             seen[r] = stamp;
             rules++;
         }
-        if (!p->raw_start[s] && moving[r] != stamp) {
+        if (!raw_start[s] && moving[r] != stamp) {
             moving[r] = stamp;
             moved++;
         }
@@ -245,18 +136,22 @@ record(const Program *p, const int32_t *active, Py_ssize_t count,
 }
 
 static PyObject *
-scan(const Program *p, const unsigned char *data, Py_ssize_t len)
+scan(const Program *p)
 {
-    Py_ssize_t cap = (p->ninit > p->n ? p->ninit : p->n) + 1;
+    const unsigned char *data = p->views[DATA].buf;
+    const int32_t *off = ITEMS(p, OFF), *succ = ITEMS(p, SUCC);
+    const int32_t *always = ITEMS(p, ALWAYS);
+    Py_ssize_t len = p->len[DATA], ninit = p->len[INIT];
+    Py_ssize_t nalways = p->len[ALWAYS], n = p->n, ncls = p->ncls;
+    Py_ssize_t cap = (ninit > n ? ninit : n) + 1, ncur = ninit;
     int32_t *cur = PyMem_Malloc(cap * sizeof *cur);
     int32_t *next = PyMem_Malloc(cap * sizeof *next);
-    Py_ssize_t *mark = PyMem_Calloc(p->n + 1, sizeof *mark);
-    Py_ssize_t *seen = PyMem_Calloc(p->n + 1, sizeof *seen);
-    Py_ssize_t *moving = PyMem_Calloc(p->n + 1, sizeof *moving);
-    PyObject *ints = PyList_New(p->rule == NULL ? p->n : 0);
+    Py_ssize_t *mark = PyMem_Calloc(n + 1, sizeof *mark);
+    Py_ssize_t *seen = PyMem_Calloc(n + 1, sizeof *seen);
+    Py_ssize_t *moving = PyMem_Calloc(n + 1, sizeof *moving);
+    PyObject *ints = PyList_New(p->held > RULE_OF ? 0 : n);
     PyObject *out = PyList_New(len), *result = NULL;
     unsigned long long work = 0;
-    Py_ssize_t ncur = p->ninit;
 
     if (ints == NULL || out == NULL)
         goto done;
@@ -270,16 +165,16 @@ scan(const Program *p, const unsigned char *data, Py_ssize_t len)
             goto done;
         PyList_SET_ITEM(ints, s, v);
     }
-    memcpy(cur, p->init, p->ninit * sizeof *cur);
+    memcpy(cur, ITEMS(p, INIT), ninit * sizeof *cur);
     for (Py_ssize_t t = 0; t < len; t++) {
         Py_ssize_t stamp = t + 1, nnext = 0;
         unsigned char c = data[t];
-        if (c < p->ncls) {
+        if (c < ncls) {
             for (Py_ssize_t i = 0; i < ncur; i++) {
-                const uint32_t *row = p->off + cur[i] * p->ncls + c;
+                const int32_t *row = off + cur[i] * ncls + c;
                 work += row[1] - row[0];
-                for (uint32_t j = row[0]; j < row[1]; j++) {
-                    int32_t d = p->succ[j];
+                for (int32_t j = row[0]; j < row[1]; j++) {
+                    int32_t d = succ[j];
                     if (mark[d] != stamp) {
                         mark[d] = stamp;
                         next[nnext++] = d;
@@ -287,9 +182,9 @@ scan(const Program *p, const unsigned char *data, Py_ssize_t len)
                 }
             }
         }
-        work += p->nalways;
-        for (Py_ssize_t i = 0; i < p->nalways; i++) {
-            int32_t d = p->always[i];
+        work += nalways;
+        for (Py_ssize_t i = 0; i < nalways; i++) {
+            int32_t d = always[i];
             if (mark[d] != stamp) {
                 mark[d] = stamp;
                 next[nnext++] = d;
@@ -320,41 +215,42 @@ static PyObject *
 step_stream(PyObject *self, PyObject *args, PyObject *kwargs)
 {
     static char *kwlist[] = {"program", "data", "rules", NULL};
-    PyObject *program, *data, *rules = Py_None, *triple, *result = NULL;
+    PyObject *program, *data, *rules = Py_None, *result = NULL;
     Program p = {0};
-    Py_buffer view;
 
     if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OO|O:step_stream", kwlist,
                                      &program, &data, &rules))
         return NULL;
-    if (!PyObject_CheckBuffer(data)) {
-        PyErr_Format(PyExc_TypeError, "data must be a bytes-like object, "
-                     "not '%.100s'", Py_TYPE(data)->tp_name);
+    if (!PyTuple_Check(program) || PyTuple_GET_SIZE(program) != 6) {
+        PyErr_SetString(PyExc_TypeError, "program must be a (n, ncls, off, "
+                        "succ, init, always) tuple");
         return NULL;
     }
-    triple = PySequence_Fast(program, "program must be a (step, init, "
-                                      "always) triple");
-    if (triple == NULL)
+    if (rules != Py_None && (!PyTuple_Check(rules)
+                             || PyTuple_GET_SIZE(rules) != 2)) {
+        PyErr_SetString(PyExc_TypeError, "rules must be a (rule_of, "
+                        "raw_start) pair");
         return NULL;
-    if (PySequence_Fast_GET_SIZE(triple) != 3) {
-        PyErr_SetString(PyExc_ValueError,
-                        "program must be a (step, init, always) triple");
-        goto done;
     }
-    if (read_step(PySequence_Fast_GET_ITEM(triple, 0), &p) < 0
-            || !(p.init = read_indices(PySequence_Fast_GET_ITEM(triple, 1),
-                                       p.n, "init", &p.ninit))
-            || !(p.always = read_indices(PySequence_Fast_GET_ITEM(triple, 2),
-                                         p.n, "always", &p.nalways))
-            || (rules != Py_None && read_rules(rules, &p) < 0))
-        goto done;
-    if (PyObject_GetBuffer(data, &view, PyBUF_SIMPLE) < 0)
-        goto done;
-    result = scan(&p, view.buf, view.len);
-    PyBuffer_Release(&view);
-done:
-    program_free(&p);
-    Py_DECREF(triple);
+    p.n = PyLong_AsSsize_t(PyTuple_GET_ITEM(program, 0));
+    p.ncls = PyLong_AsSsize_t(PyTuple_GET_ITEM(program, 1));
+    if (p.n < 0 || p.n >= INT32_MAX || p.ncls < 0 || p.ncls > 256) {
+        PyErr_Clear();  /* a non-int or an overflow is reported as below */
+        PyErr_Format(PyExc_ValueError, "program n is %R and ncls %R; they "
+                     "must be ints in 0..%d and 0..256",
+                     PyTuple_GET_ITEM(program, 0),
+                     PyTuple_GET_ITEM(program, 1), INT32_MAX - 1);
+        return NULL;
+    }
+    int last = rules == Py_None ? ALWAYS : RAW_START, ok = 1;
+    for (int i = DATA; ok && i <= last; i++)
+        ok = acquire(&p, i, i == DATA ? data
+                            : i <= ALWAYS ? PyTuple_GET_ITEM(program, i + 1)
+                            : PyTuple_GET_ITEM(rules, i - RULE_OF)) == 0;
+    if (ok && check(&p) == 0)
+        result = scan(&p);
+    while (p.held > 0)  /* every view, on every path */
+        PyBuffer_Release(&p.views[--p.held]);
     return result;
 }
 
@@ -376,5 +272,9 @@ static struct PyModuleDef module = {
 PyMODINIT_FUNC
 PyInit__simkernel(void)
 {
-    return PyModule_Create(&module);
+    PyObject *m = PyModule_Create(&module);
+
+    if (m != NULL && PyModule_AddIntConstant(m, "FORMAT", FORMAT) < 0)
+        Py_CLEAR(m);
+    return m;
 }

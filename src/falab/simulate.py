@@ -7,20 +7,25 @@ before the first byte (the internal "cycle -1" set, exposed as
 states re-activate at the start of every cycle and are therefore part of
 every recorded set.  Epsilon closure is applied after every step.
 
-:class:`Simulator` builds a per-state byte-class-to-successors table once
-and hands it, with the input translated to class indices, to the stepping
-kernel.  The kernel is the compiled ``_simkernel`` when the extension was
-built (``python setup.py build_ext --inplace``) and otherwise
+:class:`Simulator` builds its program once, as flat ``array('i')``
+buffers of byte-class successors (the layout is specified in
+``_simkernel_py``), and hands it, with the input translated to class
+indices, to the stepping kernel.  The kernel is the compiled
+``_simkernel`` when the extension was built (``python setup.py build_ext
+--inplace``) for the same program ``FORMAT``, and otherwise
 ``_simkernel_py``, whose plain-Python loop is the specification both
-follow.  :func:`active_rule_frequency` runs the kernel in its counting
-mode, which yields per-cycle rule counts instead of active sets.
+follow; a compiled module of another format is ignored with a
+``RuntimeWarning``.  :func:`active_rule_frequency` runs the kernel in its
+counting mode, which yields per-cycle rule counts instead of active sets.
 """
 
 from __future__ import annotations
 
+import warnings
+from array import array
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain
 
 from .core import ALPHABET_SIZE, Automaton, StartKind, SymbolClass
 from .transform import (close_over, epsilon_closures, merge_patterns,
@@ -31,6 +36,12 @@ from . import _simkernel_py
 try:
     from . import _simkernel
 except ImportError:  # built without a C compiler: scan in Python
+    _simkernel = None
+if (_simkernel is not None
+        and getattr(_simkernel, "FORMAT", None) != _simkernel_py.FORMAT):
+    warnings.warn(f"ignoring {_simkernel.__file__}: it was built for another "
+                  f"program format; rebuild it with python setup.py "
+                  f"build_ext --inplace --force", RuntimeWarning)
     _simkernel = None
 
 # The kernel every scan calls, looked up through this name on each call.
@@ -71,8 +82,8 @@ class Simulator:
 
     Byte classes are the atoms of ``partition_masks`` over the edge
     classes; bytes that no edge reads map to a class with no successors.
-    Building the program costs O(edges x classes); reuse the instance
-    when scanning several inputs.
+    Building the program costs O(edges x classes + states x classes);
+    reuse the instance when scanning several inputs.
     """
 
     def __init__(self, automaton: Automaton):
@@ -84,26 +95,23 @@ class Simulator:
                 class_of[b] = index
         self._table = bytes(class_of)
         closures = epsilon_closures(automaton)
-        per_class: list[dict[int, set[int]]] = [
-            {} for _ in range(automaton.state_count)]
+        n, ncls = automaton.state_count, len(atoms)
+        # The successor set of state s on class c is rows[s * ncls + c].
+        rows = [frozenset()] * (n * ncls)
         for src, cls, dst in automaton.edges:
             for index, atom in enumerate(atoms):
                 if atom & cls.mask:
-                    per_class[src].setdefault(index, set()).update(
-                        closures[dst])
-        step = [{i: tuple(t) for i, t in table.items()} for table in per_class]
+                    rows[src * ncls + index] |= closures[dst]
         always = close_over(closures, (s for s, k in automaton.starts.items()
                                        if k is StartKind.ALL_INPUT))
         self._init = close_over(closures, automaton.starts) | always
-        self._program = (step, self._init, always)
+        self._program = (
+            n, ncls, array("i", accumulate(map(len, rows), initial=0)),
+            array("i", chain.from_iterable(rows)),
+            array("i", sorted(self._init)), array("i", sorted(always)))
 
     def run(self, data: bytes) -> SimulationTrace:
-        return self.run_counting(data)[0]
-
-    def run_counting(self, data: bytes) -> tuple[SimulationTrace, int]:
-        """Like run(), also returning the kernel's basic-operation count."""
-        sets, work = self._scan(data)
-        return self._assemble(sets), work
+        return self._assemble(self._scan(data)[0])
 
     def _scan(self, data: bytes, rules=None) -> tuple[list, int]:
         """The kernel's per-cycle active sets and operation count, no trace.
@@ -181,8 +189,8 @@ def active_rule_frequency(components: list[Automaton],
     index = {label: i for i, label in enumerate(dict.fromkeys(labels))}
     offsets = accumulate((c.state_count for c in components), initial=0)
     starts = {s + off for c, off in zip(components, offsets) for s in c.starts}
-    rules = ([index[label] for label in labels],
-             [s in starts for s in range(merged.state_count)])
+    rules = (array("i", [index[label] for label in labels]),
+             bytes(s in starts for s in range(merged.state_count)))
     per_cycle = []
     total = 0.0
     counted = 0
@@ -209,12 +217,3 @@ def start_only_fraction(components: list[Automaton], data: bytes) -> float:
     if bad:
         raise ValueError(f"components {bad} must have exactly one start state")
     return active_rule_frequency(components, data).start_only_fraction
-
-
-def throughput(input_size_bits: float, scan_time_seconds: float) -> float:
-    """Scan rate in Gbps: bits / 1e9 / seconds."""
-    if scan_time_seconds <= 0:
-        raise ValueError("scan time must be positive")
-    if input_size_bits < 0:
-        raise ValueError("input size cannot be negative")
-    return input_size_bits / 1e9 / scan_time_seconds

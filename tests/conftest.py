@@ -1,11 +1,13 @@
 """Fixtures that select the scan kernel.
 
-``c_kernel`` is the compiled ``falab._simkernel``.  When the extension
-does not import (it was never built with ``python setup.py build_ext
---inplace``), the fixture compiles ``src/falab/_simkernel.c`` into a
-temporary directory with the installed setuptools and loads it from
-there, without registering it in ``sys.modules``.  Tests that need it
-skip only when no C compiler is found.
+``c_kernel`` is the compiled ``falab._simkernel`` that ``simulate``
+scans with.  When there is none (the extension was never built with
+``python setup.py build_ext --inplace``, or ``simulate`` refused a module
+built for another program ``FORMAT``), the fixture compiles
+``src/falab/_simkernel.c`` into a temporary directory with the installed
+setuptools and loads it from there, without registering it in
+``sys.modules``.  Tests that need it skip only when no C compiler is
+found.
 """
 
 import importlib.util
@@ -43,11 +45,8 @@ def build_c_kernel(directory: Path):
 
 @pytest.fixture(scope="session")
 def c_kernel(tmp_path_factory):
-    try:
-        from falab import _simkernel
-        return _simkernel
-    except ImportError:
-        pass
+    if simulate._simkernel is not None:
+        return simulate._simkernel
     cc = os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc"
     compiler = shlex.split(cc)[0]
     if shutil.which(compiler) is None:

@@ -1,0 +1,135 @@
+"""Exit codes of the falab subcommands (``simulate`` and ``active-rules``
+are covered in ``test_cli_scan.py``).
+
+Every subcommand exits 0 on a valid input, 1 for a missing file or an
+invalid document, and 2 when a required argument is missing.
+``equivalent`` also exits 1 when the two languages differ.
+"""
+
+import json
+
+import pytest
+
+from falab.cli import main
+from falab.core import StartKind
+from falab.documents import PatternSet, save_automaton, save_pattern_set
+from falab.generators import gen_dotstar
+from falab.regex import compile_regex
+
+SOD = StartKind.START_OF_DATA
+
+
+@pytest.fixture
+def paths(tmp_path):
+    """Placeholder values for the argument lists below."""
+    save_automaton(compile_regex("ab", SOD), str(tmp_path / "ab.json"))
+    save_automaton(compile_regex("a(b|b)", SOD), str(tmp_path / "abb.json"))
+    save_automaton(compile_regex("ac", SOD), str(tmp_path / "ac.json"))
+    # One state, but a start state 3: well-formed JSON, invalid automaton.
+    (tmp_path / "bad.json").write_text(json.dumps({
+        "version": 1, "states": 1, "accepts": [], "edges": [],
+        "starts": [{"id": 3, "kind": "all-input"}]}))
+    save_pattern_set(PatternSet(gen_dotstar(3, 1, 1, 4, 5), SOD, 5),
+                     str(tmp_path / "patterns.json"))
+    (tmp_path / "bad_patterns.json").write_text(json.dumps({"version": 1}))
+    return {"dir": str(tmp_path), "out": str(tmp_path / "out"),
+            "missing": str(tmp_path / "missing.json"),
+            **{name: str(tmp_path / f"{name}.json")
+               for name in ("ab", "abb", "ac", "bad", "patterns",
+                            "bad_patterns")}}
+
+
+GENERATE = ["generate", "dotstar", "--seed", "1", "--count", "2"]
+REPORT = ["--seed", "0", "--out", "{out}"]
+
+# (command, arguments, exit code)
+CASES = [
+    ("compile", ["--regex", "ab", "--start-kind", "start-of-data"], 0),
+    ("compile", ["--patterns", "{patterns}", "--id", "1"], 0),
+    ("compile", ["--patterns", "{missing}"], 1),
+    ("compile", ["--patterns", "{bad_patterns}"], 1),
+    ("compile", [], 2),
+    ("generate", GENERATE[1:] + ["--out", "{out}"], 0),
+    ("generate", GENERATE[1:] + ["--out", "{dir}/no/such/dir.json"], 1),
+    ("generate", ["levenshtein", "--seed", "1", "--count", "2",
+                  "--min-length", "5", "--max-length", "3", "--distance", "1",
+                  "--out", "{out}"], 1),
+    ("generate", ["dotstar", "--seed", "1", "--out", "{out}"], 2),
+    ("optimize", ["{ab}", "--out", "{out}"], 0),
+    ("optimize", ["{missing}"], 1),
+    ("optimize", ["{bad}"], 1),
+    ("optimize", [], 2),
+    ("determinize", ["{ab}", "--out", "{out}"], 0),
+    ("determinize", ["{missing}"], 1),
+    ("determinize", ["{bad}"], 1),
+    ("determinize", [], 2),
+    ("minimize", ["{ab}", "--out", "{out}"], 0),
+    ("minimize", ["{missing}"], 1),
+    ("minimize", ["{bad}"], 1),
+    ("minimize", [], 2),
+    ("components", ["{ab}", "--out-prefix", "{out}"], 0),
+    ("components", ["{missing}", "--out-prefix", "{out}"], 1),
+    ("components", ["{bad}", "--out-prefix", "{out}"], 1),
+    ("components", ["{ab}"], 2),
+    ("merge", ["{ab}", "{ac}", "--out", "{out}"], 0),
+    ("merge", ["{ab}", "{missing}"], 1),
+    ("merge", ["{ab}", "{bad}"], 1),
+    ("merge", [], 2),
+    ("equivalent", ["{ab}", "{abb}"], 0),
+    ("equivalent", ["{ab}", "{ac}"], 1),
+    ("equivalent", ["{ab}", "{missing}"], 1),
+    ("equivalent", ["{bad}", "{ab}"], 1),
+    ("equivalent", ["{ab}"], 2),
+    ("stats", ["{ab}"], 0),
+    ("stats", ["{missing}"], 1),
+    ("stats", ["{bad}"], 1),
+    ("stats", [], 2),
+    ("report-per-pattern", ["{patterns}"] + REPORT, 0),
+    ("report-per-pattern", ["{missing}"] + REPORT, 1),
+    ("report-per-pattern", ["{bad_patterns}"] + REPORT, 1),
+    ("report-per-pattern", ["{patterns}", "--out", "{out}"], 2),
+    ("report-merge", ["{patterns}"] + REPORT, 0),
+    ("report-merge", ["{missing}"] + REPORT, 1),
+    ("report-merge", ["{bad_patterns}"] + REPORT, 1),
+    ("report-merge", ["{patterns}", "--seed", "0"], 2),
+]
+
+
+def exit_code(argv: list[str]) -> int:
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse's usage errors
+        return exc.code
+
+
+@pytest.mark.parametrize("command, arguments, code", CASES,
+                         ids=[f"{c}-{i}-exits-{code}"
+                              for i, (c, _, code) in enumerate(CASES)])
+def test_exit_code(paths, capsys, command, arguments, code):
+    argv = [command] + [a.format(**paths) for a in arguments]
+    assert exit_code(argv) == code
+    err = capsys.readouterr().err
+    if code == 0:
+        assert err == ""
+    elif command == "equivalent" and "{ac}" in arguments:
+        assert err == ""  # differing languages are not an error
+    elif code == 1:
+        assert err.startswith("falab: error: ")
+        if "{missing}" in arguments:
+            assert "missing.json" in err
+        if "{bad}" in arguments:
+            assert "invalid automaton" in err
+    else:
+        assert "usage: falab" in err
+
+
+def test_every_subcommand_is_covered():
+    from falab.cli import build_parser
+
+    parser = build_parser()
+    sub = next(a for a in parser._actions if a.choices and "stats" in
+               a.choices)
+    covered = {c for c, _, _ in CASES} | {"simulate", "active-rules"}
+    assert covered == set(sub.choices)
+    for command in covered - {"simulate", "active-rules"}:
+        assert {code for c, _, code in CASES if c == command} >= {0, 1, 2}

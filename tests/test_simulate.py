@@ -1,5 +1,9 @@
+import subprocess
+import sys
 import tracemalloc
+from array import array
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +14,7 @@ from falab.generators import SplitMix64, gen_levenshtein
 from falab.regex import compile_regex
 from falab.simulate import (Simulator, active_rule_frequency,
                             available_kernels, default_kernel, run,
-                            start_only_fraction, throughput)
+                            start_only_fraction)
 from falab.transform import accepts, connected_components, merge_patterns
 
 from corpus import random_regex
@@ -156,8 +160,8 @@ def run_tests(kernel: str):
             (SOD, b"ba", [set(), set()], 0),
         ])
         def test_kernel_work_count(self, kind, data, cycles, work):
-            trace, counted = Simulator(chain(kind)).run_counting(data)
-            assert [set(s) for s in trace.per_cycle_active] == cycles
+            sets, counted = Simulator(chain(kind))._scan(data)
+            assert [set(s) for s in sets] == cycles
             assert counted == work
 
         def test_classes_covering_every_byte(self):
@@ -325,11 +329,24 @@ TestActiveRules = active_rule_tests("python")
 TestActiveRulesCompiled = active_rule_tests("c")
 
 
+def flat_program(step, init, always):
+    """The kernel program of a per-state ``{class: successors}`` table,
+    with one more class than the largest key."""
+    ncls = max((c for row in step for c in row), default=-1) + 1
+    off, succ = [0], []
+    for row in step:
+        for c in range(ncls):
+            succ.extend(row.get(c, ()))
+            off.append(len(succ))
+    return (len(step), ncls, array("i", off), array("i", succ),
+            array("i", init), array("i", always))
+
+
 def rule_index(draw, n: int):
     """A counting-mode ``rules`` pair for an ``n``-state program."""
     rule_of = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
     raw_start = draw(st.lists(st.booleans(), min_size=n, max_size=n))
-    return rule_of, raw_start
+    return array("i", rule_of), bytes(raw_start)
 
 
 class TestKernelParity:
@@ -347,11 +364,11 @@ class TestKernelParity:
                                                      mode))
 
     def test_every_byte_as_a_class(self, c_kernel):
-        # Class keys 0 and 255 with successors; data holds both.
-        program = ([{0: (1,), 255: (0, 1)}, {255: (1,)}], frozenset([0]),
-                   frozenset())
+        # Classes 0 and 255 with successors; data holds both.
+        program = flat_program([{0: (1,), 255: (0, 1)}, {255: (1,)}], [0], [])
+        assert program[1] == 256
         data = bytes([255, 255, 0, 7])
-        for mode in (None, ([0, 1], [True, False])):
+        for mode in (None, (array("i", [0, 1]), b"\x01\x00")):
             got = c_kernel.step_stream(program, data, mode)
             assert got == _simkernel_py.step_stream(program, data, mode)
         assert got == ([(2, 1), (2, 1), (1, 1), (0, 0)], 6)
@@ -359,10 +376,19 @@ class TestKernelParity:
     def test_counting_mode_counts_rules(self, kernel):
         # States 0 and 1 belong to rule 0, state 2 to rule 1; states 0 and
         # 2 are raw starts.
-        program = ([{0: (0, 1)}, {}, {0: (2,)}], frozenset([0, 2]),
-                   frozenset([0]))
-        got = kernel.step_stream(program, b"\x00\x01", ([0, 0, 1], [1, 0, 1]))
+        program = flat_program([{0: (0, 1)}, {}, {0: (2,)}], [0, 2], [0])
+        rules = (array("i", [0, 0, 1]), b"\x01\x00\x01")
+        got = kernel.step_stream(program, b"\x00\x01", rules)
         assert got == ([(2, 1), (1, 0)], 5)
+
+    def test_simulator_program_layout(self):
+        # 0 -a-> 1 -b-> 2 with an ALL_INPUT start: classes a, b.
+        n, ncls, off, succ, init, always = Simulator(chain(ALL))._program
+        assert (n, ncls) == (3, 2)
+        assert list(off) == [0, 1, 1, 1, 2, 2, 2]
+        assert list(succ) == [1, 2]
+        assert (list(init), list(always)) == ([0], [0])
+        assert all(x.typecode == "i" for x in (off, succ, init, always))
 
     def test_available_and_default_kernels(self):
         compiled = simulate._simkernel is not None
@@ -373,20 +399,92 @@ class TestKernelParity:
                                     else _simkernel_py)
 
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+IMPORT_WITH_FAKE_KERNEL = """
+import sys, types, warnings
+fake = types.ModuleType("falab._simkernel")
+fake.__file__ = "/stale/_simkernel.so"
+fake.step_stream = None
+if {format!r} is not None:
+    fake.FORMAT = {format!r}
+sys.modules["falab._simkernel"] = fake
+with warnings.catch_warnings(record=True) as caught:
+    warnings.simplefilter("always")
+    from falab import simulate
+print(simulate.available_kernels(), simulate._kernel.__name__)
+for w in caught:
+    print(w.category.__name__, w.message)
+"""
+
+
+def import_with_fake_kernel(format) -> list[str]:
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_WITH_FAKE_KERNEL.format(format=format)],
+        env={"PYTHONPATH": str(SRC)}, capture_output=True, text=True,
+        check=True)
+    return proc.stdout.splitlines()
+
+
+@pytest.mark.parametrize("format", [None, 1, 3])
+def test_compiled_kernel_of_another_format_is_refused(format):
+    # A module built from an older source (no FORMAT, or another one) is
+    # ignored with a warning that names it and the rebuild command.
+    assert import_with_fake_kernel(format) == [
+        "('python',) falab._simkernel_py",
+        "RuntimeWarning ignoring /stale/_simkernel.so: it was built for "
+        "another program format; rebuild it with python setup.py build_ext "
+        "--inplace --force"]
+
+
+def test_compiled_kernel_of_the_same_format_is_used():
+    assert import_with_fake_kernel(_simkernel_py.FORMAT) == [
+        "('c', 'python') falab._simkernel"]
+
+
+def ints(*items):
+    return array("i", items)
+
+
+# A two-state, one-class program: 0 -> 1 -> {0, 1}.
+N, NCLS, OFF, SUCC = 2, 1, ints(0, 1, 3), ints(1, 0, 1)
+
+
 class TestCompiledKernelErrors:
-    """Bad arguments raise before the scan and leak no buffer."""
+    """Bad arguments raise before the scan and release every view."""
 
     @pytest.mark.parametrize("program, error, match", [
-        (([{}], ()), ValueError, "triple"),
-        (42, TypeError, "triple"),
-        (([{}, [(0, (0,))]], (), ()), TypeError, r"step\[1\] must be a dict"),
-        (([{256: (0,)}], (), ()), ValueError,
-         r"class key of step\[0\] is 256, outside 0\.\.255"),
-        (([{"a": (0,)}], (), ()), TypeError, r"class key of step\[0\]"),
-        (([{0: 0}], (), ()), TypeError, r"step\[0\]\[0\] must be a tuple"),
-        (([{0: ("x",)}], (), ()), TypeError, r"successor in step\[0\]\[0\]"),
-        (([{}], (0, -1), ()), ValueError, "an item of init is -1"),
-        (([{}], (), (2**70,)), ValueError, "an item of always"),
+        pytest.param((N, NCLS, OFF, SUCC, ints()), TypeError,
+                     "program must be a", id="wrong-arity"),
+        pytest.param(42, TypeError, "program must be a", id="not-a-tuple"),
+        pytest.param((N, NCLS, [0, 1, 3], SUCC, ints(), ints()), TypeError,
+                     "off must be a buffer, not 'list'", id="off-not-a-buffer"),
+        pytest.param((N, 257, OFF, SUCC, ints(), ints()), ValueError,
+                     "ncls 257; they must be ints in 0..2147483646 and 0..256",
+                     id="ncls-above-256"),
+        pytest.param(("a", NCLS, OFF, SUCC, ints(), ints()), ValueError,
+                     "program n is 'a'", id="n-not-an-int"),
+        pytest.param((N, NCLS, OFF, array("q", SUCC), ints(), ints()),
+                     TypeError, "succ must hold 'i' items, not 'q'",
+                     id="succ-item-format"),
+        pytest.param((N, NCLS, ints(0, 1), SUCC, ints(), ints()), ValueError,
+                     r"off must have n \* ncls \+ 1 = 3 items, not 2",
+                     id="off-length"),
+        pytest.param((N, NCLS, OFF, SUCC, ints(0, -1), ints()), ValueError,
+                     r"init\[1\] is -1, outside 0\.\.1", id="init-negative"),
+        pytest.param((N, NCLS, OFF, SUCC, ints(), ints(2**31 - 1)),
+                     ValueError, r"always\[0\] is 2147483647, outside 0\.\.1",
+                     id="always-beyond-n"),
+        pytest.param((2**70, NCLS, OFF, SUCC, ints(), ints()), ValueError,
+                     "program n is 1180591620717411303424", id="n-overflow"),
+        pytest.param((N, NCLS, ints(0, 2, 1), SUCC, ints(), ints()),
+                     ValueError, r"off\[2\] is 1, below 2 before it",
+                     id="off-decreasing"),
+        pytest.param((N, NCLS, ints(-1, 1, 3), SUCC, ints(), ints()),
+                     ValueError, r"off\[0\] is -1, below 0 before it",
+                     id="off-negative"),
+        pytest.param((N, NCLS, ints(0, 1, 2), SUCC, ints(), ints()),
+                     ValueError, r"off\[2\] is 2, not len\(succ\) = 3",
+                     id="off-end"),
     ])
     def test_malformed_program(self, c_kernel, program, error, match):
         with pytest.raises(error, match=match):
@@ -394,54 +492,59 @@ class TestCompiledKernelErrors:
 
     @pytest.mark.parametrize("successor", [2, 3, 10**6])
     def test_successor_beyond_state_count(self, c_kernel, successor):
-        program = ([{0: (1,)}, {1: (0, successor)}], (0,), ())
-        match = rf"successor in step\[1\]\[1\] is {successor}, outside 0\.\.1"
+        program = (N, NCLS, OFF, ints(1, 0, successor), ints(0), ints())
+        match = rf"succ\[2\] is {successor}, outside 0\.\.1"
         with pytest.raises(ValueError, match=match):
-            c_kernel.step_stream(program, b"\x00\x01")
+            c_kernel.step_stream(program, b"\x00\x00")
 
     @pytest.mark.parametrize("data", ["ab", 7, None, [0, 1]])
     def test_data_not_bytes_like(self, c_kernel, data):
         with pytest.raises(TypeError, match="data must be a bytes-like"):
-            c_kernel.step_stream(([{}], (), ()), data)
+            c_kernel.step_stream((N, NCLS, OFF, SUCC, ints(), ints()), data)
 
     @pytest.mark.parametrize("rules, match", [
-        (([0],), "pair"),
-        (([0, 0], [False]), "one item per state"),
-        (([0, 2], [False, False]), r"an item of rule_of is 2, outside 0\.\.1"),
-        (([0, None], [False, False]), "an item of rule_of must be an int"),
+        ((ints(0, 0),), "pair"),
+        ((ints(0, 0), b"\x00"), "one item per state"),
+        ((ints(0, 2), b"\x00\x00"), r"rule_of\[1\] is 2"),
+        (([0, None], b"\x00\x00"), "rule_of must be a buffer"),
+        ((ints(0, 0), ints(0, 0)), "raw_start must hold 'B'"),
     ])
     def test_malformed_rules(self, c_kernel, rules, match):
         with pytest.raises((TypeError, ValueError), match=match):
-            c_kernel.step_stream(([{}, {}], (), ()), b"\x00", rules)
+            c_kernel.step_stream((N, NCLS, OFF, SUCC, ints(), ints()),
+                                 b"\x00", rules)
 
     def test_error_paths_free_their_buffers(self, c_kernel):
-        # Each call fails after the step table (1000 states x 256 classes,
-        # about 1 MB) is allocated.
-        step = [{c: (s,) for c in range(256)} for s in range(1000)]
-        bad = [(step + [{0: (5000,)}], (), ()), (step, (), (1000,)),
-               (step, (), ())]
+        # Each call fails after its 1 MB off and succ arrays (1000 states x
+        # 256 classes) are viewed.  A view left unreleased would keep them
+        # alive, so memory would grow, and would forbid resizing them.
+        n, ncls = 1000, 256
+
+        def failing_calls():
+            off = array("i", range(n * ncls + 1))
+            succ = array("i", [0]) * (n * ncls)
+            rules = (array("i", [0]) * n, bytes(n))
+            yield (n, ncls, off, succ[:-1] + ints(n), ints(0), ints()), rules
+            yield (n, ncls, off, succ, ints(0), ints(n)), rules
+            yield ((n, ncls, off, succ, ints(0), ints()),
+                   (array("i", [n]) * n, bytes(n)))
+            yield (n, ncls, off, succ, ints(0), ints()), (rules[0], rules[0])
+            off.append(0)  # raises BufferError while a view is held
+            succ.append(0)
+
+        def fail_all():
+            for program, rules in failing_calls():
+                with pytest.raises((TypeError, ValueError)):
+                    c_kernel.step_stream(program, b"\x00", rules)
+
         tracemalloc.start()
         try:
             for _ in range(3):  # warm up lazily allocated interpreter state
-                for program in bad:
-                    with pytest.raises(ValueError):
-                        c_kernel.step_stream(program, b"\x00", ([0], [0]))
+                fail_all()
             before = tracemalloc.get_traced_memory()[0]
             for _ in range(20):
-                for program in bad:
-                    with pytest.raises(ValueError):
-                        c_kernel.step_stream(program, b"\x00", ([0], [0]))
+                fail_all()
             grown = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
         assert grown < 100_000, grown
-
-
-class TestThroughput:
-    def test_gbps(self):
-        assert throughput(8e9, 2.0) == 4.0
-
-    @pytest.mark.parametrize("bits, seconds", [(8, 0), (-1, 1)])
-    def test_rejects_bad_arguments(self, bits, seconds):
-        with pytest.raises(ValueError):
-            throughput(bits, seconds)

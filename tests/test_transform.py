@@ -2,7 +2,7 @@ import json
 from collections import deque
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from falab.cli import main
 from falab.core import (Automaton, StartKind, SymbolClass, canonicalize,
@@ -10,10 +10,13 @@ from falab.core import (Automaton, StartKind, SymbolClass, canonicalize,
 from falab.documents import save_automaton
 from falab.generators import SplitMix64
 from falab.regex import compile_regex
-from falab.transform import (CapExceededError, close_over,
+from falab.transform import (ORACLE_STATE_LIMIT, CapExceededError, accepts,
+                             brute_force_minimal_states, close_over,
                              connected_components, determinize,
                              epsilon_closures, equivalent, lower_all_input,
-                             merge_patterns, partition_masks)
+                             merge_patterns, minimize_brzozowski,
+                             minimize_hopcroft, optimize_nfa,
+                             partition_masks)
 
 from corpus import random_regex
 
@@ -186,3 +189,33 @@ class TestDeterminize:
         save_automaton(Automaton(state_count=1, starts={0: SOD}), str(path))
         assert main(["determinize", str(path), "--cap", "1"]) == 0
         assert json.loads(capsys.readouterr().out)["states"] == 1
+
+
+class TestMinimizers:
+    @settings(max_examples=200, deadline=None)
+    @given(nfas())
+    def test_state_counts_match_pair_marking_oracle(self, nfa):
+        dfa = determinize(nfa)
+        assume(dfa.state_count <= ORACLE_STATE_LIMIT)
+        minimal = brute_force_minimal_states(dfa)
+        assert minimize_hopcroft(dfa).state_count == minimal
+        assert minimize_brzozowski(nfa).state_count == minimal
+
+
+# Every string over BYTES of length at most 3.
+WORDS = [b""] + [bytes([x]) for x in BYTES]
+WORDS += [w + bytes([x]) for w in WORDS[1:] for x in BYTES]
+WORDS += [w + bytes([x]) for w in WORDS[5:] for x in BYTES]
+
+
+class TestOptimizeNfa:
+    @settings(max_examples=200, deadline=None)
+    @given(nfas())
+    def test_preserves_language_and_never_adds_states(self, nfa):
+        opt = optimize_nfa(nfa)
+        assert opt.state_count <= nfa.state_count
+        if not validate(nfa):  # the strategy also draws start-less NFAs
+            assert validate(opt) == []
+        assert equivalent(nfa, opt)
+        assert [accepts(opt, w) for w in WORDS] == [accepts(nfa, w)
+                                                   for w in WORDS]
