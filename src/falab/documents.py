@@ -30,11 +30,17 @@ _START_KINDS = {k.value: k for k in StartKind}
 
 
 class DocumentError(ValueError):
-    """Schema violation; the message carries a JSON-pointer-ish path."""
+    """Schema violation; the message carries a JSON-pointer-ish path.
 
-    def __init__(self, path: str, message: str):
-        super().__init__(f"{path}: {message}")
+    Raised by a file load, it names the file first: ``FILE: PATH: ...``
+    (the root's empty path is left out).
+    """
+
+    def __init__(self, path: str, message: str, file: str | None = None):
+        super().__init__(": ".join(filter(None, (file, path, message))))
         self.path = path
+        self.message = message
+        self.file = file
 
 
 def _expect(condition: bool, path: str, message: str) -> None:
@@ -49,6 +55,12 @@ def _require_keys(obj: dict, path: str, required: tuple[str, ...],
     for key in obj:
         _expect(key in required or key in optional, f"{path}/{key}",
                 "unknown field")
+
+
+def _choice(value, table: dict, path: str, what: str):
+    _expect(isinstance(value, str) and value in table, path,
+            f"unknown {what} {value!r}")
+    return table[value]
 
 
 def _int_field(obj: dict, path: str, key: str) -> int:
@@ -120,10 +132,8 @@ def automaton_from_document(doc: dict) -> Automaton:
         path = f"/starts/{i}"
         _expect(isinstance(entry, dict), path, "expected an object")
         _require_keys(entry, path, ("id", "kind"))
-        kind = entry["kind"]
-        _expect(kind in _START_KINDS, f"{path}/kind",
-                f"unknown start kind {kind!r}")
-        starts[_int_field(entry, path, "id")] = _START_KINDS[kind]
+        starts[_int_field(entry, path, "id")] = _choice(
+            entry["kind"], _START_KINDS, f"{path}/kind", "start kind")
 
     _expect(isinstance(doc["accepts"], list), "/accepts", "expected a list")
     accepts = []
@@ -143,7 +153,9 @@ def automaton_from_document(doc: dict) -> Automaton:
                       _int_field(entry, path, "dst")))
 
     eps = []
-    for i, entry in enumerate(doc.get("epsilon_edges", [])):
+    eps_entries = doc.get("epsilon_edges", [])
+    _expect(isinstance(eps_entries, list), "/epsilon_edges", "expected a list")
+    for i, entry in enumerate(eps_entries):
         path = f"/epsilon_edges/{i}"
         _expect(isinstance(entry, dict), path, "expected an object")
         _require_keys(entry, path, ("src", "dst"))
@@ -160,7 +172,7 @@ def automaton_from_document(doc: dict) -> Automaton:
         labels = {}
         for key, value in doc["labels"].items():
             path = f"/labels/{key}"
-            _expect(key.isdigit(), path, "state keys must be decimal")
+            _expect(key.isdecimal(), path, "state keys must be decimal")
             _expect(isinstance(value, int) and not isinstance(value, bool),
                     path, "expected an integer label")
             labels[int(key)] = value
@@ -221,8 +233,7 @@ def _entry_to_pattern(entry: dict, path: str) -> Pattern:
     _expect(isinstance(entry, dict), path, "expected an object")
     _expect("kind" in entry, path, "missing field 'kind'")
     kind = entry["kind"]
-    _expect(kind in _PATTERN_FIELDS, f"{path}/kind",
-            f"unknown pattern kind {kind!r}")
+    _choice(kind, _PATTERN_FIELDS, f"{path}/kind", "pattern kind")
     _require_keys(entry, path, ("id", "kind") + _PATTERN_FIELDS[kind])
     pid = _int_field(entry, path, "id")
 
@@ -277,9 +288,7 @@ def pattern_set_from_document(doc: dict) -> PatternSet:
     version = _int_field(doc, "", "version")
     _expect(version == PATTERN_SET_VERSION, "/version",
             f"version mismatch: expected {PATTERN_SET_VERSION}, got {version}")
-    kind = doc["start_kind"]
-    _expect(kind in _START_KINDS, "/start_kind",
-            f"unknown start kind {kind!r}")
+    kind = _choice(doc["start_kind"], _START_KINDS, "/start_kind", "start kind")
     _expect(isinstance(doc["patterns"], list), "/patterns", "expected a list")
     patterns = tuple(_entry_to_pattern(entry, f"/patterns/{i}")
                      for i, entry in enumerate(doc["patterns"]))
@@ -289,7 +298,7 @@ def pattern_set_from_document(doc: dict) -> PatternSet:
     if seed is not None:
         _expect(isinstance(seed, int) and not isinstance(seed, bool),
                 "/seed", "expected an integer")
-    return PatternSet(patterns, _START_KINDS[kind], seed)
+    return PatternSet(patterns, kind, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -318,17 +327,25 @@ def write_text_atomic(path: str, text: str) -> None:
         raise
 
 
+def _load(path: str, from_document):
+    """Parse the JSON file at ``path``; a DocumentError names the file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise DocumentError("", f"not valid JSON: {exc}", path) from exc
+    try:
+        return from_document(doc)
+    except DocumentError as exc:
+        raise DocumentError(exc.path, exc.message, path) from None
+
+
 def save_automaton(a: Automaton, path: str) -> None:
     write_text_atomic(path, _dump(automaton_to_document(a)))
 
 
 def load_automaton(path: str) -> Automaton:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DocumentError("", f"not valid JSON: {exc}") from exc
-    return automaton_from_document(doc)
+    return _load(path, automaton_from_document)
 
 
 def save_pattern_set(ps: PatternSet, path: str) -> None:
@@ -336,12 +353,7 @@ def save_pattern_set(ps: PatternSet, path: str) -> None:
 
 
 def load_pattern_set(path: str) -> PatternSet:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DocumentError("", f"not valid JSON: {exc}") from exc
-    return pattern_set_from_document(doc)
+    return _load(path, pattern_set_from_document)
 
 
 # ---------------------------------------------------------------------------

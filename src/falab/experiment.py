@@ -27,6 +27,7 @@ from .transform import (CapExceededError, DEFAULT_STATE_CAP, determinize,
                         minimize_hopcroft, optimize_nfa, remove_epsilon, trim)
 
 CAP_TOKEN = "CAP_EXCEEDED"
+SPOT_CHECK_ROWS = 4
 
 PIPELINE = ("compile", "remove_epsilon", "trim", "optimize_nfa",
             "determinize", "minimize_brzozowski(crosscheck=hopcroft)")
@@ -217,14 +218,13 @@ def _run_pipeline(key: int, nfa_raw: Automaton,
     return _StageResult(nfa, opt, dfa, mdfa, row)
 
 
-def _spot_check(results: list[_StageResult], seed: int, cap: int,
-                sample_size: int = 4) -> None:
+def _spot_check(results: list[_StageResult], seed: int, cap: int) -> None:
     """Verify language preservation on a seeded sample of rows."""
     ok_rows = [r for r in results if r.row.status == "ok"]
     if not ok_rows:
         return
     rng = SplitMix64(seed ^ 0x5EED5EED)
-    picks = rng.sample(len(ok_rows), min(sample_size, len(ok_rows)))
+    picks = rng.sample(len(ok_rows), min(SPOT_CHECK_ROWS, len(ok_rows)))
     for i in picks:
         r = ok_rows[i]
         if not equivalent(r.nfa, r.opt, cap) or not equivalent(r.nfa, r.mdfa, cap):
@@ -234,21 +234,18 @@ def _spot_check(results: list[_StageResult], seed: int, cap: int,
 
 def per_pattern_experiment(patterns: list[Pattern], seed: int,
                            start_kind: StartKind = StartKind.START_OF_DATA,
-                           cap: int = DEFAULT_STATE_CAP,
-                           spot_check: bool = True) -> list[ReportRow]:
+                           cap: int = DEFAULT_STATE_CAP) -> list[ReportRow]:
     """One pipeline run per pattern; rows ordered by pattern id."""
     results = []
     for p in sorted(patterns, key=lambda p: p.id):
         results.append(_run_pipeline(p.id, compile_pattern(p, start_kind), cap))
-    if spot_check:
-        _spot_check(results, seed, cap)
+    _spot_check(results, seed, cap)
     return [r.row for r in results]
 
 
 def incremental_merge_experiment(patterns: list[Pattern], seed: int,
                                  start_kind: StartKind = StartKind.START_OF_DATA,
-                                 cap: int = DEFAULT_STATE_CAP,
-                                 spot_check: bool = True) -> list[ReportRow]:
+                                 cap: int = DEFAULT_STATE_CAP) -> list[ReportRow]:
     """Merge the first k patterns for k = 1..n and run the pipeline on each.
 
     Cap-exceeded rows are expected at larger k for explosive families and
@@ -262,8 +259,7 @@ def incremental_merge_experiment(patterns: list[Pattern], seed: int,
     for k in range(1, len(compiled) + 1):
         merged = merge_patterns(compiled[:k], [p.id for p in ordered[:k]])
         results.append(_run_pipeline(k, merged, cap))
-    if spot_check:
-        _spot_check(results, seed, cap)
+    _spot_check(results, seed, cap)
     return [r.row for r in results]
 
 

@@ -174,7 +174,7 @@ def gen_mesh_patterns(kind: str, k: int, min_len: int, max_len: int,
     if kind not in ("hamming", "levenshtein"):
         raise ValueError(f"unknown mesh kind {kind!r}")
     if not 1 <= min_len <= max_len:
-        raise ValueError("bad length range")
+        raise ValueError(f"bad length range {min_len}..{max_len}")
     alphabet = _alphabet_bytes(alphabet_size)
     rng = SplitMix64(seed)
     source_cls = HammingSource if kind == "hamming" else LevenshteinSource

@@ -1,10 +1,10 @@
 """Language-preserving automaton transformations and verification oracles.
 
 Determinization, both minimization algorithms, the signature-merge NFA
-optimization, component splitting, pattern merging, and two independent
-checkers: exact language equivalence (product construction) and a
-quadratic pair-marking minimality oracle that shares no code with the
-minimizers.
+optimization, component splitting, pattern merging, and two checkers:
+exact language equivalence, which rides on :func:`determinize` run over
+both automata side by side, and a quadratic pair-marking minimality
+oracle that shares no code with the minimizers.
 
 Deterministic automata here are partial: a missing transition means
 rejection, and the implicit dead state is never materialized or counted.
@@ -12,10 +12,10 @@ rejection, and the implicit dead state is never materialized or counted.
 
 from __future__ import annotations
 
-from collections import deque
+from dataclasses import replace
 
-from .core import (Automaton, StartKind, SymbolClass, FULL_MASK,
-                   is_deterministic, merge_parallel_edges)
+from .core import (Automaton, StartKind, SymbolClass, is_deterministic,
+                   merge_parallel_edges)
 
 DEFAULT_STATE_CAP = 1 << 20
 ORACLE_STATE_LIMIT = 512
@@ -293,20 +293,16 @@ def minimize_hopcroft(a: Automaton) -> Automaton:
     """Partition-refinement minimization of a DFA.
 
     The input must be deterministic (determinize first).  Internally the
-    DFA is completed with a virtual dead state over the atom alphabet of
-    its edge classes; states indistinguishable from the dead state are
-    dropped from the output, so counts match :func:`minimize_brzozowski`.
+    DFA is completed with a virtual dead state over the atoms of its edge
+    classes (bytes no edge reads lead only there and split nothing);
+    states indistinguishable from the dead state are dropped from the
+    output, so counts match :func:`minimize_brzozowski`.
     """
     if not is_deterministic(a):
         raise ValueError("minimize_hopcroft requires a deterministic automaton")
     a = trim(a)
     n = a.state_count
     atoms = partition_masks([c.mask for _, c, _ in a.edges])
-    uncovered = FULL_MASK
-    for m in atoms:
-        uncovered &= ~m
-    if uncovered:
-        atoms.append(uncovered)
     atom_index = {m: i for i, m in enumerate(atoms)}
     dead = n
     total = n + 1
@@ -590,41 +586,19 @@ def equivalent(a: Automaton, b: Automaton,
                cap: int = DEFAULT_STATE_CAP) -> bool:
     """Exact language equivalence, no length bound.
 
-    Determinizes both sides, then searches the product for a state pair
-    with differing acceptance.  Missing transitions are tracked as the
-    dead side of the pair.
+    Runs :func:`determinize` twice on ``merge_patterns([a, b])``, once
+    accepting on ``a``'s states and once on ``b``'s.  Both runs build the
+    same DFA, each of whose subsets pairs what one word reaches in ``a``
+    and in ``b``, so the languages match when the two accept sets do.
+    ``cap`` bounds that joint DFA: it may raise where each side alone fits.
     """
-    da, db = determinize(a, cap), determinize(b, cap)
-    adj_a, adj_b = da.adjacency(), db.adjacency()
-    dead = -1
-    start = (0, 0)
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        p, q = queue.popleft()
-        p_acc = p != dead and p in da.accepts
-        q_acc = q != dead and q in db.accepts
-        if p_acc != q_acc:
-            return False
-        pairs = []
-        if p != dead:
-            pairs += [(c.mask, d, 0) for c, d in adj_a[p]]
-        if q != dead:
-            pairs += [(c.mask, d, 1) for c, d in adj_b[q]]
-        for atom in partition_masks([m for m, _, _ in pairs]):
-            np_, nq = dead, dead
-            for m, d, side in pairs:
-                if m & atom:
-                    if side == 0:
-                        np_ = d
-                    else:
-                        nq = d
-            if (np_, nq) == (dead, dead):
-                continue
-            if (np_, nq) not in seen:
-                seen.add((np_, nq))
-                queue.append((np_, nq))
-    return True
+    union = merge_patterns([a, b])
+    side = union.component_labels
+    first, second = (
+        determinize(replace(union, accepts=frozenset(
+            s for s in union.accepts if side[s] == k)), cap).accepts
+        for k in (0, 1))
+    return first == second
 
 
 # ---------------------------------------------------------------------------

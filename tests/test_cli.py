@@ -133,3 +133,48 @@ def test_every_subcommand_is_covered():
     assert covered == set(sub.choices)
     for command in covered - {"simulate", "active-rules"}:
         assert {code for c, _, code in CASES if c == command} >= {0, 1, 2}
+
+
+BAD_DOCUMENTS = {
+    # file name: (content, stderr after "falab: error: {file}: ")
+    "schema.json": ('{"version": 1, "start_kind": "all-input", "patterns": '
+                    '[{"id": 0, "kind": "glob"}]}',
+                    "/patterns/0/kind: unknown pattern kind 'glob'"),
+    "empty.json": ("{}", "missing field 'version'"),
+    "truncated.json": ('{"version": 1', "not valid JSON: "),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_DOCUMENTS))
+def test_report_merge_names_the_bad_file(tmp_path, capsys, name):
+    content, message = BAD_DOCUMENTS[name]
+    bad = tmp_path / name
+    bad.write_text(content)
+    assert main(["report-merge", str(bad), "--seed", "0",
+                 "--out", str(tmp_path / "r.csv")]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"falab: error: {bad}: {message}")
+
+
+@pytest.mark.parametrize("content, message", [
+    ('{"version": 1, "states": 1, "starts": [], "accepts": [], '
+     '"edges": [{"src": 0, "dst": 0, "class": ""}]}',
+     "/edges/0/class: empty symbol class"),
+    ('{"version": 1, "states": ', "not valid JSON: "),
+])
+def test_merge_names_the_bad_file_only(paths, capsys, content, message):
+    bad = f"{paths['dir']}/bad_document.json"
+    with open(bad, "w") as fh:
+        fh.write(content)
+    assert main(["merge", paths["ab"], bad]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"falab: error: {bad}: {message}")
+    assert "ab.json" not in err
+
+
+def test_inverted_length_range_names_both_lengths(paths, capsys):
+    argv = ["generate", "levenshtein", "--seed", "1", "--count", "2",
+            "--min-length", "5", "--max-length", "3", "--distance", "1",
+            "--out", paths["out"]]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "falab: error: bad length range 5..3\n"

@@ -1,5 +1,6 @@
 import json
 from collections import deque
+from dataclasses import replace
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -126,21 +127,38 @@ def frozenset_determinize(a: Automaton, cap: int) -> Automaton:
 BYTES = b"ab\x00\xff"
 
 
+START_MODES = ("start-of-data", "all-input", "mixed", "start-less")
+
+
+def start_maps(n: int, mode: str | None):
+    """Start markings over ``n`` states; ``None`` draws any mix, or none."""
+    state = st.integers(0, n - 1)
+    if mode is None:
+        return st.dictionaries(state, st.sampled_from([SOD, ALL]))
+    if mode == "start-less":
+        return st.just({})
+    if mode == "mixed":
+        return st.lists(state, min_size=2, max_size=4, unique=True).map(
+            lambda ss: {s: (SOD, ALL)[i % 2] for i, s in enumerate(ss)})
+    kind = SOD if mode == "start-of-data" else ALL
+    return st.dictionaries(state, st.just(kind), min_size=1)
+
+
 @st.composite
-def nfas(draw):
-    """Small NFAs with epsilon edges; starts may be all ALL_INPUT or none.
+def nfas(draw, mode: str | None = None):
+    """Small NFAs with epsilon edges; starts as :func:`start_maps` draws.
 
     Classes are subsets of ``BYTES`` (0x00 and 0xFF included), their
     complements, or the full byte range.
     """
-    n = draw(st.integers(1, 7))
+    n = draw(st.integers(2 if mode == "mixed" else 1, 7))
     state = st.integers(0, n - 1)
     subset = st.sets(st.sampled_from(BYTES), min_size=1).map(SymbolClass.of)
     cls = st.one_of(subset, subset.map(SymbolClass.complement),
                     st.just(SymbolClass.full()))
     edges = draw(st.lists(st.tuples(state, cls, state), max_size=12))
     eps = draw(st.lists(st.tuples(state, state), max_size=4))
-    starts = draw(st.dictionaries(state, st.sampled_from([SOD, ALL])))
+    starts = draw(start_maps(n, mode))
     finals = draw(st.frozensets(state))
     return Automaton(state_count=n, edges=tuple(edges),
                      epsilon_edges=tuple(eps), starts=starts, accepts=finals)
@@ -219,3 +237,86 @@ class TestOptimizeNfa:
         assert equivalent(nfa, opt)
         assert [accepts(opt, w) for w in WORDS] == [accepts(nfa, w)
                                                    for w in WORDS]
+
+
+def product_equivalent(da: Automaton, db: Automaton) -> bool:
+    """Reference equivalence of two DFAs: search their product for a pair
+    of states that differ in acceptance.  A missing transition is the
+    dead side of the pair."""
+    adj_a, adj_b = da.adjacency(), db.adjacency()
+    dead = -1
+    start = (0, 0)
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        p, q = queue.popleft()
+        if (p != dead and p in da.accepts) != (q != dead and q in db.accepts):
+            return False
+        pairs = []
+        if p != dead:
+            pairs += [(c.mask, d, 0) for c, d in adj_a[p]]
+        if q != dead:
+            pairs += [(c.mask, d, 1) for c, d in adj_b[q]]
+        for atom in partition_masks([m for m, _, _ in pairs]):
+            target = [dead, dead]
+            for m, d, side in pairs:
+                if m & atom:
+                    target[side] = d
+            pair = tuple(target)
+            if pair != (dead, dead) and pair not in seen:
+                seen.add(pair)
+                queue.append(pair)
+    return True
+
+
+@st.composite
+def equivalence_pairs(draw, mode: str):
+    """``(a, b)`` with ``b`` equivalent to ``a`` by construction, one
+    accept away from it, or drawn on its own."""
+    a = draw(nfas(mode))
+    how = draw(st.sampled_from(["optimized", "determinized", "toggled",
+                                "independent"]))
+    if how == "optimized":
+        return a, optimize_nfa(a)
+    if how == "determinized":
+        return a, determinize(a)
+    if how == "toggled":
+        s = draw(st.integers(0, a.state_count - 1))
+        return a, replace(a, accepts=a.accepts ^ {s})
+    return a, draw(nfas())
+
+
+class TestEquivalent:
+    @pytest.mark.parametrize("mode", START_MODES)
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_matches_product_search(self, mode, data):
+        a, b = data.draw(equivalence_pairs(mode))
+        result = equivalent(a, b)
+        assert result == product_equivalent(
+            frozenset_determinize(a, 1 << 20),
+            frozenset_determinize(b, 1 << 20))
+        # True only if no string of length 3 or less separates a and b.
+        agree = [accepts(a, w) for w in WORDS] == [accepts(b, w)
+                                                  for w in WORDS]
+        assert agree or not result
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_cap_bounds_the_union_dfa(self, data):
+        a, b = data.draw(equivalence_pairs(data.draw(
+            st.sampled_from(START_MODES))))
+        m = frozenset_determinize(merge_patterns([a, b]), 1 << 20).state_count
+        assert equivalent(a, b, m) == equivalent(a, b)
+        if m > 1:
+            with pytest.raises(CapExceededError):
+                equivalent(a, b, m - 1)
+        with pytest.raises(ValueError, match="cap must be at least 1"):
+            equivalent(a, b, 0)
+
+    def test_cap_can_fail_where_each_side_fits(self):
+        a, b = compile_regex("a", SOD), compile_regex("b", SOD)
+        assert [determinize(x, 2).state_count for x in (a, b)] == [2, 2]
+        with pytest.raises(CapExceededError):
+            equivalent(a, b, 2)
+        assert not equivalent(a, b, 3)
