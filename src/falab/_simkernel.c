@@ -1,32 +1,39 @@
 /* Compiled byte-stream stepping kernel: the inner loop of falab.Simulator.
 
-   step_stream(program, data, rules=None) keeps the contract of
-   falab._simkernel_py.step_stream, which is its specification: the same
-   flat program (n, ncls, off, succ, init, always), the same per-cycle
-   frozensets or, with rules = (rule_of, raw_start), the same
-   (active_rules, moving_rules) pairs, and the same operation count.  The
-   arrays are read in place through the buffer protocol, never copied.
-   One pass checks them all before the scan: an argument that is not a
-   buffer, or whose items are not 'i' (raw_start: 'B'), raises TypeError;
-   a wrong length, offsets that decrease or do not end at len(succ), or a
-   state outside 0..n-1 raises ValueError naming the array and index.
-   FORMAT numbers this program layout; falab.simulate uses the module only
-   when it equals falab._simkernel_py.FORMAT. */
+   step_stream(program, data, rules=None) and active_sets(program, data)
+   keep the contracts of falab._simkernel_py, which is their
+   specification: the same flat program (n, ncls, off, succ, init, always,
+   report), the same ((per_cycle_count, activation, reports), work)
+   summary or, with rules = (rule_of, raw_start), the same
+   (active_rules, moving_rules) pairs, the same per-cycle frozensets from
+   active_sets, and the same operation count.  The arrays are read in
+   place through the buffer protocol, never copied.  One pass checks them
+   all before the scan: an argument that is not a buffer, or whose items
+   are not 'i' (raw_start: 'B'), raises TypeError; a wrong length,
+   offsets that decrease or do not end at len(succ), a state outside
+   0..n-1 or a report item outside -1..n-1 raises ValueError naming the
+   array and index.  FORMAT numbers this program layout; falab.simulate
+   uses the module only when it equals falab._simkernel_py.FORMAT. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <stdint.h>
+#include <stdlib.h>
 
-#define FORMAT 2
+#define FORMAT 3
 
 /* Buffer views, acquired in this order (RULE_OF and RAW_START only with
    rules), with their names and item formats; data may be any bytes-like
    object. */
-enum { DATA, OFF, SUCC, INIT, ALWAYS, RULE_OF, RAW_START, NVIEWS };
+enum { DATA, OFF, SUCC, INIT, ALWAYS, REPORT, RULE_OF, RAW_START, NVIEWS };
 static const char *const names[NVIEWS] = {
-    "data", "off", "succ", "init", "always", "rule_of", "raw_start"};
+    "data", "off", "succ", "init", "always", "report", "rule_of",
+    "raw_start"};
 static const char *const formats[NVIEWS] = {
-    NULL, "i", "i", "i", "i", "i", "B"};
+    NULL, "i", "i", "i", "i", "i", "i", "B"};
+
+/* What a scan records per cycle. */
+typedef enum { SETS, SUMMARY, RULES } Mode;
 
 typedef struct {
     Py_ssize_t n, ncls;
@@ -86,6 +93,11 @@ check(const Program *p)
                      rows, (int)off[rows], p->len[SUCC]);
         return -1;
     }
+    if (p->len[REPORT] != p->n) {
+        PyErr_Format(PyExc_ValueError, "report must have one item per state "
+                     "(%zd), not %zd", p->n, p->len[REPORT]);
+        return -1;
+    }
     if (p->held > RULE_OF && (p->len[RULE_OF] != p->n
                               || p->len[RAW_START] != p->n)) {
         PyErr_Format(PyExc_ValueError, "rule_of and raw_start must have one "
@@ -95,48 +107,113 @@ check(const Program *p)
     }
     for (int i = SUCC; i < p->held && i <= RULE_OF; i++) {
         const int32_t *items = ITEMS(p, i);
+        int lo = i == REPORT ? -1 : 0;
         for (Py_ssize_t k = 0; k < p->len[i]; k++)
-            if (items[k] < 0 || items[k] >= p->n) {
+            if (items[k] < lo || items[k] >= p->n) {
                 PyErr_Format(PyExc_ValueError, "%s[%zd] is %d, outside "
-                             "0..%zd", names[i], k, (int)items[k], p->n - 1);
+                             "%d..%zd", names[i], k, (int)items[k], lo,
+                             p->n - 1);
                 return -1;
             }
     }
     return 0;
 }
 
-/* One cycle's record: the active set, or its (active, moving) rule counts.
-   seen and moving are per-rule stamps; stamp is unique to the cycle. */
-static PyObject *
-record(const Program *p, const int32_t *active, Py_ssize_t count,
-       PyObject *ints, Py_ssize_t *seen, Py_ssize_t *moving, Py_ssize_t stamp)
+/* Per-scan scratch: per-state or per-rule arrays of n + 1 items. */
+typedef struct {
+    Py_ssize_t *mark;        /* successor stamps */
+    Py_ssize_t *seen;        /* per-rule or per-label stamps */
+    Py_ssize_t *moving;      /* per-rule stamps of moving rules */
+    Py_ssize_t *activation;  /* SUMMARY: cycles each state is active */
+    int32_t *best;           /* SUMMARY: smallest active state per label */
+    int32_t *hits;           /* SUMMARY: labels hit in this cycle */
+    PyObject *ints;          /* SETS: the state ids as Python ints */
+    PyObject *reports;       /* SUMMARY: the (cycle, state) list */
+} Scratch;
+
+static int
+compare_labels(const void *a, const void *b)
 {
-    if (p->held <= RULE_OF) {
+    int32_t x = *(const int32_t *)a, y = *(const int32_t *)b;
+    return (x > y) - (x < y);
+}
+
+/* One cycle's record: the active set, its (active, moving) rule counts,
+   or its active count, after adding its reports and activations to w.
+   stamp is unique to the cycle t. */
+static PyObject *
+record(const Program *p, Mode mode, Scratch *w, const int32_t *active,
+       Py_ssize_t count, Py_ssize_t t, Py_ssize_t stamp)
+{
+    if (mode == SETS) {
         PyObject *set = PyFrozenSet_New(NULL);
         for (Py_ssize_t i = 0; set != NULL && i < count; i++)
-            if (PySet_Add(set, PyList_GET_ITEM(ints, active[i])) < 0)
+            if (PySet_Add(set, PyList_GET_ITEM(w->ints, active[i])) < 0)
                 Py_CLEAR(set);
         return set;
     }
-    const int32_t *rule = ITEMS(p, RULE_OF);
-    const unsigned char *raw_start = p->views[RAW_START].buf;
-    Py_ssize_t rules = 0, moved = 0;
-    for (Py_ssize_t i = 0; i < count; i++) {
-        int32_t s = active[i], r = rule[s];
-        if (seen[r] != stamp) {
-            seen[r] = stamp;
-            rules++;
+    if (mode == RULES) {
+        const int32_t *rule = ITEMS(p, RULE_OF);
+        const unsigned char *raw_start = p->views[RAW_START].buf;
+        Py_ssize_t rules = 0, moved = 0;
+        for (Py_ssize_t i = 0; i < count; i++) {
+            int32_t s = active[i], r = rule[s];
+            if (w->seen[r] != stamp) {
+                w->seen[r] = stamp;
+                rules++;
+            }
+            if (!raw_start[s] && w->moving[r] != stamp) {
+                w->moving[r] = stamp;
+                moved++;
+            }
         }
-        if (!raw_start[s] && moving[r] != stamp) {
-            moving[r] = stamp;
-            moved++;
-        }
+        return Py_BuildValue("(nn)", rules, moved);
     }
-    return Py_BuildValue("(nn)", rules, moved);
+    const int32_t *report = ITEMS(p, REPORT);
+    Py_ssize_t nhits = 0;
+    for (Py_ssize_t i = 0; i < count; i++) {
+        int32_t s = active[i], k = report[s];
+        w->activation[s]++;
+        if (k < 0)
+            continue;
+        if (w->seen[k] != stamp) {
+            w->seen[k] = stamp;
+            w->best[k] = s;
+            w->hits[nhits++] = k;
+        }
+        else if (s < w->best[k])
+            w->best[k] = s;
+    }
+    qsort(w->hits, nhits, sizeof *w->hits, compare_labels);
+    for (Py_ssize_t i = 0; i < nhits; i++) {
+        PyObject *pair = Py_BuildValue("(ni)", t, (int)w->best[w->hits[i]]);
+        if (pair == NULL || PyList_Append(w->reports, pair) < 0) {
+            Py_XDECREF(pair);
+            return NULL;
+        }
+        Py_DECREF(pair);
+    }
+    return PyLong_FromSsize_t(count);
+}
+
+/* A list of the first count items of values, as Python ints. */
+static PyObject *
+int_list(const Py_ssize_t *values, Py_ssize_t count)
+{
+    PyObject *list = PyList_New(count);
+
+    for (Py_ssize_t i = 0; list != NULL && i < count; i++) {
+        PyObject *v = PyLong_FromSsize_t(values ? values[i] : i);
+        if (v == NULL)
+            Py_CLEAR(list);
+        else
+            PyList_SET_ITEM(list, i, v);
+    }
+    return list;
 }
 
 static PyObject *
-scan(const Program *p)
+scan(const Program *p, Mode mode)
 {
     const unsigned char *data = p->views[DATA].buf;
     const int32_t *off = ITEMS(p, OFF), *succ = ITEMS(p, SUCC);
@@ -146,24 +223,26 @@ scan(const Program *p)
     Py_ssize_t cap = (ninit > n ? ninit : n) + 1, ncur = ninit;
     int32_t *cur = PyMem_Malloc(cap * sizeof *cur);
     int32_t *next = PyMem_Malloc(cap * sizeof *next);
-    Py_ssize_t *mark = PyMem_Calloc(n + 1, sizeof *mark);
-    Py_ssize_t *seen = PyMem_Calloc(n + 1, sizeof *seen);
-    Py_ssize_t *moving = PyMem_Calloc(n + 1, sizeof *moving);
-    PyObject *ints = PyList_New(p->held > RULE_OF ? 0 : n);
-    PyObject *out = PyList_New(len), *result = NULL;
+    Scratch w = {
+        .mark = PyMem_Calloc(n + 1, sizeof *w.mark),
+        .seen = PyMem_Calloc(n + 1, sizeof *w.seen),
+        .moving = PyMem_Calloc(n + 1, sizeof *w.moving),
+        .activation = PyMem_Calloc(n + 1, sizeof *w.activation),
+        .best = PyMem_Calloc(n + 1, sizeof *w.best),
+        .hits = PyMem_Calloc(n + 1, sizeof *w.hits),
+        .ints = mode == SETS ? int_list(NULL, n) : NULL,
+        .reports = mode == SUMMARY ? PyList_New(0) : NULL,
+    };
+    PyObject *out = PyList_New(len), *activation = NULL, *result = NULL;
     unsigned long long work = 0;
 
-    if (ints == NULL || out == NULL)
+    if (out == NULL || (mode == SETS && w.ints == NULL)
+        || (mode == SUMMARY && w.reports == NULL))
         goto done;
-    if (!cur || !next || !mark || !seen || !moving) {
+    if (!cur || !next || !w.mark || !w.seen || !w.moving || !w.activation
+        || !w.best || !w.hits) {
         PyErr_NoMemory();
         goto done;
-    }
-    for (Py_ssize_t s = 0; s < PyList_GET_SIZE(ints); s++) {
-        PyObject *v = PyLong_FromSsize_t(s);
-        if (v == NULL)
-            goto done;
-        PyList_SET_ITEM(ints, s, v);
     }
     memcpy(cur, ITEMS(p, INIT), ninit * sizeof *cur);
     for (Py_ssize_t t = 0; t < len; t++) {
@@ -175,8 +254,8 @@ scan(const Program *p)
                 work += row[1] - row[0];
                 for (int32_t j = row[0]; j < row[1]; j++) {
                     int32_t d = succ[j];
-                    if (mark[d] != stamp) {
-                        mark[d] = stamp;
+                    if (w.mark[d] != stamp) {
+                        w.mark[d] = stamp;
                         next[nnext++] = d;
                     }
                 }
@@ -185,12 +264,12 @@ scan(const Program *p)
         work += nalways;
         for (Py_ssize_t i = 0; i < nalways; i++) {
             int32_t d = always[i];
-            if (mark[d] != stamp) {
-                mark[d] = stamp;
+            if (w.mark[d] != stamp) {
+                w.mark[d] = stamp;
                 next[nnext++] = d;
             }
         }
-        PyObject *item = record(p, next, nnext, ints, seen, moving, stamp);
+        PyObject *item = record(p, mode, &w, next, nnext, t, stamp);
         if (item == NULL)
             goto done;
         PyList_SET_ITEM(out, t, item);
@@ -199,35 +278,42 @@ scan(const Program *p)
         next = swap;
         ncur = nnext;
     }
-    result = Py_BuildValue("(OK)", out, work);
+    if (mode == SETS)
+        result = Py_NewRef(out);
+    else if (mode == RULES)
+        result = Py_BuildValue("(OK)", out, work);
+    else if ((activation = int_list(w.activation, n)) != NULL)
+        result = Py_BuildValue("((OOO)K)", out, activation, w.reports, work);
 done:
     PyMem_Free(cur);
     PyMem_Free(next);
-    PyMem_Free(mark);
-    PyMem_Free(seen);
-    PyMem_Free(moving);
-    Py_XDECREF(ints);
+    PyMem_Free(w.mark);
+    PyMem_Free(w.seen);
+    PyMem_Free(w.moving);
+    PyMem_Free(w.activation);
+    PyMem_Free(w.best);
+    PyMem_Free(w.hits);
+    Py_XDECREF(w.ints);
+    Py_XDECREF(w.reports);
+    Py_XDECREF(activation);
     Py_XDECREF(out);
     return result;
 }
 
+/* Check the arguments, scan in the given mode and release every view. */
 static PyObject *
-step_stream(PyObject *self, PyObject *args, PyObject *kwargs)
+run(PyObject *program, PyObject *data, PyObject *rules, Mode mode)
 {
-    static char *kwlist[] = {"program", "data", "rules", NULL};
-    PyObject *program, *data, *rules = Py_None, *result = NULL;
+    PyObject *result = NULL;
     Program p = {0};
 
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OO|O:step_stream", kwlist,
-                                     &program, &data, &rules))
-        return NULL;
-    if (!PyTuple_Check(program) || PyTuple_GET_SIZE(program) != 6) {
+    if (!PyTuple_Check(program) || PyTuple_GET_SIZE(program) != 7) {
         PyErr_SetString(PyExc_TypeError, "program must be a (n, ncls, off, "
-                        "succ, init, always) tuple");
+                        "succ, init, always, report) tuple");
         return NULL;
     }
-    if (rules != Py_None && (!PyTuple_Check(rules)
-                             || PyTuple_GET_SIZE(rules) != 2)) {
+    if (mode == RULES && (!PyTuple_Check(rules)
+                          || PyTuple_GET_SIZE(rules) != 2)) {
         PyErr_SetString(PyExc_TypeError, "rules must be a (rule_of, "
                         "raw_start) pair");
         return NULL;
@@ -242,24 +328,52 @@ step_stream(PyObject *self, PyObject *args, PyObject *kwargs)
                      PyTuple_GET_ITEM(program, 1), INT32_MAX - 1);
         return NULL;
     }
-    int last = rules == Py_None ? ALWAYS : RAW_START, ok = 1;
+    int last = mode == RULES ? RAW_START : REPORT, ok = 1;
     for (int i = DATA; ok && i <= last; i++)
         ok = acquire(&p, i, i == DATA ? data
-                            : i <= ALWAYS ? PyTuple_GET_ITEM(program, i + 1)
+                            : i <= REPORT ? PyTuple_GET_ITEM(program, i + 1)
                             : PyTuple_GET_ITEM(rules, i - RULE_OF)) == 0;
     if (ok && check(&p) == 0)
-        result = scan(&p);
+        result = scan(&p, mode);
     while (p.held > 0)  /* every view, on every path */
         PyBuffer_Release(&p.views[--p.held]);
     return result;
+}
+
+static PyObject *
+step_stream(PyObject *self, PyObject *args, PyObject *kwargs)
+{
+    static char *kwlist[] = {"program", "data", "rules", NULL};
+    PyObject *program, *data, *rules = Py_None;
+
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OO|O:step_stream", kwlist,
+                                     &program, &data, &rules))
+        return NULL;
+    return run(program, data, rules, rules == Py_None ? SUMMARY : RULES);
+}
+
+static PyObject *
+active_sets(PyObject *self, PyObject *args, PyObject *kwargs)
+{
+    static char *kwlist[] = {"program", "data", NULL};
+    PyObject *program, *data;
+
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OO:active_sets", kwlist,
+                                     &program, &data))
+        return NULL;
+    return run(program, data, NULL, SETS);
 }
 
 static PyMethodDef methods[] = {
     {"step_stream", (PyCFunction)(void (*)(void))step_stream,
      METH_VARARGS | METH_KEYWORDS,
      "step_stream(program, data, rules=None)\n--\n\n"
-     "Return (per-cycle active frozensets, operation count); with rules,\n"
-     "per-cycle (active_rules, moving_rules) pairs instead of the sets."},
+     "Return ((per_cycle_count, activation, reports), operation count);\n"
+     "with rules, per-cycle (active_rules, moving_rules) pairs instead."},
+    {"active_sets", (PyCFunction)(void (*)(void))active_sets,
+     METH_VARARGS | METH_KEYWORDS,
+     "active_sets(program, data)\n--\n\n"
+     "Return the per-cycle active frozensets."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -70,6 +70,13 @@ def _int_field(obj: dict, path: str, key: str) -> int:
     return value
 
 
+def _number_field(obj: dict, path: str, key: str) -> float:
+    value = obj[key]
+    _expect(isinstance(value, (int, float)) and not isinstance(value, bool),
+            f"{path}/{key}", "expected a number")
+    return float(value)
+
+
 _HEX_DIGITS = set("0123456789abcdefABCDEF")
 
 
@@ -175,6 +182,8 @@ def automaton_from_document(doc: dict) -> Automaton:
             _expect(key.isdecimal(), path, "state keys must be decimal")
             _expect(isinstance(value, int) and not isinstance(value, bool),
                     path, "expected an integer label")
+            _expect(int(key) not in labels, path,
+                    f"duplicate label for state {int(key)}")
             labels[int(key)] = value
 
     return Automaton(
@@ -256,16 +265,10 @@ def _entry_to_pattern(entry: dict, path: str) -> Pattern:
         cls = HammingSource if kind == "hamming" else LevenshteinSource
         return Pattern(pid, cls(text("pattern"),
                                 _int_field(entry, path, "distance")))
-    density = entry["density"]
-    accept_density = entry["accept_density"]
-    _expect(isinstance(density, (int, float)), f"{path}/density",
-            "expected a number")
-    _expect(isinstance(accept_density, (int, float)), f"{path}/accept_density",
-            "expected a number")
     return Pattern(pid, RandomRecipe(
         states=_int_field(entry, path, "states"),
-        density=float(density),
-        accept_density=float(accept_density),
+        density=_number_field(entry, path, "density"),
+        accept_density=_number_field(entry, path, "accept_density"),
         alphabet_size=_int_field(entry, path, "alphabet_size"),
         seed=_int_field(entry, path, "seed"),
     ))
@@ -370,9 +373,9 @@ def render_trace(trace: SimulationTrace) -> str:
     for cycle, state, pid in trace.reports:
         by_cycle.setdefault(cycle, []).append((state, pid))
     lines = []
-    for t, active in enumerate(trace.per_cycle_active):
+    for t, count in enumerate(trace.per_cycle_count):
         reports = ",".join(
             f"{state}:{'-' if pid is None else pid}"
             for state, pid in sorted(by_cycle.get(t, ()), key=lambda r: r[0]))
-        lines.append(f"{t}\t{len(active)}\t{reports}")
+        lines.append(f"{t}\t{count}\t{reports}")
     return "\n".join(lines) + ("\n" if lines else "")

@@ -15,16 +15,25 @@ indices, to the stepping kernel.  The kernel is the compiled
 --inplace``) for the same program ``FORMAT``, and otherwise
 ``_simkernel_py``, whose plain-Python loop is the specification both
 follow; a compiled module of another format is ignored with a
-``RuntimeWarning``.  :func:`active_rule_frequency` runs the kernel in its
-counting mode, which yields per-cycle rule counts instead of active sets.
+``RuntimeWarning``.
+
+The kernel returns the per-cycle active counts, the per-state activation
+counts and the reports, and keeps no per-cycle sets.  A trace's
+``per_cycle_active`` is recomputed on every read: it replays the scan
+through the kernel's ``active_sets``, ``WINDOW`` cycles at a time, so
+memory stays flat as the input grows.
+
+:func:`active_rule_frequency` runs the kernel in its counting mode, which
+yields per-cycle rule counts, on a program it builds once per rule set
+and reuses while the rules compare equal.
 """
 
 from __future__ import annotations
 
 import warnings
 from array import array
-from collections import Counter
-from dataclasses import dataclass
+from collections.abc import Iterator
+from dataclasses import dataclass, field
 from itertools import accumulate, chain
 
 from .core import ALPHABET_SIZE, Automaton, StartKind, SymbolClass
@@ -58,23 +67,48 @@ def default_kernel() -> str:
     return available_kernels()[0]
 
 
+# Cycles per active_sets call when a trace replays its scan: memory stays
+# bounded by one window of sets, however long the input.
+WINDOW = 256
+
+
 @dataclass(frozen=True)
 class SimulationTrace:
     """Per-cycle activity of one automaton on one input.
 
+    ``per_cycle_count[t]`` is the number of states active at cycle ``t``.
     ``reports`` holds (cycle, state, pattern_id) triples, one per pattern
     per cycle: when several accept states of the same pattern are active
     in a cycle, only the smallest state id is reported.  ``pattern_id``
     comes from ``component_labels`` (None for unlabeled states).
     ``per_state_activation_count`` counts recorded cycles only; the
     pre-input activation lives in ``initial_active``.
+
+    The scan keeps no per-cycle sets.  ``per_cycle_active`` replays it on
+    every read and yields each cycle's active frozenset, computed in
+    windows of ``WINDOW`` cycles, so memory stays flat as the input grows.
     """
 
     cycles: int
-    per_cycle_active: tuple[frozenset[int], ...]
+    per_cycle_count: tuple[int, ...]
     reports: tuple[tuple[int, int, int | None], ...]
     per_state_activation_count: dict[int, int]
     initial_active: frozenset[int]
+    # What per_cycle_active replays: the program and the class indices.
+    _program: tuple = field(repr=False)
+    _classes: bytes = field(repr=False)
+
+    @property
+    def per_cycle_active(self) -> Iterator[frozenset[int]]:
+        """Each cycle's active set, recomputed by the kernel on every read."""
+        return _replay(self._program, self._classes)
+
+
+def _replay(program: tuple, classes: bytes) -> Iterator[frozenset[int]]:
+    for lo in range(0, len(classes), WINDOW):
+        sets = _kernel.active_sets(program, classes[lo:lo + WINDOW])
+        yield from sets
+        program = program[:4] + (array("i", sets[-1]),) + program[5:]
 
 
 class Simulator:
@@ -105,45 +139,33 @@ class Simulator:
         always = close_over(closures, (s for s, k in automaton.starts.items()
                                        if k is StartKind.ALL_INPUT))
         self._init = close_over(closures, automaton.starts) | always
+        # Report labels in report order, unlabeled last.
+        labels = automaton.component_labels or {}
+        self._labels = sorted({labels.get(s) for s in automaton.accepts},
+                              key=lambda x: (x is None, x))
+        index = {label: k for k, label in enumerate(self._labels)}
         self._program = (
             n, ncls, array("i", accumulate(map(len, rows), initial=0)),
             array("i", chain.from_iterable(rows)),
-            array("i", sorted(self._init)), array("i", sorted(always)))
+            array("i", sorted(self._init)), array("i", sorted(always)),
+            array("i", [index[labels.get(s)] if s in automaton.accepts
+                        else -1 for s in range(n)]))
 
     def run(self, data: bytes) -> SimulationTrace:
-        return self._assemble(self._scan(data)[0])
-
-    def _scan(self, data: bytes, rules=None) -> tuple[list, int]:
-        """The kernel's per-cycle active sets and operation count, no trace.
-
-        With ``rules`` the kernel counts rules instead of returning sets
-        (see ``_simkernel_py``).
-        """
-        return _kernel.step_stream(self._program,
-                                   data.translate(self._table), rules)
-
-    def _assemble(self, sets) -> SimulationTrace:
-        a = self.automaton
-        labels = a.component_labels or {}
-        reports: list[tuple[int, int, int | None]] = []
-        counts: Counter[int] = Counter()
-        for t, active in enumerate(sets):
-            counts.update(active)
-            hits = a.accepts.intersection(active)
-            if hits:
-                best: dict[int | None, int] = {}
-                for s in hits:
-                    pid = labels.get(s)
-                    if pid not in best or s < best[pid]:
-                        best[pid] = s
-                for pid in sorted(best, key=lambda x: (x is None, x)):
-                    reports.append((t, best[pid], pid))
+        classes = data.translate(self._table)
+        (counts, activation, reports), _ = _kernel.step_stream(self._program,
+                                                               classes)
+        report = self._program[6]
         return SimulationTrace(
-            cycles=len(sets),
-            per_cycle_active=tuple(sets),
-            reports=tuple(reports),
-            per_state_activation_count=dict(counts),
+            cycles=len(classes),
+            per_cycle_count=tuple(counts),
+            reports=tuple((t, s, self._labels[report[s]])
+                          for t, s in reports),
+            per_state_activation_count={s: c for s, c in enumerate(activation)
+                                        if c},
             initial_active=self._init,
+            _program=self._program,
+            _classes=classes,
         )
 
 
@@ -168,6 +190,35 @@ class ActiveRuleStats:
     start_only_fraction: float
 
 
+# The rules active_rule_frequency scanned last, with their program:
+# (components, Simulator, rules).
+_last_rules: tuple | None = None
+
+
+def _rule_program(components: list[Automaton]) -> tuple:
+    """The merged Simulator and counting-mode rules of ``components``.
+
+    The last one built is kept and reused while the components compare
+    equal (identical objects compare without a field walk).
+    """
+    global _last_rules
+    key = tuple(components)
+    if _last_rules is None or _last_rules[0] != key:
+        merged = merge_patterns(components)
+        # Rules as dense indices; the unlabeled shared start is one of its
+        # own.
+        labels = [merged.component_labels.get(s)
+                  for s in range(merged.state_count)]
+        index = {label: i for i, label in enumerate(dict.fromkeys(labels))}
+        offsets = accumulate((c.state_count for c in components), initial=0)
+        starts = {s + off for c, off in zip(components, offsets)
+                  for s in c.starts}
+        rules = (array("i", [index[label] for label in labels]),
+                 bytes(s in starts for s in range(merged.state_count)))
+        _last_rules = (key, Simulator(merged), rules)
+    return _last_rules[1:]
+
+
 def active_rule_frequency(components: list[Automaton],
                           data: bytes) -> ActiveRuleStats:
     """Count rules with >= 1 active state per input cycle.
@@ -182,19 +233,13 @@ def active_rule_frequency(components: list[Automaton],
         raise ValueError("components must carry distinct pattern ids")
     if not components:
         return ActiveRuleStats((0,) * len(data), 0, 0, 0.0)
-    merged = merge_patterns(components)
-    # Rules as dense indices; the unlabeled shared start is one of its own.
-    labels = [merged.component_labels.get(s)
-              for s in range(merged.state_count)]
-    index = {label: i for i, label in enumerate(dict.fromkeys(labels))}
-    offsets = accumulate((c.state_count for c in components), initial=0)
-    starts = {s + off for c, off in zip(components, offsets) for s in c.starts}
-    rules = (array("i", [index[label] for label in labels]),
-             bytes(s in starts for s in range(merged.state_count)))
+    sim, rules = _rule_program(components)
+    pairs, _ = _kernel.step_stream(sim._program, data.translate(sim._table),
+                                   rules)
     per_cycle = []
     total = 0.0
     counted = 0
-    for active_rules, moving_rules in Simulator(merged)._scan(data, rules)[0]:
+    for active_rules, moving_rules in pairs:
         per_cycle.append(active_rules)
         if active_rules:
             counted += 1

@@ -43,15 +43,21 @@ def build_c_kernel(directory: Path):
     return module
 
 
+def c_compiler() -> list[str]:
+    """The C compiler command extensions are built with; skip without one."""
+    cc = shlex.split(os.environ.get("CC") or sysconfig.get_config_var("CC")
+                     or "cc")
+    if shutil.which(cc[0]) is None:
+        pytest.skip(f"no C compiler found ({cc[0]!r} is not on PATH), "
+                    f"so falab._simkernel cannot be built")
+    return cc
+
+
 @pytest.fixture(scope="session")
 def c_kernel(tmp_path_factory):
     if simulate._simkernel is not None:
         return simulate._simkernel
-    cc = os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc"
-    compiler = shlex.split(cc)[0]
-    if shutil.which(compiler) is None:
-        pytest.skip(f"no C compiler found ({compiler!r} is not on PATH), "
-                    f"so falab._simkernel cannot be built")
+    c_compiler()
     return build_c_kernel(tmp_path_factory.mktemp("simkernel"))
 
 

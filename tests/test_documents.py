@@ -221,6 +221,8 @@ AUTOMATON_ERRORS = [
      "state keys must be decimal"),
     (edited(AUTOMATON, "/labels/0", "1"), "/labels/0",
      "expected an integer label"),
+    (edited(edited(AUTOMATON, "/labels/1", 5), "/labels/01", 6), "/labels/01",
+     "duplicate label for state 1"),
 ]
 
 PATTERN_SET = {"version": 1, "start_kind": "all-input", "seed": 3,
@@ -301,6 +303,14 @@ class TestDocumentErrors:
             pattern_set_from_document(doc)
         assert exc.value.path == path
         assert message in exc.value.message
+
+    @pytest.mark.parametrize("field", ["density", "accept_density"])
+    def test_a_boolean_density_is_not_a_number(self, field):
+        with pytest.raises(DocumentError) as exc:
+            pattern_set_from_document(
+                edited(PATTERN_SET, f"/patterns/3/{field}", True))
+        assert exc.value.path == f"/patterns/3/{field}"
+        assert exc.value.message == "expected a number"
 
     def test_the_fixtures_themselves_load(self):
         assert automaton_from_document(AUTOMATON).state_count == 2

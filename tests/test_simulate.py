@@ -1,8 +1,10 @@
 import subprocess
 import sys
+import sysconfig
 import tracemalloc
 from array import array
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -17,6 +19,7 @@ from falab.simulate import (Simulator, active_rule_frequency,
                             start_only_fraction)
 from falab.transform import accepts, connected_components, merge_patterns
 
+from conftest import SOURCE, c_compiler
 from corpus import random_regex
 
 SOD = StartKind.START_OF_DATA
@@ -27,7 +30,7 @@ ALPHABET = b"abc"
 
 @st.composite
 def automata(draw):
-    """Small NFAs with epsilon edges and mixed starts.
+    """Small NFAs with epsilon edges, mixed starts and some labeled states.
 
     Edge classes are subsets of ``ALPHABET``, their complements, or the
     full byte range.
@@ -41,8 +44,10 @@ def automata(draw):
     eps = draw(st.lists(st.tuples(state, state), max_size=4))
     starts = draw(st.dictionaries(state, st.sampled_from(KINDS), min_size=1))
     finals = draw(st.frozensets(state))
+    labels = draw(st.dictionaries(state, st.integers(0, 2)))
     return Automaton(state_count=n, edges=tuple(edges),
-                     epsilon_edges=tuple(eps), starts=starts, accepts=finals)
+                     epsilon_edges=tuple(eps), starts=starts, accepts=finals,
+                     component_labels=labels)
 
 
 # "d", 0x00 and 0xFF lie outside every subset of ALPHABET, so on most
@@ -52,28 +57,62 @@ inputs = st.binary(max_size=8).map(
     lambda b: bytes(INPUT_BYTES[x % len(INPUT_BYTES)] for x in b))
 
 
+def closure(a: Automaton, states) -> set[int]:
+    """``states`` and every state their epsilon edges reach."""
+    seen = set(states)
+    stack = list(seen)
+    while stack:
+        s = stack.pop()
+        for src, dst in a.epsilon_edges:
+            if src == s and dst not in seen:
+                seen.add(dst)
+                stack.append(dst)
+    return seen
+
+
 def reference_active_sets(a: Automaton, data: bytes) -> list[frozenset[int]]:
     """Per-cycle active sets by direct search over the edge lists."""
-
-    def close(states):
-        seen = set(states)
-        stack = list(seen)
-        while stack:
-            s = stack.pop()
-            for src, dst in a.epsilon_edges:
-                if src == s and dst not in seen:
-                    seen.add(dst)
-                    stack.append(dst)
-        return seen
-
-    always = close(s for s, k in a.starts.items() if k is ALL)
-    active = close(a.starts) | always
+    always = closure(a, (s for s, k in a.starts.items() if k is ALL))
+    active = closure(a, a.starts) | always
     out = []
     for byte in data:
-        active = close(d for s, c, d in a.edges
-                       if s in active and byte in c) | always
+        active = closure(a, (d for s, c, d in a.edges
+                             if s in active and byte in c)) | always
         out.append(frozenset(active))
     return out
+
+
+def reference_summary(a: Automaton, data: bytes):
+    """(per-cycle counts, activation counts, reports, work) from the
+    reference sets.
+
+    Work counts, per cycle, each previously active state's closed
+    successors on the byte plus the every-cycle states.  Reports keep the
+    smallest active accepting state per label, labels in order with
+    unlabeled last.
+    """
+    sets = reference_active_sets(a, data)
+    labels = a.component_labels or {}
+    always = closure(a, (s for s, k in a.starts.items() if k is ALL))
+    previous = [closure(a, a.starts) | always] + sets[:-1]
+    work = sum(len(always) + sum(
+        len(closure(a, (d for src, c, d in a.edges if src == s and byte in c)))
+        for s in before) for before, byte in zip(previous, data))
+    reports = []
+    for t, active in enumerate(sets):
+        best = {}
+        for s in sorted(active & a.accepts):
+            best.setdefault(labels.get(s), s)
+        reports.extend((t, best[pid], pid)
+                       for pid in sorted(best, key=lambda x: (x is None, x)))
+    activation = Counter(s for active in sets for s in active)
+    return tuple(map(len, sets)), dict(activation), tuple(reports), work
+
+
+def kernel_work(sim: Simulator, data: bytes) -> int:
+    """The operation count of the scan ``sim.run(data)`` makes."""
+    return simulate._kernel.step_stream(sim._program,
+                                        data.translate(sim._table))[1]
 
 
 def regex_rules(seed: int, kind: StartKind, count: int = 3) -> list[Automaton]:
@@ -127,12 +166,27 @@ def run_tests(kernel: str):
                                for s in active)
             assert trace.per_state_activation_count == dict(expected)
 
+        @settings(max_examples=150, deadline=None)
+        @given(automata(), inputs)
+        def test_summary_matches_reference(self, a, data):
+            sim = Simulator(a)
+            trace = sim.run(data)
+            counts, activation, reports, work = reference_summary(a, data)
+            assert trace.per_cycle_count == counts
+            assert trace.per_state_activation_count == activation
+            assert trace.reports == reports
+            assert kernel_work(sim, data) == work
+            assert ({t for t, _, _ in trace.reports}
+                    == {t for t in range(len(data))
+                        if accepts(a, data[:t + 1])})
+
         @settings(max_examples=60, deadline=None)
         @given(automata())
         def test_empty_input_is_a_zero_cycle_trace(self, a):
             trace = run(a, b"")
             assert trace.cycles == 0
-            assert trace.per_cycle_active == ()
+            assert trace.per_cycle_count == ()
+            assert list(trace.per_cycle_active) == []
             assert trace.reports == ()
             assert trace.per_state_activation_count == {}
             assert trace.initial_active >= frozenset(a.starts)
@@ -160,9 +214,11 @@ def run_tests(kernel: str):
             (SOD, b"ba", [set(), set()], 0),
         ])
         def test_kernel_work_count(self, kind, data, cycles, work):
-            sets, counted = Simulator(chain(kind))._scan(data)
-            assert [set(s) for s in sets] == cycles
-            assert counted == work
+            sim = Simulator(chain(kind))
+            trace = sim.run(data)
+            assert [set(s) for s in trace.per_cycle_active] == cycles
+            assert trace.per_cycle_count == tuple(map(len, cycles))
+            assert kernel_work(sim, data) == work
 
         def test_classes_covering_every_byte(self):
             # 256 singleton edges plus a full edge: 256 byte classes, no byte
@@ -211,7 +267,7 @@ def reference_rule_stats(components: list[Automaton], data: bytes):
     is active when its own scan has an active state, and start-stalled
     when every active state is one of its raw start states.
     """
-    sets = [run(c, data).per_cycle_active for c in components]
+    sets = [list(run(c, data).per_cycle_active) for c in components]
     per_cycle = []
     total = 0.0
     counted = 0
@@ -322,6 +378,31 @@ def active_rule_tests(kernel: str):
             with pytest.raises(ValueError, match=r"components \[1\]"):
                 start_only_fraction([chain(ALL), two_starts], b"a")
 
+        def test_rule_program_is_reused_only_for_equal_rules(self,
+                                                             monkeypatch):
+            a = connected_components(
+                merge_patterns(regex_rules(5, ALL), [7, 3, 5]))
+            b = [gen_levenshtein(p, d, ALL)
+                 for p, d in ((b"abc", 1), (b"ca", 1), (b"bcab", 2))]
+            merges = []
+
+            def counting_merge(components):
+                merges.append(len(components))
+                return merge_patterns(components)
+
+            monkeypatch.setattr(simulate, "_last_rules", None)
+            monkeypatch.setattr(simulate, "merge_patterns", counting_merge)
+            data = streams(5, count=1, length=40)[0]
+            # A, B, A again, then an equal copy of A: only the copy reuses
+            # the program built before it.
+            for rules, built in ((a, 1), (b, 2), (a, 3),
+                                 ([replace(c) for c in a], 3)):
+                stats = active_rule_frequency(rules, data)
+                assert ((stats.per_cycle_rule_count,
+                         stats.start_only_fraction)
+                        == reference_rule_stats(rules, data))
+                assert len(merges) == built
+
     return TestActiveRules
 
 
@@ -329,9 +410,10 @@ TestActiveRules = active_rule_tests("python")
 TestActiveRulesCompiled = active_rule_tests("c")
 
 
-def flat_program(step, init, always):
+def flat_program(step, init, always, report=None):
     """The kernel program of a per-state ``{class: successors}`` table,
-    with one more class than the largest key."""
+    with one more class than the largest key; no state accepts unless
+    ``report`` says so."""
     ncls = max((c for row in step for c in row), default=-1) + 1
     off, succ = [0], []
     for row in step:
@@ -339,7 +421,8 @@ def flat_program(step, init, always):
             succ.extend(row.get(c, ()))
             off.append(len(succ))
     return (len(step), ncls, array("i", off), array("i", succ),
-            array("i", init), array("i", always))
+            array("i", init), array("i", always),
+            array("i", [-1] * len(step) if report is None else report))
 
 
 def rule_index(draw, n: int):
@@ -349,29 +432,78 @@ def rule_index(draw, n: int):
     return array("i", rule_of), bytes(raw_start)
 
 
+@pytest.mark.parametrize("length", [0, 255, 256, 257, 3 * 256 + 1])
+def test_windowed_sets_equal_one_scan(kernel, length):
+    # Lengths around the replay window: none, one short, one full, one
+    # over, and three full plus one.
+    assert simulate.WINDOW == 256
+    a = merge_patterns([gen_levenshtein(p, d, ALL)
+                        for p, d in ((b"abc", 1), (b"ca", 1), (b"bcab", 2))])
+    data = streams(length, count=1, length=length)[0]
+    sim = Simulator(a)
+    trace = sim.run(data)
+    whole = kernel.active_sets(sim._program, data.translate(sim._table))
+    assert whole == reference_active_sets(a, data)
+    assert list(trace.per_cycle_active) == whole
+    assert list(trace.per_cycle_active) == whole  # every read replays
+
+
+def test_scan_memory_does_not_grow_with_the_sets(c_kernel, monkeypatch):
+    # 64 KiB over two Levenshtein rules, about 19 states active per cycle:
+    # keeping every cycle's frozenset would peak at about 109 MB.
+    monkeypatch.setattr(simulate, "_kernel", c_kernel)
+    sim = Simulator(merge_patterns([gen_levenshtein(p, 2, ALL)
+                                    for p in (b"abcdabcd", b"dcbadcba")]))
+    data = streams(64, count=1, length=64 * 1024)[0]
+    tracemalloc.start()
+    try:
+        trace = sim.run(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert trace.cycles == len(data)
+    assert peak < 4_000_000, peak
+
+
 class TestKernelParity:
     @settings(max_examples=300, deadline=None)
     @given(automata(), inputs.map(lambda b: b"\x00" + b + b"\xff"), st.data())
     def test_compiled_kernel_matches_python(self, c_kernel, a, data, draw):
         sim = Simulator(a)
-        rules = rule_index(draw.draw, a.state_count)
+        n = a.state_count
+        rules = rule_index(draw.draw, n)
+        # Simulator's report labels, and any label numbering.
+        report = array("i", draw.draw(st.lists(st.integers(-1, n - 1),
+                                               min_size=n, max_size=n)))
         # Both the class indices Simulator passes and raw bytes, which
         # reach past the class count.
-        for classes in (data.translate(sim._table), data):
-            for mode in (None, rules):
-                assert (c_kernel.step_stream(sim._program, classes, mode)
-                        == _simkernel_py.step_stream(sim._program, classes,
-                                                     mode))
+        for program in (sim._program, sim._program[:6] + (report,)):
+            for classes in (data.translate(sim._table), data):
+                for mode in (None, rules):
+                    assert (c_kernel.step_stream(program, classes, mode)
+                            == _simkernel_py.step_stream(program, classes,
+                                                         mode))
+                assert (c_kernel.active_sets(program, classes)
+                        == _simkernel_py.active_sets(program, classes))
 
     def test_every_byte_as_a_class(self, c_kernel):
-        # Classes 0 and 255 with successors; data holds both.
-        program = flat_program([{0: (1,), 255: (0, 1)}, {255: (1,)}], [0], [])
+        # Classes 0 and 255 with successors; data holds both.  Both
+        # states accept, state 1 with the lower label index.
+        program = flat_program([{0: (1,), 255: (0, 1)}, {255: (1,)}], [0], [],
+                               [1, 0])
         assert program[1] == 256
         data = bytes([255, 255, 0, 7])
-        for mode in (None, (array("i", [0, 1]), b"\x01\x00")):
-            got = c_kernel.step_stream(program, data, mode)
-            assert got == _simkernel_py.step_stream(program, data, mode)
+        summary = (([2, 2, 1, 0], [2, 3], [(0, 1), (0, 0), (1, 1), (1, 0),
+                                           (2, 1)]), 6)
+        assert c_kernel.step_stream(program, data) == summary
+        assert _simkernel_py.step_stream(program, data) == summary
+        rules = (array("i", [0, 1]), b"\x01\x00")
+        got = c_kernel.step_stream(program, data, rules)
+        assert got == _simkernel_py.step_stream(program, data, rules)
         assert got == ([(2, 1), (2, 1), (1, 1), (0, 0)], 6)
+        sets = [{0, 1}, {0, 1}, {1}, set()]
+        assert c_kernel.active_sets(program, data) == sets
+        assert _simkernel_py.active_sets(program, data) == sets
 
     def test_counting_mode_counts_rules(self, kernel):
         # States 0 and 1 belong to rule 0, state 2 to rule 1; states 0 and
@@ -383,12 +515,23 @@ class TestKernelParity:
 
     def test_simulator_program_layout(self):
         # 0 -a-> 1 -b-> 2 with an ALL_INPUT start: classes a, b.
-        n, ncls, off, succ, init, always = Simulator(chain(ALL))._program
+        n, ncls, off, succ, init, always, report = Simulator(
+            chain(ALL))._program
         assert (n, ncls) == (3, 2)
         assert list(off) == [0, 1, 1, 1, 2, 2, 2]
         assert list(succ) == [1, 2]
         assert (list(init), list(always)) == ([0], [0])
-        assert all(x.typecode == "i" for x in (off, succ, init, always))
+        assert list(report) == [-1, -1, 0]
+        assert all(x.typecode == "i"
+                   for x in (off, succ, init, always, report))
+
+    def test_report_labels_are_sorted_with_unlabeled_last(self):
+        a = Automaton(state_count=4, starts=dict.fromkeys(range(4), ALL),
+                      accepts=frozenset(range(4)),
+                      component_labels={0: 9, 1: 4, 3: 9})
+        sim = Simulator(a)
+        assert list(sim._program[6]) == [1, 0, 2, 1]
+        assert sim.run(b"x").reports == ((0, 1, 4), (0, 0, 9), (0, 2, None))
 
     def test_available_and_default_kernels(self):
         compiled = simulate._simkernel is not None
@@ -425,7 +568,7 @@ def import_with_fake_kernel(format) -> list[str]:
     return proc.stdout.splitlines()
 
 
-@pytest.mark.parametrize("format", [None, 1, 3])
+@pytest.mark.parametrize("format", [None, 1, 2, 4])
 def test_compiled_kernel_of_another_format_is_refused(format):
     # A module built from an older source (no FORMAT, or another one) is
     # ignored with a warning that names it and the rebuild command.
@@ -434,6 +577,15 @@ def test_compiled_kernel_of_another_format_is_refused(format):
         "RuntimeWarning ignoring /stale/_simkernel.so: it was built for "
         "another program format; rebuild it with python setup.py build_ext "
         "--inplace --force"]
+
+
+def test_kernel_source_compiles_without_warnings():
+    flags = ["-Wall", "-Wextra", "-Wno-unused-parameter",
+             "-Wno-missing-field-initializers", "-Werror", "-fsyntax-only"]
+    proc = subprocess.run(
+        [*c_compiler(), *flags, "-I", sysconfig.get_paths()["include"],
+         str(SOURCE)], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_compiled_kernel_of_the_same_format_is_used():
@@ -445,8 +597,8 @@ def ints(*items):
     return array("i", items)
 
 
-# A two-state, one-class program: 0 -> 1 -> {0, 1}.
-N, NCLS, OFF, SUCC = 2, 1, ints(0, 1, 3), ints(1, 0, 1)
+# A two-state, one-class program: 0 -> 1 -> {0, 1}; neither accepts.
+N, NCLS, OFF, SUCC, REPORT = 2, 1, ints(0, 1, 3), ints(1, 0, 1), ints(-1, -1)
 
 
 class TestCompiledKernelErrors:
@@ -456,43 +608,70 @@ class TestCompiledKernelErrors:
         pytest.param((N, NCLS, OFF, SUCC, ints()), TypeError,
                      "program must be a", id="wrong-arity"),
         pytest.param(42, TypeError, "program must be a", id="not-a-tuple"),
-        pytest.param((N, NCLS, [0, 1, 3], SUCC, ints(), ints()), TypeError,
-                     "off must be a buffer, not 'list'", id="off-not-a-buffer"),
-        pytest.param((N, 257, OFF, SUCC, ints(), ints()), ValueError,
+        pytest.param((N, NCLS, [0, 1, 3], SUCC, ints(), ints(), REPORT),
+                     TypeError, "off must be a buffer, not 'list'",
+                     id="off-not-a-buffer"),
+        pytest.param((N, 257, OFF, SUCC, ints(), ints(), REPORT), ValueError,
                      "ncls 257; they must be ints in 0..2147483646 and 0..256",
                      id="ncls-above-256"),
-        pytest.param(("a", NCLS, OFF, SUCC, ints(), ints()), ValueError,
-                     "program n is 'a'", id="n-not-an-int"),
-        pytest.param((N, NCLS, OFF, array("q", SUCC), ints(), ints()),
+        pytest.param(("a", NCLS, OFF, SUCC, ints(), ints(), REPORT),
+                     ValueError, "program n is 'a'", id="n-not-an-int"),
+        pytest.param((N, NCLS, OFF, array("q", SUCC), ints(), ints(), REPORT),
                      TypeError, "succ must hold 'i' items, not 'q'",
                      id="succ-item-format"),
-        pytest.param((N, NCLS, ints(0, 1), SUCC, ints(), ints()), ValueError,
+        pytest.param((N, NCLS, ints(0, 1), SUCC, ints(), ints(), REPORT),
+                     ValueError,
                      r"off must have n \* ncls \+ 1 = 3 items, not 2",
                      id="off-length"),
-        pytest.param((N, NCLS, OFF, SUCC, ints(0, -1), ints()), ValueError,
-                     r"init\[1\] is -1, outside 0\.\.1", id="init-negative"),
-        pytest.param((N, NCLS, OFF, SUCC, ints(), ints(2**31 - 1)),
+        pytest.param((N, NCLS, OFF, SUCC, ints(0, -1), ints(), REPORT),
+                     ValueError, r"init\[1\] is -1, outside 0\.\.1",
+                     id="init-negative"),
+        pytest.param((N, NCLS, OFF, SUCC, ints(), ints(2**31 - 1), REPORT),
                      ValueError, r"always\[0\] is 2147483647, outside 0\.\.1",
                      id="always-beyond-n"),
-        pytest.param((2**70, NCLS, OFF, SUCC, ints(), ints()), ValueError,
-                     "program n is 1180591620717411303424", id="n-overflow"),
-        pytest.param((N, NCLS, ints(0, 2, 1), SUCC, ints(), ints()),
+        pytest.param((2**70, NCLS, OFF, SUCC, ints(), ints(), REPORT),
+                     ValueError, "program n is 1180591620717411303424",
+                     id="n-overflow"),
+        pytest.param((N, NCLS, ints(0, 2, 1), SUCC, ints(), ints(), REPORT),
                      ValueError, r"off\[2\] is 1, below 2 before it",
                      id="off-decreasing"),
-        pytest.param((N, NCLS, ints(-1, 1, 3), SUCC, ints(), ints()),
+        pytest.param((N, NCLS, ints(-1, 1, 3), SUCC, ints(), ints(), REPORT),
                      ValueError, r"off\[0\] is -1, below 0 before it",
                      id="off-negative"),
-        pytest.param((N, NCLS, ints(0, 1, 2), SUCC, ints(), ints()),
+        pytest.param((N, NCLS, ints(0, 1, 2), SUCC, ints(), ints(), REPORT),
                      ValueError, r"off\[2\] is 2, not len\(succ\) = 3",
                      id="off-end"),
+        pytest.param((N, NCLS, OFF, SUCC, ints(), ints()), TypeError,
+                     r"program must be a \(n, ncls, off, succ, init, always, "
+                     r"report\) tuple", id="no-report"),
+        pytest.param((N, NCLS, OFF, SUCC, ints(), ints(), [-1, -1]),
+                     TypeError, "report must be a buffer, not 'list'",
+                     id="report-not-a-buffer"),
+        pytest.param((N, NCLS, OFF, SUCC, ints(), ints(), array("q", REPORT)),
+                     TypeError, "report must hold 'i' items, not 'q'",
+                     id="report-item-format"),
+        pytest.param((N, NCLS, OFF, SUCC, ints(), ints(), ints(-1)),
+                     ValueError, r"report must have one item per state "
+                     r"\(2\), not 1", id="report-short"),
+        pytest.param((N, NCLS, OFF, SUCC, ints(), ints(), ints(-1, -1, 0)),
+                     ValueError, r"report must have one item per state "
+                     r"\(2\), not 3", id="report-long"),
+        pytest.param((N, NCLS, OFF, SUCC, ints(), ints(), ints(-2, 0)),
+                     ValueError, r"report\[0\] is -2, outside -1\.\.1",
+                     id="report-below-minus-one"),
+        pytest.param((N, NCLS, OFF, SUCC, ints(), ints(), ints(0, 2)),
+                     ValueError, r"report\[1\] is 2, outside -1\.\.1",
+                     id="report-beyond-n"),
     ])
     def test_malformed_program(self, c_kernel, program, error, match):
-        with pytest.raises(error, match=match):
-            c_kernel.step_stream(program, b"\x00")
+        for entry in (c_kernel.step_stream, c_kernel.active_sets):
+            with pytest.raises(error, match=match):
+                entry(program, b"\x00")
 
     @pytest.mark.parametrize("successor", [2, 3, 10**6])
     def test_successor_beyond_state_count(self, c_kernel, successor):
-        program = (N, NCLS, OFF, ints(1, 0, successor), ints(0), ints())
+        program = (N, NCLS, OFF, ints(1, 0, successor), ints(0), ints(),
+                   REPORT)
         match = rf"succ\[2\] is {successor}, outside 0\.\.1"
         with pytest.raises(ValueError, match=match):
             c_kernel.step_stream(program, b"\x00\x00")
@@ -500,7 +679,8 @@ class TestCompiledKernelErrors:
     @pytest.mark.parametrize("data", ["ab", 7, None, [0, 1]])
     def test_data_not_bytes_like(self, c_kernel, data):
         with pytest.raises(TypeError, match="data must be a bytes-like"):
-            c_kernel.step_stream((N, NCLS, OFF, SUCC, ints(), ints()), data)
+            c_kernel.step_stream((N, NCLS, OFF, SUCC, ints(), ints(), REPORT),
+                                 data)
 
     @pytest.mark.parametrize("rules, match", [
         ((ints(0, 0),), "pair"),
@@ -511,7 +691,7 @@ class TestCompiledKernelErrors:
     ])
     def test_malformed_rules(self, c_kernel, rules, match):
         with pytest.raises((TypeError, ValueError), match=match):
-            c_kernel.step_stream((N, NCLS, OFF, SUCC, ints(), ints()),
+            c_kernel.step_stream((N, NCLS, OFF, SUCC, ints(), ints(), REPORT),
                                  b"\x00", rules)
 
     def test_error_paths_free_their_buffers(self, c_kernel):
@@ -524,11 +704,16 @@ class TestCompiledKernelErrors:
             off = array("i", range(n * ncls + 1))
             succ = array("i", [0]) * (n * ncls)
             rules = (array("i", [0]) * n, bytes(n))
-            yield (n, ncls, off, succ[:-1] + ints(n), ints(0), ints()), rules
-            yield (n, ncls, off, succ, ints(0), ints(n)), rules
-            yield ((n, ncls, off, succ, ints(0), ints()),
+            report = array("i", [-1]) * n
+            yield ((n, ncls, off, succ[:-1] + ints(n), ints(0), ints(),
+                    report), rules)
+            yield (n, ncls, off, succ, ints(0), ints(n), report), rules
+            yield ((n, ncls, off, succ, ints(0), ints(),
+                    report[:-1] + ints(n)), rules)
+            yield ((n, ncls, off, succ, ints(0), ints(), report),
                    (array("i", [n]) * n, bytes(n)))
-            yield (n, ncls, off, succ, ints(0), ints()), (rules[0], rules[0])
+            yield ((n, ncls, off, succ, ints(0), ints(), report),
+                   (rules[0], rules[0]))
             off.append(0)  # raises BufferError while a view is held
             succ.append(0)
 
