@@ -130,9 +130,7 @@ def compile_pattern(p: Pattern,
     ignore ``start_kind``.
     """
     s = p.source
-    if isinstance(s, RegexSource):
-        return compile_regex(s.text, start_kind)
-    if isinstance(s, DotStarSource):
+    if isinstance(s, (RegexSource, DotStarSource)):
         return compile_regex(s.text, start_kind)
     if isinstance(s, HammingSource):
         return gen_hamming(s.pattern, s.distance, start_kind)

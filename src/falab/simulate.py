@@ -121,7 +121,6 @@ class Simulator:
     """
 
     def __init__(self, automaton: Automaton):
-        self.automaton = automaton
         atoms = partition_masks([cls.mask for _, cls, _ in automaton.edges])
         class_of = [len(atoms)] * ALPHABET_SIZE
         for index, atom in enumerate(atoms):

@@ -2,17 +2,16 @@
 
 Determinization, both minimization algorithms, the signature-merge NFA
 optimization, component splitting, pattern merging, and two checkers:
-exact language equivalence, which rides on :func:`determinize` run over
-both automata side by side, and a quadratic pair-marking minimality
-oracle that shares no code with the minimizers.
+exact language equivalence, which walks the subset construction of both
+automata side by side once (``cap`` bounds that joint walk, its shared
+start included), and a quadratic pair-marking minimality oracle that
+shares no code with the minimizers.
 
 Deterministic automata here are partial: a missing transition means
 rejection, and the implicit dead state is never materialized or counted.
 """
 
 from __future__ import annotations
-
-from dataclasses import replace
 
 from .core import (Automaton, StartKind, SymbolClass, is_deterministic,
                    merge_parallel_edges)
@@ -186,23 +185,10 @@ def remove_epsilon(a: Automaton) -> Automaton:
 # Determinization (subset construction)
 
 
-def determinize(a: Automaton, cap: int = DEFAULT_STATE_CAP) -> Automaton:
-    """Subset construction.  Only reachable subset states materialize.
-
-    ALL_INPUT starts are lowered first.  Subsets are int bitsets of NFA
-    states, stepped over the NFA's byte classes (the atoms of
-    :func:`partition_masks` over every edge class, computed once): each
-    state maps each class it reads to the bitset of its epsilon-closed
-    successors.  The empty subset (dead state) is never created: missing
-    transitions mean rejection.  Each output state gets one edge per
-    target, the union of the classes leading there, and edges come out
-    sorted by (src, class mask, dst).  States are numbered breadth-first
-    from the start-of-data closure, new targets in ascending mask order,
-    which is :func:`~falab.core.canonicalize`'s order; compare DFAs from
-    elsewhere with ``canonicalize`` or ``isomorphic``.  Raises
-    :class:`CapExceededError` when more than ``cap`` states materialize,
-    and ValueError when ``cap`` is below 1.
-    """
+def _subsets(a: Automaton, cap: int) -> tuple[list[int], list[tuple]]:
+    """:func:`determinize`'s walk, run to the end: the reachable subsets
+    (int bitsets over the lowered NFA's states, in DFA state order) and
+    the DFA's edges."""
     if cap < 1:
         raise ValueError(f"determinization cap must be at least 1 (got {cap})")
     a = lower_all_input(a)
@@ -247,9 +233,30 @@ def determinize(a: Automaton, cap: int = DEFAULT_STATE_CAP) -> Automaton:
             if cls is None:
                 cls = classes[mask] = SymbolClass(mask)
             edges.append((sid, cls, tid))
+    return subsets, edges
+
+
+def determinize(a: Automaton, cap: int = DEFAULT_STATE_CAP) -> Automaton:
+    """Subset construction.  Only reachable subset states materialize.
+
+    ALL_INPUT starts are lowered first.  Subsets are int bitsets of NFA
+    states, stepped over the NFA's byte classes (the atoms of
+    :func:`partition_masks` over every edge class, computed once): each
+    state maps each class it reads to the bitset of its epsilon-closed
+    successors.  The empty subset (dead state) is never created: missing
+    transitions mean rejection.  Each output state gets one edge per
+    target, the union of the classes leading there, and edges come out
+    sorted by (src, class mask, dst).  States are numbered breadth-first
+    from the start-of-data closure, new targets in ascending mask order,
+    which is :func:`~falab.core.canonicalize`'s order; compare DFAs from
+    elsewhere with ``canonicalize`` or ``isomorphic``.  Raises
+    :class:`CapExceededError` when more than ``cap`` states materialize,
+    and ValueError when ``cap`` is below 1.
+    """
+    subsets, edges = _subsets(a, cap)
     accept_bits = sum(1 << s for s in a.accepts)
     return Automaton(
-        state_count=len(ids),
+        state_count=len(subsets),
         edges=tuple(edges),
         starts={0: StartKind.START_OF_DATA},
         accepts=frozenset(i for i, subset in enumerate(subsets)
@@ -586,19 +593,18 @@ def equivalent(a: Automaton, b: Automaton,
                cap: int = DEFAULT_STATE_CAP) -> bool:
     """Exact language equivalence, no length bound.
 
-    Runs :func:`determinize` twice on ``merge_patterns([a, b])``, once
-    accepting on ``a``'s states and once on ``b``'s.  Both runs build the
-    same DFA, each of whose subsets pairs what one word reaches in ``a``
-    and in ``b``, so the languages match when the two accept sets do.
-    ``cap`` bounds that joint DFA: it may raise where each side alone fits.
+    Walks the subsets of ``merge_patterns([a, b])`` once: each pairs what
+    one word reaches in ``a`` and in ``b``, so the languages match when
+    every subset holds an accepting state of both sides or of neither.
+    ``cap`` bounds that joint walk, shared start included: it may raise
+    where each side alone fits.
     """
     union = merge_patterns([a, b])
     side = union.component_labels
-    first, second = (
-        determinize(replace(union, accepts=frozenset(
-            s for s in union.accepts if side[s] == k)), cap).accepts
-        for k in (0, 1))
-    return first == second
+    side0, side1 = (sum(1 << s for s in union.accepts if side[s] == k)
+                    for k in (0, 1))
+    subsets, _ = _subsets(union, cap)
+    return all(bool(x & side0) == bool(x & side1) for x in subsets)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import pytest
 from falab.cli import main
 from falab.core import StartKind
 from falab.documents import PatternSet, save_automaton, save_pattern_set
-from falab.generators import gen_dotstar
+from falab.generators import Pattern, RegexSource, gen_dotstar
 from falab.regex import compile_regex
 
 SOD = StartKind.START_OF_DATA
@@ -178,3 +178,16 @@ def test_inverted_length_range_names_both_lengths(paths, capsys):
             "--out", paths["out"]]
     assert main(argv) == 1
     assert capsys.readouterr().err == "falab: error: bad length range 5..3\n"
+
+
+def test_report_spot_check_fits_where_the_rows_fit(tmp_path, capsys):
+    # (ab|a)* determinizes into 3 states; the spot check's joint walk
+    # also holds merge_patterns' shared start, so it needs 4.
+    patterns = tmp_path / "one.json"
+    save_pattern_set(PatternSet((Pattern(0, RegexSource("(ab|a)*")),),
+                                StartKind.ALL_INPUT), str(patterns))
+    out = tmp_path / "r.csv"
+    assert main(["report-per-pattern", str(patterns), "--seed", "0",
+                 "--cap", "3", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert out.read_text().splitlines()[-1] == "0,4,3,3,1,2,1,,,,,ok"

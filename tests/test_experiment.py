@@ -1,0 +1,95 @@
+"""The report pipeline's self-checks, its timing cells, and growth
+classification (each label and each rejected input)."""
+
+import math
+from dataclasses import replace
+
+import pytest
+
+from falab import experiment
+from falab.cli import main
+from falab.core import StartKind
+from falab.documents import PatternSet, save_pattern_set
+from falab.experiment import (CAP_TOKEN, GrowthLabel, ReportRow,
+                              classify_growth, per_pattern_experiment)
+from falab.generators import Pattern, RegexSource, gen_dotstar
+from falab.regex import compile_regex
+
+SOD = StartKind.START_OF_DATA
+
+
+def test_language_change_fails_the_spot_check(monkeypatch):
+    monkeypatch.setattr(experiment, "optimize_nfa",
+                        lambda nfa: compile_regex("zz", SOD))
+    with pytest.raises(AssertionError,
+                       match="pipeline changed the language on key 7$"):
+        per_pattern_experiment([Pattern(7, RegexSource("ab"))], seed=0)
+
+
+@pytest.mark.parametrize("timings", [False, True])
+def test_timing_cells_only_on_request(tmp_path, timings):
+    patterns = tmp_path / "patterns.json"
+    save_pattern_set(PatternSet(gen_dotstar(3, 1, 1, 4, 5), SOD, 5),
+                     str(patterns))
+    out = tmp_path / "r.csv"
+    assert main(["report-per-pattern", str(patterns), "--seed", "0",
+                 "--out", str(out)] + ["--timings"] * timings) == 0
+    lines = out.read_text().splitlines()
+    assert f"# timings: {'measured' if timings else 'omitted'}" in lines
+    data = [line.split(",") for line in lines if line[0].isdigit()]
+    assert len(data) == 3
+    for cells in data:
+        assert cells[-1] == "ok"
+        if timings:
+            assert all(float(c) >= 0 for c in cells[7:11])
+        else:
+            assert cells[7:11] == ["", "", "", ""]
+
+
+def rows(mdfa, opt=None):
+    opt = opt or [v + 1 for v in mdfa]
+    return [ReportRow(key=k, nfa_states=o, opt_nfa_states=o, dfa_states=m,
+                      mdfa_states=m, nfa_max_fanout=1, mdfa_max_fanout=1,
+                      t_compile_s=0.0, t_optimize_s=0.0, t_determinize_s=0.0,
+                      t_minimize_s=0.0)
+            for k, (m, o) in enumerate(zip(mdfa, opt), 1)]
+
+
+XS = [1, 2, 3, 4, 5, 6, 7, 8]
+
+
+@pytest.mark.parametrize("mdfa, opt, label", [
+    ([3 * x for x in XS], [3 * x for x in XS], GrowthLabel.EQUAL),
+    ([3 * x for x in XS], None, GrowthLabel.LINEAR),
+    ([x ** 3 for x in XS], None, GrowthLabel.POLYNOMIAL),
+    ([2 ** x for x in XS], None, GrowthLabel.EXPONENTIAL),
+])
+def test_growth_labels(mdfa, opt, label):
+    growth = classify_growth(rows(mdfa, opt), XS, "mdfa")
+    assert growth.label is label
+    assert growth.describe().startswith(label.value + " (loglog slope=")
+
+
+def test_equal_keeps_the_fit_diagnostics():
+    equal = classify_growth(rows([x ** 3 for x in XS], [x ** 3 for x in XS]),
+                            XS, "mdfa")
+    fit = classify_growth(rows([x ** 3 for x in XS]), XS, "mdfa")
+    assert equal.label is GrowthLabel.EQUAL
+    assert math.isclose(equal.loglog_slope, 3.0)
+    assert replace(equal, label=GrowthLabel.POLYNOMIAL) == fit
+
+
+@pytest.mark.parametrize("report, xs, series, message", [
+    (rows([2, 4, 6], [2, 4, 6]), [1, 2, 3], "mdfa", "at least 4 points"),
+    (rows([2, 4, 6, 8], [2, 4, 6, 8]), [1, 2, 2, 3], "mdfa",
+     "strictly increasing"),
+    (rows([0, 4, 6, 8]), [1, 2, 3, 4], "mdfa", "must be positive"),
+    (rows([2, 4, 6])
+     + [replace(rows([8])[0], key=4, dfa_states=None, mdfa_states=None,
+                mdfa_max_fanout=None, status=CAP_TOKEN)],
+     [1, 2, 3, 4], "mdfa", "rows without counts"),
+    (rows([2, 4, 6, 8]), [1, 2, 3, 4], "states", "unknown series"),
+])
+def test_growth_rejects(report, xs, series, message):
+    with pytest.raises(ValueError, match=message):
+        classify_growth(report, xs, series)

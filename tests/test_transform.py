@@ -17,7 +17,7 @@ from falab.transform import (ORACLE_STATE_LIMIT, CapExceededError, accepts,
                              epsilon_closures, equivalent, lower_all_input,
                              merge_patterns, minimize_brzozowski,
                              minimize_hopcroft, optimize_nfa,
-                             partition_masks)
+                             partition_masks, remove_epsilon, trim)
 
 from corpus import random_regex
 
@@ -320,3 +320,15 @@ class TestEquivalent:
         with pytest.raises(CapExceededError):
             equivalent(a, b, 2)
         assert not equivalent(a, b, 3)
+
+
+class TestSpotCheckCap:
+    # The report's spot check walks each row's pairs with the cap raised
+    # by one, for merge_patterns' shared start.
+    @settings(max_examples=200, deadline=None)
+    @given(nfas())
+    def test_pipeline_pairs_fit_one_state_above_the_dfa(self, raw):
+        nfa = trim(remove_epsilon(raw))
+        n = determinize(nfa).state_count
+        assert equivalent(nfa, optimize_nfa(nfa), n + 1)
+        assert equivalent(nfa, minimize_brzozowski(nfa), n + 1)
