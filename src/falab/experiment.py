@@ -3,7 +3,10 @@
 Pipeline per item, fixed and recorded in every report manifest:
 compile -> remove_epsilon -> trim -> optimize_nfa -> determinize ->
 minimize (Brzozowski, cross-checked against Hopcroft).  All state counts
-exclude unreachable states and the implicit dead state.
+exclude unreachable states and the implicit dead state.  The determinize
+stage is the subset walk alone: ``dfa_states`` counts its subsets, and
+the Hopcroft cross-check refines the walk's dense table, so no DFA
+``Automaton`` is built for either.
 
 Timings are measured per stage but written to the CSV only on request:
 wall-clock values would break the byte-identical rerun guarantee, so the
@@ -22,9 +25,10 @@ from ._version import __version__
 from .core import Automaton, StartKind, stats
 from .documents import write_text_atomic
 from .generators import Pattern, SplitMix64, compile_pattern, pattern_size
-from .transform import (CapExceededError, DEFAULT_STATE_CAP, determinize,
-                        equivalent, merge_patterns, minimize_brzozowski,
-                        minimize_hopcroft, optimize_nfa, remove_epsilon, trim)
+from .transform import (CapExceededError, DEFAULT_STATE_CAP, _accepting,
+                        _refine, _subsets, equivalent, merge_patterns,
+                        minimize_brzozowski, optimize_nfa, remove_epsilon,
+                        trim)
 
 CAP_TOKEN = "CAP_EXCEEDED"
 SPOT_CHECK_ROWS = 4
@@ -176,34 +180,40 @@ def _run_pipeline(key: int, nfa_raw: Automaton,
     t1 = time.perf_counter()
     opt = optimize_nfa(nfa)
     t2 = time.perf_counter()
-    dfa = mdfa = None
+    dfa_states = mdfa = None
     status = "ok"
     try:
-        dfa = determinize(nfa, cap)
+        atoms, subsets, table = _subsets(nfa, cap)
+        dfa_states = len(subsets)
         t3 = time.perf_counter()
         mdfa = minimize_brzozowski(nfa, cap)
-        hop = minimize_hopcroft(dfa)
+        # Hopcroft's cross-check refines the walk's own table.  It counts
+        # the blocks other than the dead state's, and 1 for the empty
+        # language, as minimize_hopcroft does.
+        block_of = _refine(dfa_states, len(atoms), table,
+                           _accepting(subsets, nfa.accepts))
+        hop_states = max(len(set(block_of)) - 1, 1)
         t4 = time.perf_counter()
-        if hop.state_count != mdfa.state_count:
+        if hop_states != mdfa.state_count:
             raise AssertionError(
                 f"minimizer disagreement on key {key}: brzozowski "
-                f"{mdfa.state_count} vs hopcroft {hop.state_count}")
+                f"{mdfa.state_count} vs hopcroft {hop_states}")
     except CapExceededError:
         status = CAP_TOKEN
-        t3 = time.perf_counter() if dfa is None else t3
+        t3 = time.perf_counter() if dfa_states is None else t3
         t4 = t3
     nfa_stats = stats(nfa)
     row = ReportRow(
         key=key,
         nfa_states=nfa.state_count,
         opt_nfa_states=opt.state_count,
-        dfa_states=dfa.state_count if dfa is not None else None,
+        dfa_states=dfa_states,
         mdfa_states=mdfa.state_count if mdfa is not None else None,
         nfa_max_fanout=nfa_stats.max_fanout,
         mdfa_max_fanout=stats(mdfa).max_fanout if mdfa is not None else None,
         t_compile_s=t1 - t0,
         t_optimize_s=t2 - t1,
-        t_determinize_s=(t3 - t2) if dfa is not None else 0.0,
+        t_determinize_s=(t3 - t2) if dfa_states is not None else 0.0,
         t_minimize_s=(t4 - t3) if mdfa is not None else 0.0,
         status=status,
     )

@@ -7,11 +7,20 @@ automata side by side once (``cap`` bounds that joint walk, its shared
 start included), and a quadratic pair-marking minimality oracle that
 shares no code with the minimizers.
 
+One subset walk (``_subsets``) yields a dense DFA table: the NFA's byte
+classes and one target id per state and class.  ``determinize`` builds
+its ``Automaton`` from that table, and one Hopcroft refinement
+(``_refine``) runs on a table, whether the walk's own (as the report
+pipeline's cross-check does) or one that ``minimize_hopcroft`` reads off
+a DFA's edges.
+
 Deterministic automata here are partial: a missing transition means
 rejection, and the implicit dead state is never materialized or counted.
 """
 
 from __future__ import annotations
+
+from array import array
 
 from .core import (Automaton, StartKind, SymbolClass, is_deterministic,
                    merge_parallel_edges)
@@ -185,15 +194,23 @@ def remove_epsilon(a: Automaton) -> Automaton:
 # Determinization (subset construction)
 
 
-def _subsets(a: Automaton, cap: int) -> tuple[list[int], list[tuple]]:
-    """:func:`determinize`'s walk, run to the end: the reachable subsets
-    (int bitsets over the lowered NFA's states, in DFA state order) and
-    the DFA's edges."""
+def _subsets(a: Automaton, cap: int) -> tuple[list[int], list[int], array]:
+    """The subset walk behind :func:`determinize`, :func:`equivalent`
+    and the report pipeline, run to the end.
+
+    Returns ``(atoms, subsets, table)``: the lowered NFA's byte classes
+    (the atoms of :func:`partition_masks` over every edge class, in
+    ascending order), the reachable subsets as int bitsets in DFA state
+    order, and the dense transition table, an ``array('i')`` of
+    ``len(subsets) * len(atoms)`` state ids: ``table[s * len(atoms) + i]``
+    is the state that ``s`` reaches on atom ``i``, or -1 for no move (the
+    empty subset).
+    """
     if cap < 1:
         raise ValueError(f"determinization cap must be at least 1 (got {cap})")
     a = lower_all_input(a)
     closures = [sum(1 << t for t in c) for c in epsilon_closures(a)]
-    atoms = partition_masks([cls.mask for _, cls, _ in a.edges])
+    atoms = sorted(partition_masks([cls.mask for _, cls, _ in a.edges]))
     moves: list[dict[int, int]] = [{} for _ in range(a.state_count)]
     for src, cls, dst in a.edges:
         row = moves[src]
@@ -206,34 +223,43 @@ def _subsets(a: Automaton, cap: int) -> tuple[list[int], list[tuple]]:
     for s, k in a.starts.items():
         if k is StartKind.START_OF_DATA:
             init |= closures[s]
-    ids: dict[int, int] = {init: 0}
+    ids: dict[int, int] = {0: -1}  # the empty subset is no move
+    if init:
+        ids[init] = 0
     subsets = [init]
-    classes: dict[int, SymbolClass] = {}
-    edges: list[tuple[int, SymbolClass, int]] = []
-    for sid, subset in enumerate(subsets):  # grows while it is walked: BFS
+    table = array("i")
+    for subset in subsets:  # grows while it is walked: BFS
         step = [0] * len(atoms)
         while subset:
             low = subset & -subset
             subset ^= low
             for i, bits in rows[low.bit_length() - 1]:
                 step[i] |= bits
-        by_target: dict[int, int] = {}
-        for atom, target in zip(atoms, step):
-            if target:
-                by_target[target] = by_target.get(target, 0) | atom
-        for mask, target in sorted((m, t) for t, m in by_target.items()):
-            tid = ids.get(target)
-            if tid is None:
-                if len(ids) >= cap:
+        # one lookup per atom, as hashing a subset costs O(its size)
+        row = list(map(ids.get, step))
+        if None in row:
+            # Scanning the ascending atoms downwards meets the new targets
+            # in descending order of their class mask (disjoint masks
+            # order like their highest atoms); they are numbered upwards.
+            fresh: dict[int, list[int]] = {}
+            for i in range(len(atoms) - 1, -1, -1):
+                if row[i] is None:
+                    fresh.setdefault(step[i], []).append(i)
+            for target, where in reversed(fresh.items()):
+                if len(subsets) >= cap:
                     raise CapExceededError(cap)
-                tid = len(ids)
-                ids[target] = tid
+                ids[target] = len(subsets)
+                for i in where:
+                    row[i] = len(subsets)
                 subsets.append(target)
-            cls = classes.get(mask)
-            if cls is None:
-                cls = classes[mask] = SymbolClass(mask)
-            edges.append((sid, cls, tid))
-    return subsets, edges
+        table.extend(row)
+    return atoms, subsets, table
+
+
+def _accepting(subsets: list[int], accepts) -> list[int]:
+    """The DFA states whose subset holds one of the NFA states ``accepts``."""
+    bits = sum(1 << s for s in accepts)
+    return [i for i, subset in enumerate(subsets) if subset & bits]
 
 
 def determinize(a: Automaton, cap: int = DEFAULT_STATE_CAP) -> Automaton:
@@ -243,24 +269,54 @@ def determinize(a: Automaton, cap: int = DEFAULT_STATE_CAP) -> Automaton:
     states, stepped over the NFA's byte classes (the atoms of
     :func:`partition_masks` over every edge class, computed once): each
     state maps each class it reads to the bitset of its epsilon-closed
-    successors.  The empty subset (dead state) is never created: missing
-    transitions mean rejection.  Each output state gets one edge per
-    target, the union of the classes leading there, and edges come out
-    sorted by (src, class mask, dst).  States are numbered breadth-first
-    from the start-of-data closure, new targets in ascending mask order,
-    which is :func:`~falab.core.canonicalize`'s order; compare DFAs from
-    elsewhere with ``canonicalize`` or ``isomorphic``.  Raises
-    :class:`CapExceededError` when more than ``cap`` states materialize,
-    and ValueError when ``cap`` is below 1.
+    successors.  The walk (:func:`_subsets`) fills a dense table of one
+    target id per subset and class; the empty subset (dead state) is
+    never created: missing transitions mean rejection.  Each output state
+    gets one edge per target, the union of the classes leading there, and
+    edges come out sorted by (src, class mask, dst).  States are numbered
+    breadth-first from the start-of-data closure, new targets in
+    ascending mask order, which is :func:`~falab.core.canonicalize`'s
+    order; compare DFAs from elsewhere with ``canonicalize`` or
+    ``isomorphic``.  Raises :class:`CapExceededError` when more than
+    ``cap`` states materialize, and ValueError when ``cap`` is below 1.
     """
-    subsets, edges = _subsets(a, cap)
-    accept_bits = sum(1 << s for s in a.accepts)
+    atoms, subsets, table = _subsets(a, cap)
+    return _table_automaton(atoms, table, len(subsets), 0,
+                            _accepting(subsets, a.accepts))
+
+
+def _table_automaton(atoms: list[int], table: array, n: int, start: int,
+                     accepts) -> Automaton:
+    """The partial DFA of the ``n``-state dense table ``table`` over the
+    ascending ``atoms`` (laid out as :func:`_subsets` returns them).
+
+    Each state gets one edge per target, the union of the atoms leading
+    there; edges are sorted by (src, class mask, dst), and edges with
+    one mask share one :class:`SymbolClass`.
+    """
+    natoms = len(atoms)
+    down = atoms[::-1]
+    classes: dict[int, SymbolClass] = {}
+    edges: list[tuple[int, SymbolClass, int]] = []
+    for src, row in enumerate(zip(*[iter(table)] * natoms)):
+        by_target: dict[int, int] = {}
+        for atom, dst in zip(down, reversed(row)):
+            if dst in by_target:
+                by_target[dst] |= atom
+            else:
+                by_target[dst] = atom
+        by_target.pop(-1, None)
+        # first seen downwards is the highest mask: read the targets back
+        for dst, mask in reversed(by_target.items()):
+            cls = classes.get(mask)
+            if cls is None:
+                cls = classes[mask] = SymbolClass(mask)
+            edges.append((src, cls, dst))
     return Automaton(
-        state_count=len(subsets),
+        state_count=n,
         edges=tuple(edges),
-        starts={0: StartKind.START_OF_DATA},
-        accepts=frozenset(i for i, subset in enumerate(subsets)
-                          if subset & accept_bits),
+        starts={start: StartKind.START_OF_DATA},
+        accepts=frozenset(accepts),
         deterministic=True,
     )
 
@@ -296,77 +352,87 @@ def minimize_brzozowski(a: Automaton, cap: int = DEFAULT_STATE_CAP) -> Automaton
 # Hopcroft minimization (partition refinement)
 
 
+def _refine(n: int, natoms: int, table: array, accepting) -> list[int]:
+    """Hopcroft's partition refinement on a dense DFA table.
+
+    ``table`` holds ``n * natoms`` target ids as :func:`_subsets` returns
+    them.  The DFA is completed with a virtual dead state, index ``n``,
+    so the -1 targets (no move) land on it, and is refined from the
+    accepting/non-accepting split until every block agrees on the block
+    it reaches on every atom.  A splitter block is taken off the worklist
+    with all atoms at once, and of the two halves of a split block only
+    the smaller goes on (unless the block was waiting there already),
+    which bounds the work by O(m log n) for m table entries.  Returns the
+    block of each state, dead state last; states in the dead state's
+    block cannot reach acceptance.
+    """
+    total = n + 1
+    # preds[i][t]: the states that move to t on atom i; -1 indexes state n
+    preds = [[[] for _ in range(total)] for _ in range(natoms)]
+    for i, col in enumerate(preds):
+        for s, t in enumerate(table[i::natoms]):
+            col[t].append(s)
+        col[n].append(n)
+
+    accepting = set(accepting)
+    blocks = [b for b in (accepting, set(range(total)) - accepting) if b]
+    block_of = [0] * total
+    for s in blocks[-1]:
+        block_of[s] = len(blocks) - 1
+    # the dead state makes the DFA complete, so one half of the first
+    # split suffices as a splitter
+    worklist = {min(range(len(blocks)), key=lambda b: len(blocks[b]))}
+    while worklist:
+        splitter = tuple(blocks[worklist.pop()])
+        for col in preds:
+            moved: dict[int, list[int]] = {}
+            for t in splitter:
+                for s in col[t]:
+                    moved.setdefault(block_of[s], []).append(s)
+            for b, members in moved.items():
+                block = blocks[b]
+                if len(members) == len(block):
+                    continue
+                new_block = set(members)
+                block -= new_block
+                if len(block) < len(new_block):
+                    block, new_block = new_block, block
+                    blocks[b] = block
+                new = len(blocks)
+                blocks.append(new_block)
+                for s in new_block:
+                    block_of[s] = new
+                # new_block is the smaller half; when b was waiting, both
+                # halves wait now
+                worklist.add(new)
+    return block_of
+
+
 def minimize_hopcroft(a: Automaton) -> Automaton:
     """Partition-refinement minimization of a DFA.
 
-    The input must be deterministic (determinize first).  Internally the
-    DFA is completed with a virtual dead state over the atoms of its edge
-    classes (bytes no edge reads lead only there and split nothing);
-    states indistinguishable from the dead state are dropped from the
-    output, so counts match :func:`minimize_brzozowski`.
+    The input must be deterministic (determinize first).  After
+    :func:`trim`, its edges become a dense table over the atoms of its
+    edge classes (bytes no edge reads lead only to the dead state and
+    split nothing), which :func:`_refine` refines.  States
+    indistinguishable from the dead state are dropped from the output,
+    so counts match :func:`minimize_brzozowski`; output states are the
+    blocks, numbered in order of their smallest member.
     """
     if not is_deterministic(a):
         raise ValueError("minimize_hopcroft requires a deterministic automaton")
     a = trim(a)
     n = a.state_count
-    atoms = partition_masks([c.mask for _, c, _ in a.edges])
-    atom_index = {m: i for i, m in enumerate(atoms)}
-    dead = n
-    total = n + 1
-
-    delta = [[dead] * len(atoms) for _ in range(total)]
+    atoms = sorted(partition_masks([c.mask for _, c, _ in a.edges]))
+    natoms = len(atoms)
+    table = array("i", [-1]) * (n * natoms)
     for src, cls, dst in a.edges:
-        rest = cls.mask
-        for m, i in atom_index.items():
-            if m & rest:
-                delta[src][i] = dst
-                rest &= ~m
-                if not rest:
-                    break
-    preds: list[list[list[int]]] = [[[] for _ in range(total)]
-                                    for _ in range(len(atoms))]
-    for s in range(total):
-        for i in range(len(atoms)):
-            preds[i][delta[s][i]].append(s)
+        for i, atom in enumerate(atoms):
+            if atom & cls.mask:
+                table[src * natoms + i] = dst
+    block_of = _refine(n, natoms, table, a.accepts)
 
-    accepting = frozenset(a.accepts)
-    non_accepting = frozenset(set(range(total)) - accepting)
-    blocks: list[set[int]] = []
-    block_of = [0] * total
-    for group in (accepting, non_accepting):
-        if group:
-            idx = len(blocks)
-            blocks.append(set(group))
-            for s in group:
-                block_of[s] = idx
-    worklist: set[tuple[int, int]] = {
-        (b, i) for b in range(len(blocks)) for i in range(len(atoms))}
-
-    while worklist:
-        b, i = worklist.pop()
-        splitter = blocks[b]
-        moved: dict[int, list[int]] = {}
-        for t in splitter:
-            for s in preds[i][t]:
-                moved.setdefault(block_of[s], []).append(s)
-        for src_block, members in moved.items():
-            block = blocks[src_block]
-            if len(members) == len(block):
-                continue
-            new_idx = len(blocks)
-            new_block = set(members)
-            blocks.append(new_block)
-            block -= new_block
-            for s in new_block:
-                block_of[s] = new_idx
-            smaller = new_idx if len(new_block) <= len(block) else src_block
-            for j in range(len(atoms)):
-                if (src_block, j) in worklist:
-                    worklist.add((new_idx, j))
-                else:
-                    worklist.add((smaller, j))
-
-    dead_block = block_of[dead]
+    dead_block = block_of[n]
     start = next(iter(a.starts))
     if block_of[start] == dead_block:
         # empty language: a lone start state, no edges, no accepts
@@ -374,24 +440,20 @@ def minimize_hopcroft(a: Automaton) -> Automaton:
                          starts={0: StartKind.START_OF_DATA},
                          accepts=frozenset(),
                          deterministic=True)
-    live = [b for b in range(len(blocks)) if b != dead_block and blocks[b]]
-    # stable numbering: order blocks by their smallest member state
-    live.sort(key=lambda b: min(blocks[b]))
-    new_id = {b: i for i, b in enumerate(live)}
-    edges = []
-    for b in live:
-        rep = min(blocks[b])
-        for i, m in enumerate(atoms):
-            tb = block_of[delta[rep][i]]
-            if tb != dead_block:
-                edges.append((new_id[b], SymbolClass(m), new_id[tb]))
-    return Automaton(
-        state_count=len(live),
-        edges=merge_parallel_edges(edges),
-        starts={new_id[block_of[start]]: StartKind.START_OF_DATA},
-        accepts=frozenset(new_id[block_of[s]] for s in a.accepts),
-        deterministic=True,
-    )
+    new_id: dict[int, int] = {}
+    reps = []  # the smallest member of each live block, in state order
+    for s in range(n):
+        b = block_of[s]
+        if b != dead_block and b not in new_id:
+            new_id[b] = len(reps)
+            reps.append(s)
+    quotient = array("i")
+    for rep in reps:
+        quotient.extend(new_id.get(block_of[t], -1)
+                        for t in table[rep * natoms:(rep + 1) * natoms])
+    return _table_automaton(atoms, quotient, len(reps),
+                            new_id[block_of[start]],
+                            (new_id[block_of[s]] for s in a.accepts))
 
 
 # ---------------------------------------------------------------------------
@@ -603,7 +665,7 @@ def equivalent(a: Automaton, b: Automaton,
     side = union.component_labels
     side0, side1 = (sum(1 << s for s in union.accepts if side[s] == k)
                     for k in (0, 1))
-    subsets, _ = _subsets(union, cap)
+    _, subsets, _ = _subsets(union, cap)
     return all(bool(x & side0) == bool(x & side1) for x in subsets)
 
 

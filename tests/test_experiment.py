@@ -1,10 +1,13 @@
-"""The report pipeline's self-checks, its timing cells, and growth
-classification (each label and each rejected input)."""
+"""The report pipeline's self-checks, its counts against the oracles, its
+cap boundary, its timing cells, and growth classification (each label
+and each rejected input)."""
 
 import math
+import time
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from falab import experiment
 from falab.cli import main
@@ -12,8 +15,12 @@ from falab.core import StartKind
 from falab.documents import PatternSet, save_pattern_set
 from falab.experiment import (CAP_TOKEN, GrowthLabel, ReportRow,
                               classify_growth, per_pattern_experiment)
-from falab.generators import Pattern, RegexSource, gen_dotstar
+from falab.generators import Pattern, RegexSource, compile_pattern, gen_dotstar
 from falab.regex import compile_regex
+from falab.transform import (DEFAULT_STATE_CAP, brute_force_minimal_states,
+                             determinize, remove_epsilon, trim)
+
+from corpus import START_MODES, alternating_chain, nfas
 
 SOD = StartKind.START_OF_DATA
 
@@ -24,6 +31,72 @@ def test_language_change_fails_the_spot_check(monkeypatch):
     with pytest.raises(AssertionError,
                        match="pipeline changed the language on key 7$"):
         per_pattern_experiment([Pattern(7, RegexSource("ab"))], seed=0)
+
+
+def test_minimizer_disagreement_fails_the_report(monkeypatch):
+    refine = experiment._refine
+
+    def one_block_too_many(*args):
+        blocks = refine(*args)
+        return blocks + [max(blocks) + 1]
+
+    monkeypatch.setattr(experiment, "_refine", one_block_too_many)
+    with pytest.raises(AssertionError,
+                       match="minimizer disagreement on key 7: brzozowski 3 "
+                             "vs hopcroft 4$"):
+        per_pattern_experiment([Pattern(7, RegexSource("ab"))], seed=0)
+
+
+def pipeline_dfa(pattern: Pattern):
+    """The DFA of the NFA that the pipeline determinizes."""
+    return determinize(trim(remove_epsilon(compile_pattern(pattern))))
+
+
+@pytest.mark.parametrize("mode", START_MODES)
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_counts_match_the_oracles(mode, data):
+    raw = data.draw(nfas(mode))
+    dfa = determinize(trim(remove_epsilon(raw)))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(experiment, "compile_pattern", lambda p, kind: raw)
+        [row] = per_pattern_experiment([Pattern(0, RegexSource("x"))], seed=0)
+    assert row.status == "ok"
+    assert row.dfa_states == dfa.state_count
+    assert row.mdfa_states == brute_force_minimal_states(dfa)
+
+
+def test_long_chain():
+    # A refinement in rounds, one per distinguishing length, would need
+    # 20,000 rounds here.
+    start = time.perf_counter()
+    row = experiment._run_pipeline(
+        1, replace(alternating_chain(20_000), deterministic=False),
+        DEFAULT_STATE_CAP).row
+    assert time.perf_counter() - start < 30
+    assert (row.dfa_states, row.mdfa_states, row.status) == (20_001, 20_001,
+                                                             "ok")
+
+
+@pytest.mark.parametrize("text", ["ab", "(a|b)*c", "a[bc]d|ac*"])
+def test_cap_boundary(text):
+    pattern = Pattern(3, RegexSource(text))
+    m = pipeline_dfa(pattern).state_count
+    [row] = per_pattern_experiment([pattern], seed=0, cap=m)
+    assert (row.status, row.dfa_states) == ("ok", m)
+    [row] = per_pattern_experiment([pattern], seed=0, cap=m - 1)
+    assert row.status == CAP_TOKEN
+    assert row.dfa_states is None and row.mdfa_states is None
+
+
+def test_reverse_pass_over_the_cap_keeps_the_dfa_count():
+    # The reverse language [ab]*a[ab]{3} needs 16 states to remember the
+    # last four bytes; the forward DFA only counts to four.
+    pattern = Pattern(3, RegexSource("[ab]{3}a[ab]*"))
+    m = pipeline_dfa(pattern).state_count
+    [row] = per_pattern_experiment([pattern], seed=0, cap=m)
+    assert (row.status, row.dfa_states, row.mdfa_states) == (CAP_TOKEN, m,
+                                                             None)
 
 
 @pytest.mark.parametrize("timings", [False, True])

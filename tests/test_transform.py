@@ -1,4 +1,5 @@
 import json
+import time
 from collections import deque
 from dataclasses import replace
 
@@ -7,7 +8,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from falab.cli import main
 from falab.core import (Automaton, StartKind, SymbolClass, canonicalize,
-                        isomorphic, merge_parallel_edges, validate)
+                        is_deterministic, isomorphic, merge_parallel_edges,
+                        validate)
 from falab.documents import save_automaton
 from falab.generators import SplitMix64
 from falab.regex import compile_regex
@@ -19,7 +21,8 @@ from falab.transform import (ORACLE_STATE_LIMIT, CapExceededError, accepts,
                              minimize_hopcroft, optimize_nfa,
                              partition_masks, remove_epsilon, trim)
 
-from corpus import random_regex
+from corpus import (BYTES, START_MODES, alternating_chain, nfas,
+                    random_regex)
 
 SOD = StartKind.START_OF_DATA
 ALL = StartKind.ALL_INPUT
@@ -124,46 +127,6 @@ def frozenset_determinize(a: Automaton, cap: int) -> Automaton:
     )
 
 
-BYTES = b"ab\x00\xff"
-
-
-START_MODES = ("start-of-data", "all-input", "mixed", "start-less")
-
-
-def start_maps(n: int, mode: str | None):
-    """Start markings over ``n`` states; ``None`` draws any mix, or none."""
-    state = st.integers(0, n - 1)
-    if mode is None:
-        return st.dictionaries(state, st.sampled_from([SOD, ALL]))
-    if mode == "start-less":
-        return st.just({})
-    if mode == "mixed":
-        return st.lists(state, min_size=2, max_size=4, unique=True).map(
-            lambda ss: {s: (SOD, ALL)[i % 2] for i, s in enumerate(ss)})
-    kind = SOD if mode == "start-of-data" else ALL
-    return st.dictionaries(state, st.just(kind), min_size=1)
-
-
-@st.composite
-def nfas(draw, mode: str | None = None):
-    """Small NFAs with epsilon edges; starts as :func:`start_maps` draws.
-
-    Classes are subsets of ``BYTES`` (0x00 and 0xFF included), their
-    complements, or the full byte range.
-    """
-    n = draw(st.integers(2 if mode == "mixed" else 1, 7))
-    state = st.integers(0, n - 1)
-    subset = st.sets(st.sampled_from(BYTES), min_size=1).map(SymbolClass.of)
-    cls = st.one_of(subset, subset.map(SymbolClass.complement),
-                    st.just(SymbolClass.full()))
-    edges = draw(st.lists(st.tuples(state, cls, state), max_size=12))
-    eps = draw(st.lists(st.tuples(state, state), max_size=4))
-    starts = draw(start_maps(n, mode))
-    finals = draw(st.frozensets(state))
-    return Automaton(state_count=n, edges=tuple(edges),
-                     epsilon_edges=tuple(eps), starts=starts, accepts=finals)
-
-
 class TestDeterminize:
     @settings(max_examples=300, deadline=None)
     @given(nfas())
@@ -218,6 +181,26 @@ class TestMinimizers:
         minimal = brute_force_minimal_states(dfa)
         assert minimize_hopcroft(dfa).state_count == minimal
         assert minimize_brzozowski(nfa).state_count == minimal
+
+    @pytest.mark.parametrize("mode", START_MODES)
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_hopcroft_output_is_the_minimal_dfa(self, mode, data):
+        nfa = data.draw(nfas(mode))
+        hop = minimize_hopcroft(determinize(nfa))
+        assert validate(hop) == []
+        assert isomorphic(hop, minimize_brzozowski(nfa))
+        assert equivalent(nfa, hop)
+        if not is_deterministic(nfa):
+            with pytest.raises(ValueError,
+                               match="requires a deterministic automaton"):
+                minimize_hopcroft(nfa)
+
+    def test_long_chain(self):
+        # Moore-style rounds would need one round per state here.
+        start = time.perf_counter()
+        assert minimize_hopcroft(alternating_chain(20_000)).state_count == 20_001
+        assert time.perf_counter() - start < 30
 
 
 # Every string over BYTES of length at most 3.
