@@ -17,7 +17,7 @@ from .generators import (DotStarSource, HammingSource, LevenshteinSource,
 from .regex import RegexParseError, compile_regex, reference_match
 from .simulate import (ActiveRuleStats, SimulationTrace, Simulator,
                        active_rule_frequency, available_kernels,
-                       default_kernel, run, start_only_fraction)
+                       default_kernel, run)
 from .transform import (CapExceededError, accepts, brute_force_minimal_states,
                         connected_components, determinize, equivalent,
                         merge_patterns, minimize_brzozowski,
@@ -34,7 +34,6 @@ __all__ = [
     "RegexParseError", "compile_regex", "reference_match",
     "ActiveRuleStats", "SimulationTrace", "Simulator",
     "active_rule_frequency", "available_kernels", "default_kernel", "run",
-    "start_only_fraction",
     "CapExceededError", "accepts", "brute_force_minimal_states",
     "connected_components", "determinize", "equivalent", "merge_patterns",
     "minimize_brzozowski", "minimize_hopcroft", "optimize_nfa",

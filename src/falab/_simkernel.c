@@ -1,39 +1,43 @@
-/* Compiled byte-stream stepping kernel: the inner loop of falab.Simulator.
+/* Compiled kernel of falab: the byte-stream scan behind falab.Simulator
+   and the subset walk behind falab.transform's determinization.
 
-   step_stream(program, data, rules=None) and active_sets(program, data)
-   keep the contracts of falab._simkernel_py, which is their
-   specification: the same flat program (n, ncls, off, succ, init, always,
-   report), the same ((per_cycle_count, activation, reports), work)
-   summary or, with rules = (rule_of, raw_start), the same
+   step_stream(program, data, rules=None), active_sets(program, data) and
+   subsets(program, cap) keep the contracts of falab._simkernel_py, which
+   is their specification: the same flat program (n, ncls, off, succ,
+   init, always, report), the same ((per_cycle_count, activation,
+   reports), work) summary or, with rules = (rule_of, raw_start), the same
    (active_rules, moving_rules) pairs, the same per-cycle frozensets from
-   active_sets, and the same operation count.  The arrays are read in
-   place through the buffer protocol, never copied.  One pass checks them
-   all before the scan: an argument that is not a buffer, or whose items
-   are not 'i' (raw_start: 'B'), raises TypeError; a wrong length,
-   offsets that decrease or do not end at len(succ), a state outside
-   0..n-1 or a report item outside -1..n-1 raises ValueError naming the
-   array and index.  FORMAT numbers this program layout; falab.simulate
-   uses the module only when it equals falab._simkernel_py.FORMAT. */
+   active_sets, the same operation count, and the same (subsets, table)
+   numbering from subsets.  The arrays are read in place through the
+   buffer protocol, never copied.  One pass checks them all before the
+   scan or walk: an argument that is not a buffer, or whose items are not
+   'i' (raw_start: 'B'), raises TypeError; a wrong length, offsets that
+   decrease or do not end at len(succ), a state outside 0..n-1 or a
+   report item outside -1..n-1 raises ValueError naming the array and
+   index.  The walk keeps each subset as the span of its nonzero 64-bit
+   words, found again through an open-addressing hash of the spans.
+   FORMAT numbers this program layout; falab.transform uses the module
+   only when it equals falab._simkernel_py.FORMAT. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <stdint.h>
 #include <stdlib.h>
 
-#define FORMAT 3
+#define FORMAT 4
 
-/* Buffer views, acquired in this order (RULE_OF and RAW_START only with
-   rules), with their names and item formats; data may be any bytes-like
-   object. */
-enum { DATA, OFF, SUCC, INIT, ALWAYS, REPORT, RULE_OF, RAW_START, NVIEWS };
+/* Buffer views, acquired in this order (DATA only for a scan, RULE_OF
+   and RAW_START only with rules), with their names and item formats;
+   data may be any bytes-like object. */
+enum { OFF, SUCC, INIT, ALWAYS, REPORT, DATA, RULE_OF, RAW_START, NVIEWS };
 static const char *const names[NVIEWS] = {
-    "data", "off", "succ", "init", "always", "report", "rule_of",
+    "off", "succ", "init", "always", "report", "data", "rule_of",
     "raw_start"};
 static const char *const formats[NVIEWS] = {
-    NULL, "i", "i", "i", "i", "i", "i", "B"};
+    "i", "i", "i", "i", "i", NULL, "i", "B"};
 
-/* What a scan records per cycle. */
-typedef enum { SETS, SUMMARY, RULES } Mode;
+/* What a scan records per cycle, or a subset walk. */
+typedef enum { SETS, SUMMARY, RULES, WALK } Mode;
 
 typedef struct {
     Py_ssize_t n, ncls;
@@ -106,6 +110,8 @@ check(const Program *p)
         return -1;
     }
     for (int i = SUCC; i < p->held && i <= RULE_OF; i++) {
+        if (i == DATA)
+            continue;
         const int32_t *items = ITEMS(p, i);
         int lo = i == REPORT ? -1 : 0;
         for (Py_ssize_t k = 0; k < p->len[i]; k++)
@@ -300,43 +306,359 @@ done:
     return result;
 }
 
-/* Check the arguments, scan in the given mode and release every view. */
-static PyObject *
-run(PyObject *program, PyObject *data, PyObject *rules, Mode mode)
-{
-    PyObject *result = NULL;
-    Program p = {0};
+/* The subsets a walk has found: each is the span of its bitset from its
+   first to its last nonzero 64-bit word, stored end to end in pool, and
+   slots is an open-addressing hash of the spans. */
+typedef struct {
+    Py_ssize_t start;  /* its first word in pool */
+    int32_t lo, len;   /* its first word index and its word count */
+    uint64_t hash;     /* span_hash of the span */
+} Span;
 
+typedef struct {
+    Py_ssize_t count, room;  /* subsets found, and allocated */
+    Span *spans;
+    uint64_t *pool;
+    Py_ssize_t used, size;   /* words in pool, and allocated */
+    int32_t *slots;          /* per slot: a subset id + 1, or 0 for none */
+    Py_ssize_t mask;         /* slot count - 1; the count is a power of 2 */
+} Found;
+
+static uint64_t
+span_hash(Py_ssize_t lo, const uint64_t *words, Py_ssize_t len)
+{
+    uint64_t h = (uint64_t)lo * 0x9E3779B97F4A7C15u;
+
+    for (Py_ssize_t k = 0; k < len; k++) {
+        h = (h ^ words[k]) * 0xBF58476D1CE4E5B9u;
+        h ^= h >> 31;
+    }
+    return h;
+}
+
+/* The slot that holds the span, or the empty slot where it would go. */
+static Py_ssize_t
+lookup(const Found *f, Py_ssize_t lo, const uint64_t *words, Py_ssize_t len,
+       uint64_t h)
+{
+    for (Py_ssize_t i = h & f->mask;; i = (i + 1) & f->mask) {
+        if (f->slots[i] == 0)
+            return i;
+        const Span *x = &f->spans[f->slots[i] - 1];
+        if (x->hash == h && x->lo == lo && x->len == len
+            && memcmp(f->pool + x->start, words, len * sizeof *words) == 0)
+            return i;
+    }
+}
+
+static void *
+grow(void *items, Py_ssize_t *room, Py_ssize_t need, size_t itemsize)
+{
+    if (items != NULL && need <= *room)
+        return items;
+    Py_ssize_t more = need > 2 * *room ? need : 2 * *room;
+    void *moved = PyMem_Realloc(items, more * itemsize);
+    if (moved != NULL)
+        *room = more;
+    return moved;
+}
+
+/* Room for extra more subsets of up to words words each, with the hash
+   at most half full. */
+static int
+reserve(Found *f, Py_ssize_t extra, Py_ssize_t words)
+{
+    Py_ssize_t need = f->count + extra;
+    Span *spans = grow(f->spans, &f->room, need, sizeof *spans);
+    if (spans == NULL)
+        return -1;
+    f->spans = spans;
+    uint64_t *pool = grow(f->pool, &f->size, f->used + extra * words,
+                          sizeof *pool);
+    if (pool == NULL)
+        return -1;
+    f->pool = pool;
+    if (2 * need <= f->mask + 1)
+        return 0;
+    Py_ssize_t nslots = f->mask + 1;
+    while (2 * need > nslots)
+        nslots *= 2;
+    int32_t *slots = PyMem_Calloc(nslots, sizeof *slots);
+    if (slots == NULL)
+        return -1;
+    PyMem_Free(f->slots);
+    f->slots = slots;
+    f->mask = nslots - 1;
+    for (Py_ssize_t id = 0; id < f->count; id++) {
+        Py_ssize_t i = f->spans[id].hash & f->mask;
+        while (slots[i])
+            i = (i + 1) & f->mask;
+        slots[i] = (int32_t)id + 1;
+    }
+    return 0;
+}
+
+/* Append the span as a new subset; reserve made room for it. */
+static int32_t
+add(Found *f, Py_ssize_t lo, const uint64_t *words, Py_ssize_t len,
+    uint64_t h)
+{
+    Py_ssize_t id = f->count++;
+
+    f->spans[id] = (Span){f->used, (int32_t)lo, (int32_t)len, h};
+    memcpy(f->pool + f->used, words, len * sizeof *words);
+    f->used += len;
+    return (int32_t)id;
+}
+
+/* Set the bits of items[0..count-1] in bits, widening the nonzero span
+   [*lo, *hi]. */
+static void
+set_bits(uint64_t *bits, const int32_t *items, Py_ssize_t count,
+         Py_ssize_t *lo, Py_ssize_t *hi)
+{
+    for (Py_ssize_t j = 0; j < count; j++) {
+        Py_ssize_t w = items[j] >> 6;
+        bits[w] |= (uint64_t)1 << (items[j] & 63);
+        if (w < *lo)
+            *lo = w;
+        if (w > *hi)
+            *hi = w;
+    }
+}
+
+/* Raise falab.transform.CapExceededError(cap). */
+static void
+cap_exceeded(PyObject *cap)
+{
+    PyObject *module = PyImport_ImportModule("falab.transform");
+    PyObject *error = module ? PyObject_GetAttrString(module,
+                                                      "CapExceededError")
+                             : NULL;
+    PyObject *exc = error ? PyObject_CallOneArg(error, cap) : NULL;
+
+    if (exc != NULL)
+        PyErr_SetObject(error, exc);
+    Py_XDECREF(exc);
+    Py_XDECREF(error);
+    Py_XDECREF(module);
+}
+
+/* The found subsets as Python ints; bytes has room for n bits. */
+static PyObject *
+subset_ints(const Found *f, unsigned char *bytes)
+{
+    PyObject *list = PyList_New(f->count);
+
+    for (Py_ssize_t id = 0; list != NULL && id < f->count; id++) {
+        const uint64_t *words = f->pool + f->spans[id].start;
+        Py_ssize_t lo = f->spans[id].lo, len = f->spans[id].len;
+        for (Py_ssize_t k = 0; k < len; k++)  /* little-endian bytes */
+            for (int b = 0; b < 8; b++)
+                bytes[(lo + k) * 8 + b] = (unsigned char)(words[k] >> 8 * b);
+        PyObject *v = _PyLong_FromByteArray(bytes, (lo + len) * 8, 1, 0);
+        memset(bytes + lo * 8, 0, len * 8);
+        if (v == NULL)
+            Py_CLEAR(list);
+        else
+            PyList_SET_ITEM(list, id, v);
+    }
+    return list;
+}
+
+/* The items of table as an array('i'). */
+static PyObject *
+int_array(const int32_t *table, Py_ssize_t count)
+{
+    PyObject *module = PyImport_ImportModule("array");
+    PyObject *array = module ? PyObject_CallMethod(module, "array", "s", "i")
+                             : NULL;
+    PyObject *view = PyMemoryView_FromMemory((char *)table,
+                                             count * sizeof *table, PyBUF_READ);
+    PyObject *done = array && view ? PyObject_CallMethod(array, "frombytes",
+                                                         "O", view)
+                                   : NULL;
+
+    Py_XDECREF(module);
+    Py_XDECREF(view);
+    if (done == NULL)
+        Py_CLEAR(array);
+    Py_XDECREF(done);
+    return array;
+}
+
+/* The breadth-first subset construction of a checked program, numbered
+   as falab._simkernel_py.subsets numbers it; limit is cap as a number. */
+static PyObject *
+walk(const Program *p, Py_ssize_t limit, PyObject *cap)
+{
+    const int32_t *off = ITEMS(p, OFF), *succ = ITEMS(p, SUCC);
+    Py_ssize_t n = p->n, ncls = p->ncls, words = (n + 63) / 64;
+    Py_ssize_t nalways = p->len[ALWAYS], room = 0;
+    Found f = {.mask = 15};
+    /* per class, and for the first subset: a bitset and its nonzero span
+       [lo, hi] */
+    uint64_t *step = PyMem_Calloc((ncls + 1) * words + 1, sizeof *step);
+    Py_ssize_t *lo = PyMem_Malloc((ncls + 1) * sizeof *lo);
+    Py_ssize_t *hi = PyMem_Malloc((ncls + 1) * sizeof *hi);
+    Py_ssize_t *fresh = PyMem_Malloc((ncls + 1) * sizeof *fresh);
+    unsigned char *bytes = PyMem_Calloc(words * 8 + 1, 1);
+    int32_t *table = NULL;
+    PyObject *ints = NULL, *array = NULL, *result = NULL;
+
+    f.slots = PyMem_Calloc(f.mask + 1, sizeof *f.slots);
+    if (!step || !lo || !hi || !fresh || !bytes || !f.slots
+        || reserve(&f, 1, words) < 0) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    for (Py_ssize_t c = 0; c <= ncls; c++) {
+        lo[c] = words;
+        hi[c] = -1;
+    }
+    /* the first subset, in the spare class ncls; never looked up when
+       empty, as an empty step is no move */
+    uint64_t *first = step + ncls * words;
+    set_bits(first, ITEMS(p, INIT), p->len[INIT], &lo[ncls], &hi[ncls]);
+    Py_ssize_t len0 = hi[ncls] - lo[ncls] + 1;
+    if (len0 > 0) {
+        uint64_t h = span_hash(lo[ncls], first + lo[ncls], len0);
+        f.slots[lookup(&f, lo[ncls], first + lo[ncls], len0, h)] =
+            add(&f, lo[ncls], first + lo[ncls], len0, h) + 1;
+        memset(first + lo[ncls], 0, len0 * sizeof *first);
+    }
+    else
+        add(&f, 0, first, 0, span_hash(0, first, 0));
+    for (Py_ssize_t r = 0; r < f.count; r++) {  /* f grows: BFS */
+        if (reserve(&f, ncls, words) < 0
+            || (table = grow(table, &room, (r + 1) * ncls, sizeof *table))
+               == NULL) {
+            PyErr_NoMemory();
+            goto done;
+        }
+        Span from = f.spans[r];
+        for (Py_ssize_t k = 0; k < from.len; k++)
+            for (uint64_t bits = f.pool[from.start + k]; bits;
+                 bits &= bits - 1) {
+                Py_ssize_t s = (from.lo + k) * 64 + __builtin_ctzll(bits);
+                const int32_t *row = off + s * ncls;
+                for (Py_ssize_t c = 0; c < ncls; c++)
+                    set_bits(step + c * words, succ + row[c],
+                             row[c + 1] - row[c], &lo[c], &hi[c]);
+            }
+        if (nalways > 0)
+            for (Py_ssize_t c = 0; c < ncls; c++)
+                set_bits(step + c * words, ITEMS(p, ALWAYS), nalways,
+                         &lo[c], &hi[c]);
+        /* Scanning the classes downwards meets the new subsets in order
+           of their highest class, descending; they are numbered upwards
+           once the row is done. */
+        int32_t *out = table + r * ncls;
+        Py_ssize_t base = f.count, nfresh = 0;
+        for (Py_ssize_t c = ncls - 1; c >= 0; c--) {
+            Py_ssize_t len = hi[c] - lo[c] + 1;
+            if (len <= 0) {
+                out[c] = -1;
+                continue;
+            }
+            uint64_t *bits = step + c * words + lo[c];
+            uint64_t h = span_hash(lo[c], bits, len);
+            Py_ssize_t slot = lookup(&f, lo[c], bits, len, h);
+            if (f.slots[slot] == 0) {
+                f.slots[slot] = add(&f, lo[c], bits, len, h) + 1;
+                fresh[nfresh++] = slot;
+            }
+            out[c] = f.slots[slot] - 1;
+            memset(bits, 0, len * sizeof *bits);
+            lo[c] = words;
+            hi[c] = -1;
+        }
+        if (base + nfresh > limit) {
+            cap_exceeded(cap);
+            goto done;
+        }
+        /* the k-th new subset takes id base + nfresh - 1 - k */
+        for (Py_ssize_t c = 0; c < ncls; c++)
+            if (out[c] >= base)
+                out[c] = (int32_t)(2 * base + nfresh - 1 - out[c]);
+        for (Py_ssize_t k = 0; k < nfresh; k++)
+            f.slots[fresh[k]] = (int32_t)(base + nfresh - k);
+        for (Py_ssize_t i = base, j = base + nfresh - 1; i < j; i++, j--) {
+            Span swap = f.spans[i];
+            f.spans[i] = f.spans[j];
+            f.spans[j] = swap;
+        }
+    }
+    if ((ints = subset_ints(&f, bytes)) != NULL
+        && (array = int_array(table, f.count * ncls)) != NULL)
+        result = PyTuple_Pack(2, ints, array);
+done:
+    PyMem_Free(step);
+    PyMem_Free(lo);
+    PyMem_Free(hi);
+    PyMem_Free(fresh);
+    PyMem_Free(bytes);
+    PyMem_Free(table);
+    PyMem_Free(f.spans);
+    PyMem_Free(f.pool);
+    PyMem_Free(f.slots);
+    Py_XDECREF(ints);
+    Py_XDECREF(array);
+    return result;
+}
+
+/* Acquire and check the program's views, and data's and rules' as mode
+   needs them; on failure the views acquired so far stay held. */
+static int
+load(Program *p, PyObject *program, PyObject *data, PyObject *rules,
+     Mode mode)
+{
     if (!PyTuple_Check(program) || PyTuple_GET_SIZE(program) != 7) {
         PyErr_SetString(PyExc_TypeError, "program must be a (n, ncls, off, "
                         "succ, init, always, report) tuple");
-        return NULL;
+        return -1;
     }
     if (mode == RULES && (!PyTuple_Check(rules)
                           || PyTuple_GET_SIZE(rules) != 2)) {
         PyErr_SetString(PyExc_TypeError, "rules must be a (rule_of, "
                         "raw_start) pair");
-        return NULL;
+        return -1;
     }
-    p.n = PyLong_AsSsize_t(PyTuple_GET_ITEM(program, 0));
-    p.ncls = PyLong_AsSsize_t(PyTuple_GET_ITEM(program, 1));
-    if (p.n < 0 || p.n >= INT32_MAX || p.ncls < 0 || p.ncls > 256) {
+    p->n = PyLong_AsSsize_t(PyTuple_GET_ITEM(program, 0));
+    p->ncls = PyLong_AsSsize_t(PyTuple_GET_ITEM(program, 1));
+    if (p->n < 0 || p->n >= INT32_MAX || p->ncls < 0 || p->ncls > 256) {
         PyErr_Clear();  /* a non-int or an overflow is reported as below */
         PyErr_Format(PyExc_ValueError, "program n is %R and ncls %R; they "
                      "must be ints in 0..%d and 0..256",
                      PyTuple_GET_ITEM(program, 0),
                      PyTuple_GET_ITEM(program, 1), INT32_MAX - 1);
-        return NULL;
+        return -1;
     }
-    int last = mode == RULES ? RAW_START : REPORT, ok = 1;
-    for (int i = DATA; ok && i <= last; i++)
-        ok = acquire(&p, i, i == DATA ? data
-                            : i <= REPORT ? PyTuple_GET_ITEM(program, i + 1)
-                            : PyTuple_GET_ITEM(rules, i - RULE_OF)) == 0;
-    if (ok && check(&p) == 0)
-        result = scan(&p, mode);
-    while (p.held > 0)  /* every view, on every path */
-        PyBuffer_Release(&p.views[--p.held]);
+    int last = mode == WALK ? REPORT : mode == RULES ? RAW_START : DATA;
+    for (int i = OFF; i <= last; i++)
+        if (acquire(p, i, i <= REPORT ? PyTuple_GET_ITEM(program, i + 2)
+                          : i == DATA ? data
+                          : PyTuple_GET_ITEM(rules, i - RULE_OF)) < 0)
+            return -1;
+    return check(p);
+}
+
+static void
+release(Program *p)
+{
+    while (p->held > 0)  /* every view, on every path */
+        PyBuffer_Release(&p->views[--p->held]);
+}
+
+/* Check the arguments, scan in the given mode and release every view. */
+static PyObject *
+run(PyObject *program, PyObject *data, PyObject *rules, Mode mode)
+{
+    Program p = {0};
+    PyObject *result = load(&p, program, data, rules, mode) == 0
+                       ? scan(&p, mode) : NULL;
+
+    release(&p);
     return result;
 }
 
@@ -364,6 +686,32 @@ active_sets(PyObject *self, PyObject *args, PyObject *kwargs)
     return run(program, data, NULL, SETS);
 }
 
+static PyObject *
+subsets(PyObject *self, PyObject *args, PyObject *kwargs)
+{
+    static char *kwlist[] = {"program", "cap", NULL};
+    PyObject *program, *cap, *result = NULL;
+    Program p = {0};
+
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OO!:subsets", kwlist,
+                                     &program, &PyLong_Type, &cap))
+        return NULL;
+    /* a cap beyond Py_ssize_t bounds nothing a walk can reach */
+    int overflow;
+    long long limit = PyLong_AsLongLongAndOverflow(cap, &overflow);
+    if (overflow > 0 || limit > PY_SSIZE_T_MAX)
+        limit = PY_SSIZE_T_MAX;
+    if (overflow < 0 || limit < 1) {
+        PyErr_Format(PyExc_ValueError, "determinization cap must be at "
+                     "least 1 (got %R)", cap);
+        return NULL;
+    }
+    if (load(&p, program, NULL, NULL, WALK) == 0)
+        result = walk(&p, (Py_ssize_t)limit, cap);
+    release(&p);
+    return result;
+}
+
 static PyMethodDef methods[] = {
     {"step_stream", (PyCFunction)(void (*)(void))step_stream,
      METH_VARARGS | METH_KEYWORDS,
@@ -374,12 +722,16 @@ static PyMethodDef methods[] = {
      METH_VARARGS | METH_KEYWORDS,
      "active_sets(program, data)\n--\n\n"
      "Return the per-cycle active frozensets."},
+    {"subsets", (PyCFunction)(void (*)(void))subsets,
+     METH_VARARGS | METH_KEYWORDS,
+     "subsets(program, cap)\n--\n\n"
+     "Return (subsets, table) of the program's subset construction."},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT, "falab._simkernel",
-    "Compiled byte-stream stepping kernel; see falab._simkernel_py.", -1,
+    "Compiled scan kernel and subset walk; see falab._simkernel_py.", -1,
     methods,
 };
 

@@ -1,12 +1,14 @@
-"""Byte-stream stepping kernel in plain Python: the specification.
+"""Byte-stream stepping kernel and subset walk in plain Python: the
+specification.
 
 This is the reference for the compiled kernel ``falab._simkernel``, the
-one :class:`falab.Simulator` runs when it is built, and the fallback when
-it is not.  Both take the same arguments and return the same values.
+one :class:`falab.Simulator` and the subset walk of ``falab.transform``
+run when it is built, and the fallback when it is not.  Both take the
+same arguments and return the same values.
 
 The program is a flat tuple ``(n, ncls, off, succ, init, always,
-report)``, built once by :class:`falab.Simulator` as ``array('i')``
-buffers:
+report)`` of ``array('i')`` buffers, built by ``falab.transform._program``
+(:class:`falab.Simulator` scans it, the subset walk determinizes it):
 
 - ``n`` states and ``ncls`` byte classes;
 - ``off`` holds ``n * ncls + 1`` nondecreasing offsets into ``succ``,
@@ -48,13 +50,36 @@ frozensets and no operation count, so that a caller who replays a scan
 to look at its sets is not counted as scanning again.  A scan resumes
 where another stopped when ``init`` is that scan's last set.
 
-``FORMAT`` numbers this layout; ``falab.simulate`` uses the compiled
+``subsets(program, cap)`` is the subset construction of the program,
+breadth-first.  A subset of states is an int bitset; the first is
+``init``, and the subset that one reaches on class ``c`` is the union of
+its states' successors on ``c``, plus ``always`` (empty for the walks of
+``falab.transform``, which lower ALL_INPUT starts first).  It returns
+``(subsets, table)``:
+
+- ``subsets`` lists the subsets found, each once, in breadth-first
+  order; the empty subset is only ever the first, when ``init`` is empty;
+- ``table`` is an ``array('i')`` of ``len(subsets) * ncls`` items:
+  ``table[s * ncls + c]`` is the index of the subset that ``subsets[s]``
+  reaches on class ``c``, or -1 when that is empty (no move);
+- each row's new subsets are numbered upwards in the order of the
+  highest class that reaches each: when the classes are the ascending
+  atoms of the byte alphabet, that is ascending order of the class
+  masks that lead to them.
+
+It raises ValueError when ``cap`` is below 1, and
+``falab.transform.CapExceededError(cap)`` when more than ``cap`` subsets
+would be found.
+
+``FORMAT`` numbers this layout; ``falab.transform`` uses the compiled
 kernel only when its ``FORMAT`` is the same.
 """
 
 from __future__ import annotations
 
-FORMAT = 3
+from array import array
+
+FORMAT = 4
 
 
 def _steps(program, data: bytes):
@@ -103,3 +128,59 @@ def step_stream(program, data: bytes, rules=None):
 def active_sets(program, data: bytes) -> list[frozenset[int]]:
     """Return the per-cycle active frozensets of a scan of ``data``."""
     return [frozenset(active) for active, _ in _steps(program, data)]
+
+
+def subsets(program, cap: int) -> tuple[list[int], array]:
+    """Return (subsets, table) of the program's subset construction."""
+    if cap < 1:
+        raise ValueError(f"determinization cap must be at least 1 (got {cap})")
+    n, ncls, off, succ, init, always = program[:6]
+    rows = []  # per state: (class, successor bitset) for each nonempty class
+    for s in range(n):
+        row = []
+        for c in range(ncls):
+            bits = 0
+            for t in succ[off[s * ncls + c]:off[s * ncls + c + 1]]:
+                bits |= 1 << t
+            if bits:
+                row.append((c, bits))
+        rows.append(row)
+    every = 0
+    for s in always:
+        every |= 1 << s
+    first = 0
+    for s in init:
+        first |= 1 << s
+
+    ids: dict[int, int] = {0: -1}  # the empty subset is no move
+    if first:
+        ids[first] = 0
+    found = [first]
+    table = array("i")
+    for subset in found:  # grows while it is walked: BFS
+        step = [every] * ncls
+        while subset:
+            low = subset & -subset
+            subset ^= low
+            for c, bits in rows[low.bit_length() - 1]:
+                step[c] |= bits
+        # one lookup per class, as hashing a subset costs O(its size)
+        row = list(map(ids.get, step))
+        if None in row:
+            # Scanning the classes downwards meets the new subsets in
+            # order of their highest class, descending; they are numbered
+            # upwards.
+            fresh: dict[int, list[int]] = {}
+            for c in range(ncls - 1, -1, -1):
+                if row[c] is None:
+                    fresh.setdefault(step[c], []).append(c)
+            if len(found) + len(fresh) > cap:
+                from .transform import CapExceededError
+                raise CapExceededError(cap)
+            for target, where in reversed(fresh.items()):
+                ids[target] = len(found)
+                for c in where:
+                    row[c] = len(found)
+                found.append(target)
+        table.extend(row)
+    return found, table

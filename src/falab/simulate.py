@@ -9,13 +9,11 @@ every recorded set.  Epsilon closure is applied after every step.
 
 :class:`Simulator` builds its program once, as flat ``array('i')``
 buffers of byte-class successors (the layout is specified in
-``_simkernel_py``), and hands it, with the input translated to class
-indices, to the stepping kernel.  The kernel is the compiled
-``_simkernel`` when the extension was built (``python setup.py build_ext
---inplace``) for the same program ``FORMAT``, and otherwise
-``_simkernel_py``, whose plain-Python loop is the specification both
-follow; a compiled module of another format is ignored with a
-``RuntimeWarning``.
+``_simkernel_py``, the builder is ``transform._program``), and hands it,
+with the input translated to class indices, to the stepping kernel that
+``transform`` loads: the compiled ``_simkernel`` when it was built for the
+same program ``FORMAT``, and otherwise ``_simkernel_py``, whose
+plain-Python loop is the specification both follow.
 
 The kernel returns the per-cycle active counts, the per-state activation
 counts and the reports, and keeps no per-cycle sets.  A trace's
@@ -30,36 +28,19 @@ and reuses while the rules compare equal.
 
 from __future__ import annotations
 
-import warnings
 from array import array
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from itertools import accumulate, chain
+from itertools import accumulate
 
-from .core import ALPHABET_SIZE, Automaton, StartKind, SymbolClass
-from .transform import (close_over, epsilon_closures, merge_patterns,
-                        partition_masks)
-
-from . import _simkernel_py
-
-try:
-    from . import _simkernel
-except ImportError:  # built without a C compiler: scan in Python
-    _simkernel = None
-if (_simkernel is not None
-        and getattr(_simkernel, "FORMAT", None) != _simkernel_py.FORMAT):
-    warnings.warn(f"ignoring {_simkernel.__file__}: it was built for another "
-                  f"program format; rebuild it with python setup.py "
-                  f"build_ext --inplace --force", RuntimeWarning)
-    _simkernel = None
-
-# The kernel every scan calls, looked up through this name on each call.
-_kernel = _simkernel or _simkernel_py
+from . import transform
+from .core import ALPHABET_SIZE, Automaton, SymbolClass
+from .transform import _program, merge_patterns
 
 
 def available_kernels() -> tuple[str, ...]:
     """Names of the scan kernels this installation has, the default first."""
-    return ("python",) if _simkernel is None else ("c", "python")
+    return ("python",) if transform._simkernel is None else ("c", "python")
 
 
 def default_kernel() -> str:
@@ -106,7 +87,8 @@ class SimulationTrace:
 
 def _replay(program: tuple, classes: bytes) -> Iterator[frozenset[int]]:
     for lo in range(0, len(classes), WINDOW):
-        sets = _kernel.active_sets(program, classes[lo:lo + WINDOW])
+        sets = transform._kernel.active_sets(program,
+                                             classes[lo:lo + WINDOW])
         yield from sets
         program = program[:4] + (array("i", sets[-1]),) + program[5:]
 
@@ -115,45 +97,25 @@ class Simulator:
     """Reusable stepping program for one automaton.
 
     Byte classes are the atoms of ``partition_masks`` over the edge
-    classes; bytes that no edge reads map to a class with no successors.
-    Building the program costs O(edges x classes + states x classes);
-    reuse the instance when scanning several inputs.
+    classes, in ascending order; bytes that no edge reads map to a class
+    with no successors.  Building the program costs O(edges x the classes
+    inside each edge's class + states x classes); reuse the instance when
+    scanning several inputs.
     """
 
     def __init__(self, automaton: Automaton):
-        atoms = partition_masks([cls.mask for _, cls, _ in automaton.edges])
+        atoms, self._labels, self._program = _program(automaton)
         class_of = [len(atoms)] * ALPHABET_SIZE
         for index, atom in enumerate(atoms):
             for b in SymbolClass(atom).values():
                 class_of[b] = index
         self._table = bytes(class_of)
-        closures = epsilon_closures(automaton)
-        n, ncls = automaton.state_count, len(atoms)
-        # The successor set of state s on class c is rows[s * ncls + c].
-        rows = [frozenset()] * (n * ncls)
-        for src, cls, dst in automaton.edges:
-            for index, atom in enumerate(atoms):
-                if atom & cls.mask:
-                    rows[src * ncls + index] |= closures[dst]
-        always = close_over(closures, (s for s, k in automaton.starts.items()
-                                       if k is StartKind.ALL_INPUT))
-        self._init = close_over(closures, automaton.starts) | always
-        # Report labels in report order, unlabeled last.
-        labels = automaton.component_labels or {}
-        self._labels = sorted({labels.get(s) for s in automaton.accepts},
-                              key=lambda x: (x is None, x))
-        index = {label: k for k, label in enumerate(self._labels)}
-        self._program = (
-            n, ncls, array("i", accumulate(map(len, rows), initial=0)),
-            array("i", chain.from_iterable(rows)),
-            array("i", sorted(self._init)), array("i", sorted(always)),
-            array("i", [index[labels.get(s)] if s in automaton.accepts
-                        else -1 for s in range(n)]))
+        self._init = frozenset(self._program[4])
 
     def run(self, data: bytes) -> SimulationTrace:
         classes = data.translate(self._table)
-        (counts, activation, reports), _ = _kernel.step_stream(self._program,
-                                                               classes)
+        (counts, activation, reports), _ = transform._kernel.step_stream(
+            self._program, classes)
         report = self._program[6]
         return SimulationTrace(
             cycles=len(classes),
@@ -233,8 +195,8 @@ def active_rule_frequency(components: list[Automaton],
     if not components:
         return ActiveRuleStats((0,) * len(data), 0, 0, 0.0)
     sim, rules = _rule_program(components)
-    pairs, _ = _kernel.step_stream(sim._program, data.translate(sim._table),
-                                   rules)
+    pairs, _ = transform._kernel.step_stream(
+        sim._program, data.translate(sim._table), rules)
     per_cycle = []
     total = 0.0
     counted = 0
@@ -249,15 +211,3 @@ def active_rule_frequency(components: list[Automaton],
         max_active=max(per_cycle, default=0),
         start_only_fraction=100.0 * total / counted if counted else 0.0,
     )
-
-
-def start_only_fraction(components: list[Automaton], data: bytes) -> float:
-    """Average percentage of active rules stuck at their start state.
-
-    Each component must have exactly one start state, compared raw, not
-    epsilon-closed (see :class:`ActiveRuleStats`).
-    """
-    bad = [i for i, c in enumerate(components) if len(c.starts) != 1]
-    if bad:
-        raise ValueError(f"components {bad} must have exactly one start state")
-    return active_rule_frequency(components, data).start_only_fraction

@@ -7,12 +7,21 @@ automata side by side once (``cap`` bounds that joint walk, its shared
 start included), and a quadratic pair-marking minimality oracle that
 shares no code with the minimizers.
 
-One subset walk (``_subsets``) yields a dense DFA table: the NFA's byte
-classes and one target id per state and class.  ``determinize`` builds
-its ``Automaton`` from that table, and one Hopcroft refinement
-(``_refine``) runs on a table, whether the walk's own (as the report
-pipeline's cross-check does) or one that ``minimize_hopcroft`` reads off
-a DFA's edges.
+One builder (``_program``) turns an automaton into the flat program of
+byte-class successors that ``_simkernel_py`` specifies:
+:class:`~falab.simulate.Simulator` scans it, and the subset walk
+(``_subsets``) determinizes it into a dense DFA table, the NFA's byte
+classes and one target id per state and class.  Both run in the kernel
+this module loads: the compiled ``_simkernel`` when the extension was
+built (``python setup.py build_ext --inplace``) for the same program
+``FORMAT``, and otherwise ``_simkernel_py``, whose plain-Python loops are
+the specification both follow; a compiled module of another format is
+ignored with a ``RuntimeWarning``.  ``determinize`` builds its
+``Automaton`` from the walk's table, Brzozowski's second walk runs on the
+first one's table reversed, and one Hopcroft refinement (``_refine``)
+runs on a table, whether the walk's own (as the report pipeline's
+cross-check does) or one that ``minimize_hopcroft`` reads off a DFA's
+edges.
 
 Deterministic automata here are partial: a missing transition means
 rejection, and the implicit dead state is never materialized or counted.
@@ -20,10 +29,29 @@ rejection, and the implicit dead state is never materialized or counted.
 
 from __future__ import annotations
 
+import warnings
 from array import array
+from collections import deque
+from itertools import accumulate, chain
 
+from . import _simkernel_py
 from .core import (Automaton, StartKind, SymbolClass, is_deterministic,
                    merge_parallel_edges)
+
+try:
+    from . import _simkernel
+except ImportError:  # built without a C compiler: scan and walk in Python
+    _simkernel = None
+if (_simkernel is not None
+        and getattr(_simkernel, "FORMAT", None) != _simkernel_py.FORMAT):
+    warnings.warn(f"ignoring {_simkernel.__file__}: it was built for another "
+                  f"program format; rebuild it with python setup.py "
+                  f"build_ext --inplace --force", RuntimeWarning)
+    _simkernel = None
+
+# The kernel every scan and subset walk calls, looked up through this
+# name on each call.
+_kernel = _simkernel or _simkernel_py
 
 DEFAULT_STATE_CAP = 1 << 20
 ORACLE_STATE_LIMIT = 512
@@ -45,6 +73,8 @@ class CapExceededError(RuntimeError):
 
 def epsilon_closures(a: Automaton) -> list[frozenset[int]]:
     """Per-state epsilon closure (always includes the state itself)."""
+    if not a.epsilon_edges:
+        return [frozenset((s,)) for s in range(a.state_count)]
     adj = a.epsilon_adjacency()
     closures: list[frozenset[int]] = [frozenset()] * a.state_count
     for s in range(a.state_count):
@@ -194,6 +224,47 @@ def remove_epsilon(a: Automaton) -> Automaton:
 # Determinization (subset construction)
 
 
+def _program(a: Automaton) -> tuple[list[int], list, tuple]:
+    """The flat kernel program of ``a``: ``(atoms, labels, program)``.
+
+    ``atoms`` are the byte classes, the atoms of :func:`partition_masks`
+    over every edge class in ascending order; ``labels`` are the report
+    labels (the ``component_labels`` of the accepting states, sorted,
+    unlabeled last); ``program`` is ``(n, ncls, off, succ, init, always,
+    report)`` as ``_simkernel_py`` specifies it, over those classes.  Each
+    edge visits only the atoms inside its class.
+    """
+    atoms = sorted(partition_masks([cls.mask for _, cls, _ in a.edges]))
+    n, ncls = a.state_count, len(atoms)
+    closures = epsilon_closures(a)
+    inside: dict[int, list[int]] = {}  # class mask -> its atoms' indices
+    # The successors of state s on class c are rows[s * ncls + c].
+    rows = [frozenset()] * (n * ncls)
+    for src, cls, dst in a.edges:
+        where = inside.get(cls.mask)
+        if where is None:
+            where = inside[cls.mask] = [i for i, atom in enumerate(atoms)
+                                        if atom & cls.mask]
+        closure = closures[dst]
+        for i in where:
+            k = src * ncls + i
+            rows[k] = rows[k] | closure if rows[k] else closure
+    always = close_over(closures, (s for s, k in a.starts.items()
+                                   if k is StartKind.ALL_INPUT))
+    init = close_over(closures, a.starts) | always
+    tags = a.component_labels or {}
+    labels = sorted({tags.get(s) for s in a.accepts},
+                    key=lambda x: (x is None, x))
+    index = {label: k for k, label in enumerate(labels)}
+    report = array("i", [-1]) * n
+    for s in a.accepts:
+        report[s] = index[tags.get(s)]
+    return atoms, labels, (
+        n, ncls, array("i", accumulate(map(len, rows), initial=0)),
+        array("i", chain.from_iterable(rows)),
+        array("i", sorted(init)), array("i", sorted(always)), report)
+
+
 def _subsets(a: Automaton, cap: int) -> tuple[list[int], list[int], array]:
     """The subset walk behind :func:`determinize`, :func:`equivalent`
     and the report pipeline, run to the end.
@@ -204,56 +275,11 @@ def _subsets(a: Automaton, cap: int) -> tuple[list[int], list[int], array]:
     order, and the dense transition table, an ``array('i')`` of
     ``len(subsets) * len(atoms)`` state ids: ``table[s * len(atoms) + i]``
     is the state that ``s`` reaches on atom ``i``, or -1 for no move (the
-    empty subset).
+    empty subset).  The kernel's ``subsets`` walks :func:`_program` of
+    the lowered NFA.
     """
-    if cap < 1:
-        raise ValueError(f"determinization cap must be at least 1 (got {cap})")
-    a = lower_all_input(a)
-    closures = [sum(1 << t for t in c) for c in epsilon_closures(a)]
-    atoms = sorted(partition_masks([cls.mask for _, cls, _ in a.edges]))
-    moves: list[dict[int, int]] = [{} for _ in range(a.state_count)]
-    for src, cls, dst in a.edges:
-        row = moves[src]
-        for i, atom in enumerate(atoms):
-            if atom & cls.mask:
-                row[i] = row.get(i, 0) | closures[dst]
-    rows = [tuple(row.items()) for row in moves]
-
-    init = 0
-    for s, k in a.starts.items():
-        if k is StartKind.START_OF_DATA:
-            init |= closures[s]
-    ids: dict[int, int] = {0: -1}  # the empty subset is no move
-    if init:
-        ids[init] = 0
-    subsets = [init]
-    table = array("i")
-    for subset in subsets:  # grows while it is walked: BFS
-        step = [0] * len(atoms)
-        while subset:
-            low = subset & -subset
-            subset ^= low
-            for i, bits in rows[low.bit_length() - 1]:
-                step[i] |= bits
-        # one lookup per atom, as hashing a subset costs O(its size)
-        row = list(map(ids.get, step))
-        if None in row:
-            # Scanning the ascending atoms downwards meets the new targets
-            # in descending order of their class mask (disjoint masks
-            # order like their highest atoms); they are numbered upwards.
-            fresh: dict[int, list[int]] = {}
-            for i in range(len(atoms) - 1, -1, -1):
-                if row[i] is None:
-                    fresh.setdefault(step[i], []).append(i)
-            for target, where in reversed(fresh.items()):
-                if len(subsets) >= cap:
-                    raise CapExceededError(cap)
-                ids[target] = len(subsets)
-                for i in where:
-                    row[i] = len(subsets)
-                subsets.append(target)
-        table.extend(row)
-    return atoms, subsets, table
+    atoms, _, program = _program(lower_all_input(a))
+    return (atoms, *_kernel.subsets(program, cap))
 
 
 def _accepting(subsets: list[int], accepts) -> list[int]:
@@ -339,13 +365,49 @@ def reverse(a: Automaton) -> Automaton:
     )
 
 
+def _predecessors(table: array, natoms: int, n: int) -> list[list[list[int]]]:
+    """``preds[i][t]``: the states of the ``n``-state dense table
+    ``table`` that move to ``t`` on atom ``i``, in ascending order; the -1
+    targets (no move) land in ``preds[i][n]``."""
+    preds = [[[] for _ in range(n + 1)] for _ in range(natoms)]
+    for i, col in enumerate(preds):
+        # col[t].append(s) for each state s and its target t, with the
+        # loop in map rather than in bytecode
+        deque(map(list.append, map(col.__getitem__, table[i::natoms]),
+                  range(n)), maxlen=0)
+    return preds
+
+
+def _reversed_program(table: array, natoms: int, n: int,
+                      accepting: list[int]) -> tuple:
+    """The kernel program of the ``n``-state dense table ``table`` with
+    its edges flipped: the successors of ``t`` on atom ``i`` are the
+    states that reach ``t`` on ``i``.  The accepting states are the
+    initial set."""
+    # (t, i) order: state-major, as the program lays its rows out
+    rows = list(chain.from_iterable(zip(*(col[:n] for col in
+                                          _predecessors(table, natoms, n)))))
+    return (n, natoms, array("i", accumulate(map(len, rows), initial=0)),
+            array("i", chain.from_iterable(rows)), array("i", accepting),
+            array("i"), array("i", [-1]) * n)
+
+
 def minimize_brzozowski(a: Automaton, cap: int = DEFAULT_STATE_CAP) -> Automaton:
     """Reverse, determinize, reverse, determinize: the minimal DFA.
 
-    Output is the unique minimal DFA modulo the (never materialized) dead
-    state; its state count excludes that dead state by construction.
+    The middle DFA stays a table: the second walk runs on the first
+    walk's table with its edges flipped, started from its accepting
+    subsets, and accepts in the subsets that hold its start.  Output is
+    the unique minimal DFA modulo the (never materialized) dead state;
+    its state count excludes that dead state by construction.  Raises
+    :class:`CapExceededError` when either walk passes ``cap``.
     """
-    return determinize(reverse(determinize(reverse(a), cap)), cap)
+    first = reverse(a)
+    atoms, found, table = _subsets(first, cap)
+    program = _reversed_program(table, len(atoms), len(found),
+                                _accepting(found, first.accepts))
+    found, table = _kernel.subsets(program, cap)
+    return _table_automaton(atoms, table, len(found), 0, _accepting(found, [0]))
 
 
 # ---------------------------------------------------------------------------
@@ -367,12 +429,9 @@ def _refine(n: int, natoms: int, table: array, accepting) -> list[int]:
     block cannot reach acceptance.
     """
     total = n + 1
-    # preds[i][t]: the states that move to t on atom i; -1 indexes state n
-    preds = [[[] for _ in range(total)] for _ in range(natoms)]
-    for i, col in enumerate(preds):
-        for s, t in enumerate(table[i::natoms]):
-            col[t].append(s)
-        col[n].append(n)
+    preds = _predecessors(table, natoms, n)
+    for col in preds:
+        col[n].append(n)  # the dead state loops on every atom
 
     accepting = set(accepting)
     blocks = [b for b in (accepting, set(range(total)) - accepting) if b]

@@ -16,6 +16,8 @@ from falab.documents import PatternSet, save_automaton, save_pattern_set
 from falab.generators import Pattern, RegexSource, gen_dotstar
 from falab.regex import compile_regex
 
+from conftest import cli_with_python_kernel
+
 SOD = StartKind.START_OF_DATA
 
 
@@ -191,3 +193,16 @@ def test_report_spot_check_fits_where_the_rows_fit(tmp_path, capsys):
                  "--cap", "3", "--out", str(out)]) == 0
     assert capsys.readouterr().err == ""
     assert out.read_text().splitlines()[-1] == "0,4,3,3,1,2,1,,,,,ok"
+
+
+@pytest.mark.parametrize("first, second, code, verdict", [
+    ("ab", "abb", 0, "equivalent\n"),
+    ("ab", "ac", 1, "not equivalent\n"),
+], ids=["same-language", "different-languages"])
+def test_equivalent_on_the_python_kernel(paths, capsys, first, second, code,
+                                         verdict):
+    argv = ["equivalent", paths[first], paths[second]]
+    assert exit_code(argv) == code
+    assert capsys.readouterr().out == verdict
+    proc = cli_with_python_kernel(argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, verdict, "")

@@ -66,9 +66,10 @@ def test_counts_match_the_oracles(mode, data):
     assert row.mdfa_states == brute_force_minimal_states(dfa)
 
 
-def test_long_chain():
+def test_long_chain(walk):
     # A refinement in rounds, one per distinguishing length, would need
-    # 20,000 rounds here.
+    # 20,000 rounds here; the subset walks hold 20,001 single-state
+    # subsets, spread over 313 bitset words.
     start = time.perf_counter()
     row = experiment._run_pipeline(
         1, replace(alternating_chain(20_000), deterministic=False),

@@ -5,21 +5,20 @@ import tracemalloc
 from array import array
 from collections import Counter
 from dataclasses import replace
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from falab import _simkernel_py, simulate
+from falab import _simkernel_py, simulate, transform
 from falab.core import Automaton, StartKind, SymbolClass
 from falab.generators import SplitMix64, gen_levenshtein
 from falab.regex import compile_regex
 from falab.simulate import (Simulator, active_rule_frequency,
-                            available_kernels, default_kernel, run,
-                            start_only_fraction)
-from falab.transform import accepts, connected_components, merge_patterns
+                            available_kernels, default_kernel, run)
+from falab.transform import (CapExceededError, accepts,
+                             connected_components, merge_patterns)
 
-from conftest import SOURCE, c_compiler
+from conftest import SOURCE, SRC, c_compiler
 from corpus import random_regex
 
 SOD = StartKind.START_OF_DATA
@@ -111,8 +110,8 @@ def reference_summary(a: Automaton, data: bytes):
 
 def kernel_work(sim: Simulator, data: bytes) -> int:
     """The operation count of the scan ``sim.run(data)`` makes."""
-    return simulate._kernel.step_stream(sim._program,
-                                        data.translate(sim._table))[1]
+    return transform._kernel.step_stream(sim._program,
+                                         data.translate(sim._table))[1]
 
 
 def regex_rules(seed: int, kind: StartKind, count: int = 3) -> list[Automaton]:
@@ -301,7 +300,6 @@ def active_rule_tests(kernel: str):
                 assert stats.min_active == min(per_cycle)
                 assert stats.max_active == max(per_cycle)
                 assert stats.start_only_fraction == start_only
-                assert start_only_fraction(rules, data) == start_only
 
         @pytest.mark.parametrize("kind", KINDS)
         def test_levenshtein_rules_match_one_scan_per_rule(self, kind):
@@ -319,9 +317,9 @@ def active_rule_tests(kernel: str):
             # The start's deletion epsilon edge activates a second state every
             # cycle, so the active set is never within the raw starts.
             rule = gen_levenshtein(b"abc", 1, ALL)
-            assert start_only_fraction([rule], b"dddd") == 0.0
             stats = active_rule_frequency([rule], b"dddd")
             assert stats.per_cycle_rule_count == (1, 1, 1, 1)
+            assert stats.start_only_fraction == 0.0
 
         @settings(max_examples=40, deadline=None)
         @given(st.integers(0, 2**32), st.sampled_from(KINDS))
@@ -357,7 +355,6 @@ def active_rule_tests(kernel: str):
             rule = Automaton(state_count=2,
                              edges=((0, SymbolClass.of(b"a"), 1),),
                              starts={0: ALL}, accepts=frozenset([1]))
-            assert start_only_fraction([rule], data) == percent
             stats = active_rule_frequency([rule], data)
             assert stats.start_only_fraction == percent
 
@@ -372,11 +369,6 @@ def active_rule_tests(kernel: str):
                           component_labels={0: 5})
             with pytest.raises(ValueError, match="distinct pattern ids"):
                 active_rule_frequency([a, a], b"a")
-
-        def test_start_only_fraction_needs_one_start_per_rule(self):
-            two_starts = Automaton(state_count=2, starts={0: ALL, 1: SOD})
-            with pytest.raises(ValueError, match=r"components \[1\]"):
-                start_only_fraction([chain(ALL), two_starts], b"a")
 
         def test_rule_program_is_reused_only_for_equal_rules(self,
                                                              monkeypatch):
@@ -451,7 +443,7 @@ def test_windowed_sets_equal_one_scan(kernel, length):
 def test_scan_memory_does_not_grow_with_the_sets(c_kernel, monkeypatch):
     # 64 KiB over two Levenshtein rules, about 19 states active per cycle:
     # keeping every cycle's frozenset would peak at about 109 MB.
-    monkeypatch.setattr(simulate, "_kernel", c_kernel)
+    monkeypatch.setattr(transform, "_kernel", c_kernel)
     sim = Simulator(merge_patterns([gen_levenshtein(p, 2, ALL)
                                     for p in (b"abcdabcd", b"dcbadcba")]))
     data = streams(64, count=1, length=64 * 1024)[0]
@@ -534,15 +526,14 @@ class TestKernelParity:
         assert sim.run(b"x").reports == ((0, 1, 4), (0, 0, 9), (0, 2, None))
 
     def test_available_and_default_kernels(self):
-        compiled = simulate._simkernel is not None
+        compiled = transform._simkernel is not None
         assert available_kernels() == (("c", "python") if compiled
                                        else ("python",))
         assert default_kernel() == ("c" if compiled else "python")
-        assert simulate._kernel is (simulate._simkernel if compiled
-                                    else _simkernel_py)
+        assert transform._kernel is (transform._simkernel if compiled
+                                     else _simkernel_py)
 
 
-SRC = Path(__file__).resolve().parent.parent / "src"
 IMPORT_WITH_FAKE_KERNEL = """
 import sys, types, warnings
 fake = types.ModuleType("falab._simkernel")
@@ -553,8 +544,8 @@ if {format!r} is not None:
 sys.modules["falab._simkernel"] = fake
 with warnings.catch_warnings(record=True) as caught:
     warnings.simplefilter("always")
-    from falab import simulate
-print(simulate.available_kernels(), simulate._kernel.__name__)
+    from falab import simulate, transform
+print(simulate.available_kernels(), transform._kernel.__name__)
 for w in caught:
     print(w.category.__name__, w.message)
 """
@@ -568,7 +559,7 @@ def import_with_fake_kernel(format) -> list[str]:
     return proc.stdout.splitlines()
 
 
-@pytest.mark.parametrize("format", [None, 1, 2, 4])
+@pytest.mark.parametrize("format", [None, 1, 2, 3, 5])
 def test_compiled_kernel_of_another_format_is_refused(format):
     # A module built from an older source (no FORMAT, or another one) is
     # ignored with a warning that names it and the rebuild command.
@@ -664,9 +655,12 @@ class TestCompiledKernelErrors:
                      id="report-beyond-n"),
     ])
     def test_malformed_program(self, c_kernel, program, error, match):
-        for entry in (c_kernel.step_stream, c_kernel.active_sets):
+        calls = (lambda: c_kernel.step_stream(program, b"\x00"),
+                 lambda: c_kernel.active_sets(program, b"\x00"),
+                 lambda: c_kernel.subsets(program, 1))
+        for call in calls:
             with pytest.raises(error, match=match):
-                entry(program, b"\x00")
+                call()
 
     @pytest.mark.parametrize("successor", [2, 3, 10**6])
     def test_successor_beyond_state_count(self, c_kernel, successor):
@@ -675,6 +669,8 @@ class TestCompiledKernelErrors:
         match = rf"succ\[2\] is {successor}, outside 0\.\.1"
         with pytest.raises(ValueError, match=match):
             c_kernel.step_stream(program, b"\x00\x00")
+        with pytest.raises(ValueError, match=match):
+            c_kernel.subsets(program, 1)
 
     @pytest.mark.parametrize("data", ["ab", 7, None, [0, 1]])
     def test_data_not_bytes_like(self, c_kernel, data):
@@ -696,31 +692,45 @@ class TestCompiledKernelErrors:
 
     def test_error_paths_free_their_buffers(self, c_kernel):
         # Each call fails after its 1 MB off and succ arrays (1000 states x
-        # 256 classes) are viewed.  A view left unreleased would keep them
-        # alive, so memory would grow, and would forbid resizing them.
+        # 256 classes) are viewed, or, for the last subset walk, after
+        # half the walk.  A view left unreleased would keep them alive, so
+        # memory would grow, and would forbid resizing them; so would
+        # scratch memory that the walk did not free.
         n, ncls = 1000, 256
+        # every state moves to the next on every class: n subsets
+        to_next = array("i", [(k // ncls + 1) % n for k in range(n * ncls)])
 
         def failing_calls():
+            # (program, rules, what the subset walk raises, or None when
+            # the program is well-formed and fits the cap)
             off = array("i", range(n * ncls + 1))
             succ = array("i", [0]) * (n * ncls)
             rules = (array("i", [0]) * n, bytes(n))
             report = array("i", [-1]) * n
             yield ((n, ncls, off, succ[:-1] + ints(n), ints(0), ints(),
-                    report), rules)
-            yield (n, ncls, off, succ, ints(0), ints(n), report), rules
+                    report), rules, ValueError)
+            yield ((n, ncls, off, succ, ints(0), ints(n), report), rules,
+                   ValueError)
             yield ((n, ncls, off, succ, ints(0), ints(),
-                    report[:-1] + ints(n)), rules)
+                    report[:-1] + ints(n)), rules, ValueError)
             yield ((n, ncls, off, succ, ints(0), ints(), report),
-                   (array("i", [n]) * n, bytes(n)))
-            yield ((n, ncls, off, succ, ints(0), ints(), report),
-                   (rules[0], rules[0]))
+                   (array("i", [n]) * n, bytes(n)), None)
+            step = array("i", to_next)
+            yield ((n, ncls, off, step, ints(0), ints(), report),
+                   (rules[0], rules[0]), CapExceededError)
             off.append(0)  # raises BufferError while a view is held
             succ.append(0)
+            step.append(0)
 
         def fail_all():
-            for program, rules in failing_calls():
+            for program, rules, walk_error in failing_calls():
                 with pytest.raises((TypeError, ValueError)):
                     c_kernel.step_stream(program, b"\x00", rules)
+                if walk_error is None:
+                    assert len(c_kernel.subsets(program, n // 2)[0]) == 1
+                else:
+                    with pytest.raises(walk_error):
+                        c_kernel.subsets(program, n // 2)
 
         tracemalloc.start()
         try:

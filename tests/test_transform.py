@@ -1,17 +1,19 @@
 import json
 import time
+from array import array
 from collections import deque
 from dataclasses import replace
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from falab import _simkernel_py, transform
 from falab.cli import main
 from falab.core import (Automaton, StartKind, SymbolClass, canonicalize,
                         is_deterministic, isomorphic, merge_parallel_edges,
                         validate)
 from falab.documents import save_automaton
-from falab.generators import SplitMix64
+from falab.generators import SplitMix64, gen_levenshtein
 from falab.regex import compile_regex
 from falab.transform import (ORACLE_STATE_LIMIT, CapExceededError, accepts,
                              brute_force_minimal_states, close_over,
@@ -19,7 +21,8 @@ from falab.transform import (ORACLE_STATE_LIMIT, CapExceededError, accepts,
                              epsilon_closures, equivalent, lower_all_input,
                              merge_patterns, minimize_brzozowski,
                              minimize_hopcroft, optimize_nfa,
-                             partition_masks, remove_epsilon, trim)
+                             partition_masks, remove_epsilon, trim,
+                             _program, _subsets)
 
 from corpus import (BYTES, START_MODES, alternating_chain, nfas,
                     random_regex)
@@ -170,6 +173,83 @@ class TestDeterminize:
         save_automaton(Automaton(state_count=1, starts={0: SOD}), str(path))
         assert main(["determinize", str(path), "--cap", "1"]) == 0
         assert json.loads(capsys.readouterr().out)["states"] == 1
+
+
+CAP = 1 << 20
+
+
+def walked_by(module, fn, *args):
+    """``fn(*args)``, with every subset walk in the kernel ``module``."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(transform, "_kernel", module)
+        return fn(*args)
+
+
+def ints(*items):
+    return array("i", items)
+
+
+class TestSubsetWalk:
+    """The compiled walk against its specification, _simkernel_py.subsets."""
+
+    @pytest.mark.parametrize("mode", START_MODES)
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_compiled_walk_matches_python(self, c_kernel, mode, data):
+        nfa = data.draw(nfas(mode))
+        assert (walked_by(c_kernel, _subsets, nfa, CAP)
+                == walked_by(_simkernel_py, _subsets, nfa, CAP))
+        # Not lowered: the ALL_INPUT starts fill the program's `always`.
+        program = _program(nfa)[2]
+        assert (c_kernel.subsets(program, CAP)
+                == _simkernel_py.subsets(program, CAP))
+
+    @pytest.mark.parametrize("kind", [SOD, ALL],
+                             ids=["start-of-data", "all-input"])
+    def test_multiword_subsets_match_python(self, c_kernel, kind):
+        # Over 64 states, so subsets span several 64-bit words, in the
+        # forward walk and in Brzozowski's walk of the reversed table.
+        merged = merge_patterns([gen_levenshtein(p, 2, kind) for p in (
+            b"abcdabcd", b"dcbadcba", b"abcabcab", b"hgfedcba")])
+        assert merged.state_count > 64
+        assert (walked_by(c_kernel, _subsets, merged, CAP)
+                == walked_by(_simkernel_py, _subsets, merged, CAP))
+        minimal = [walked_by(module, minimize_brzozowski, merged)
+                   for module in (c_kernel, _simkernel_py)]
+        assert minimal[0].structurally_equal(minimal[1])
+
+    def test_new_subsets_are_numbered_by_their_highest_class(self, walk):
+        # State 0 moves to 2 on classes 0 and 2, and to 1 on class 1.  The
+        # highest class into {1} is 1 and into {2} is 2, so {1} comes
+        # first.
+        program = (3, 3, ints(0, 1, 2, 3, 3, 3, 3, 3, 3, 3), ints(2, 1, 2),
+                   ints(0), ints(), ints(-1, -1, -1))
+        found, table = walk.subsets(program, 3)
+        assert found == [1, 2, 4]
+        assert list(table) == [2, 1, 2] + [-1] * 6
+
+    @settings(max_examples=100, deadline=None)
+    @given(nfas())
+    def test_cap_boundary(self, c_kernel, nfa):
+        program = _program(lower_all_input(nfa))[2]
+        n = len(_simkernel_py.subsets(program, CAP)[0])
+        for module in (_simkernel_py, c_kernel):
+            assert len(module.subsets(program, n)[0]) == n
+            if n > 1:
+                with pytest.raises(CapExceededError) as info:
+                    module.subsets(program, n - 1)
+                assert info.value.cap == n - 1
+
+    @pytest.mark.parametrize("cap", [0, -3, -2**70])
+    def test_cap_below_one_is_rejected(self, walk, cap):
+        one_state = Automaton(state_count=1, starts={0: SOD})
+        with pytest.raises(ValueError,
+                           match=rf"cap must be at least 1 \(got {cap}\)"):
+            _subsets(one_state, cap)
+
+    def test_cap_beyond_a_machine_word_is_no_bound(self, walk):
+        assert _subsets(compile_regex("ab", SOD), 2**70)[1] == _subsets(
+            compile_regex("ab", SOD), CAP)[1]
 
 
 class TestMinimizers:
