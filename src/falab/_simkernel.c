@@ -7,7 +7,7 @@
    init, always, report), the same ((per_cycle_count, activation,
    reports), work) summary or, with rules = (rule_of, raw_start), the same
    (active_rules, moving_rules) pairs, the same per-cycle frozensets from
-   active_sets, the same operation count, and the same (subsets, table)
+   active_sets, the same operation count, and the same (labels, table)
    numbering from subsets.  The arrays are read in place through the
    buffer protocol, never copied.  One pass checks them all before the
    scan or walk: an argument that is not a buffer, or whose items are not
@@ -15,7 +15,9 @@
    decrease or do not end at len(succ), a state outside 0..n-1 or a
    report item outside -1..n-1 raises ValueError naming the array and
    index.  The walk keeps each subset as the span of its nonzero 64-bit
-   words, found again through an open-addressing hash of the spans.
+   words, found again through an open-addressing hash of the spans, and
+   counts each subset's report labels with per-label stamps, as the scan
+   does per cycle; the spans never leave the module.
    FORMAT numbers this program layout; falab.transform uses the module
    only when it equals falab._simkernel_py.FORMAT. */
 
@@ -24,7 +26,7 @@
 #include <stdint.h>
 #include <stdlib.h>
 
-#define FORMAT 4
+#define FORMAT 5
 
 /* Buffer views, acquired in this order (DATA only for a scan, RULE_OF
    and RAW_START only with rules), with their names and item formats;
@@ -444,37 +446,16 @@ cap_exceeded(PyObject *cap)
     Py_XDECREF(module);
 }
 
-/* The found subsets as Python ints; bytes has room for n bits. */
+/* The first count items as an array('i'). */
 static PyObject *
-subset_ints(const Found *f, unsigned char *bytes)
-{
-    PyObject *list = PyList_New(f->count);
-
-    for (Py_ssize_t id = 0; list != NULL && id < f->count; id++) {
-        const uint64_t *words = f->pool + f->spans[id].start;
-        Py_ssize_t lo = f->spans[id].lo, len = f->spans[id].len;
-        for (Py_ssize_t k = 0; k < len; k++)  /* little-endian bytes */
-            for (int b = 0; b < 8; b++)
-                bytes[(lo + k) * 8 + b] = (unsigned char)(words[k] >> 8 * b);
-        PyObject *v = _PyLong_FromByteArray(bytes, (lo + len) * 8, 1, 0);
-        memset(bytes + lo * 8, 0, len * 8);
-        if (v == NULL)
-            Py_CLEAR(list);
-        else
-            PyList_SET_ITEM(list, id, v);
-    }
-    return list;
-}
-
-/* The items of table as an array('i'). */
-static PyObject *
-int_array(const int32_t *table, Py_ssize_t count)
+int_array(const int32_t *items, Py_ssize_t count)
 {
     PyObject *module = PyImport_ImportModule("array");
     PyObject *array = module ? PyObject_CallMethod(module, "array", "s", "i")
                              : NULL;
-    PyObject *view = PyMemoryView_FromMemory((char *)table,
-                                             count * sizeof *table, PyBUF_READ);
+    PyObject *view = PyMemoryView_FromMemory((char *)items,
+                                             count * sizeof *items,
+                                             PyBUF_READ);
     PyObject *done = array && view ? PyObject_CallMethod(array, "frombytes",
                                                          "O", view)
                                    : NULL;
@@ -493,8 +474,9 @@ static PyObject *
 walk(const Program *p, Py_ssize_t limit, PyObject *cap)
 {
     const int32_t *off = ITEMS(p, OFF), *succ = ITEMS(p, SUCC);
+    const int32_t *report = ITEMS(p, REPORT);
     Py_ssize_t n = p->n, ncls = p->ncls, words = (n + 63) / 64;
-    Py_ssize_t nalways = p->len[ALWAYS], room = 0;
+    Py_ssize_t nalways = p->len[ALWAYS], room = 0, label_room = 0;
     Found f = {.mask = 15};
     /* per class, and for the first subset: a bitset and its nonzero span
        [lo, hi] */
@@ -502,12 +484,12 @@ walk(const Program *p, Py_ssize_t limit, PyObject *cap)
     Py_ssize_t *lo = PyMem_Malloc((ncls + 1) * sizeof *lo);
     Py_ssize_t *hi = PyMem_Malloc((ncls + 1) * sizeof *hi);
     Py_ssize_t *fresh = PyMem_Malloc((ncls + 1) * sizeof *fresh);
-    unsigned char *bytes = PyMem_Calloc(words * 8 + 1, 1);
-    int32_t *table = NULL;
-    PyObject *ints = NULL, *array = NULL, *result = NULL;
+    Py_ssize_t *seen = PyMem_Calloc(n + 1, sizeof *seen);  /* label stamps */
+    int32_t *table = NULL, *labels = NULL;
+    PyObject *counts = NULL, *array = NULL, *result = NULL;
 
     f.slots = PyMem_Calloc(f.mask + 1, sizeof *f.slots);
-    if (!step || !lo || !hi || !fresh || !bytes || !f.slots
+    if (!step || !lo || !hi || !fresh || !seen || !f.slots
         || reserve(&f, 1, words) < 0) {
         PyErr_NoMemory();
         goto done;
@@ -532,16 +514,23 @@ walk(const Program *p, Py_ssize_t limit, PyObject *cap)
     for (Py_ssize_t r = 0; r < f.count; r++) {  /* f grows: BFS */
         if (reserve(&f, ncls, words) < 0
             || (table = grow(table, &room, (r + 1) * ncls, sizeof *table))
+               == NULL
+            || (labels = grow(labels, &label_room, r + 1, sizeof *labels))
                == NULL) {
             PyErr_NoMemory();
             goto done;
         }
         Span from = f.spans[r];
+        labels[r] = 0;
         for (Py_ssize_t k = 0; k < from.len; k++)
             for (uint64_t bits = f.pool[from.start + k]; bits;
                  bits &= bits - 1) {
                 Py_ssize_t s = (from.lo + k) * 64 + __builtin_ctzll(bits);
                 const int32_t *row = off + s * ncls;
+                if (report[s] >= 0 && seen[report[s]] != r + 1) {
+                    seen[report[s]] = r + 1;
+                    labels[r]++;
+                }
                 for (Py_ssize_t c = 0; c < ncls; c++)
                     set_bits(step + c * words, succ + row[c],
                              row[c + 1] - row[c], &lo[c], &hi[c]);
@@ -589,20 +578,21 @@ walk(const Program *p, Py_ssize_t limit, PyObject *cap)
             f.spans[j] = swap;
         }
     }
-    if ((ints = subset_ints(&f, bytes)) != NULL
+    if ((counts = int_array(labels, f.count)) != NULL
         && (array = int_array(table, f.count * ncls)) != NULL)
-        result = PyTuple_Pack(2, ints, array);
+        result = PyTuple_Pack(2, counts, array);
 done:
     PyMem_Free(step);
     PyMem_Free(lo);
     PyMem_Free(hi);
     PyMem_Free(fresh);
-    PyMem_Free(bytes);
+    PyMem_Free(seen);
     PyMem_Free(table);
+    PyMem_Free(labels);
     PyMem_Free(f.spans);
     PyMem_Free(f.pool);
     PyMem_Free(f.slots);
-    Py_XDECREF(ints);
+    Py_XDECREF(counts);
     Py_XDECREF(array);
     return result;
 }
@@ -725,7 +715,7 @@ static PyMethodDef methods[] = {
     {"subsets", (PyCFunction)(void (*)(void))subsets,
      METH_VARARGS | METH_KEYWORDS,
      "subsets(program, cap)\n--\n\n"
-     "Return (subsets, table) of the program's subset construction."},
+     "Return (labels, table) of the program's subset construction."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -51,17 +51,20 @@ to look at its sets is not counted as scanning again.  A scan resumes
 where another stopped when ``init`` is that scan's last set.
 
 ``subsets(program, cap)`` is the subset construction of the program,
-breadth-first.  A subset of states is an int bitset; the first is
-``init``, and the subset that one reaches on class ``c`` is the union of
-its states' successors on ``c``, plus ``always`` (empty for the walks of
-``falab.transform``, which lower ALL_INPUT starts first).  It returns
-``(subsets, table)``:
+breadth-first.  The first subset of states is ``init``, and the subset
+that one reaches on class ``c`` is the union of its states' successors on
+``c``, plus ``always`` (empty for the walks of ``falab.transform``, which
+lower ALL_INPUT starts first).  It returns ``(labels, table)``, two
+``array('i')`` with one DFA state per subset found, each once, in
+breadth-first order (the empty subset is only ever the first, when
+``init`` is empty):
 
-- ``subsets`` lists the subsets found, each once, in breadth-first
-  order; the empty subset is only ever the first, when ``init`` is empty;
-- ``table`` is an ``array('i')`` of ``len(subsets) * ncls`` items:
-  ``table[s * ncls + c]`` is the index of the subset that ``subsets[s]``
-  reaches on class ``c``, or -1 when that is empty (no move);
+- ``labels[s]`` is the number of distinct report labels (the ``report``
+  items other than -1) among the states of subset ``s``, so 0 where it
+  accepts nothing;
+- ``table`` has ``len(labels) * ncls`` items: ``table[s * ncls + c]`` is
+  the state that ``s`` reaches on class ``c``, or -1 when that subset is
+  empty (no move);
 - each row's new subsets are numbered upwards in the order of the
   highest class that reaches each: when the classes are the ascending
   atoms of the byte alphabet, that is ascending order of the class
@@ -79,7 +82,7 @@ from __future__ import annotations
 
 from array import array
 
-FORMAT = 4
+FORMAT = 5
 
 
 def _steps(program, data: bytes):
@@ -130,11 +133,11 @@ def active_sets(program, data: bytes) -> list[frozenset[int]]:
     return [frozenset(active) for active, _ in _steps(program, data)]
 
 
-def subsets(program, cap: int) -> tuple[list[int], array]:
-    """Return (subsets, table) of the program's subset construction."""
+def subsets(program, cap: int) -> tuple[array, array]:
+    """Return (labels, table) of the program's subset construction."""
     if cap < 1:
         raise ValueError(f"determinization cap must be at least 1 (got {cap})")
-    n, ncls, off, succ, init, always = program[:6]
+    n, ncls, off, succ, init, always, report = program
     rows = []  # per state: (class, successor bitset) for each nonempty class
     for s in range(n):
         row = []
@@ -156,14 +159,19 @@ def subsets(program, cap: int) -> tuple[list[int], array]:
     if first:
         ids[first] = 0
     found = [first]
-    table = array("i")
+    labels, table = array("i"), array("i")
     for subset in found:  # grows while it is walked: BFS
         step = [every] * ncls
+        seen = set()
         while subset:
             low = subset & -subset
             subset ^= low
-            for c, bits in rows[low.bit_length() - 1]:
+            s = low.bit_length() - 1
+            seen.add(report[s])
+            for c, bits in rows[s]:
                 step[c] |= bits
+        seen.discard(-1)
+        labels.append(len(seen))
         # one lookup per class, as hashing a subset costs O(its size)
         row = list(map(ids.get, step))
         if None in row:
@@ -183,4 +191,4 @@ def subsets(program, cap: int) -> tuple[list[int], array]:
                     row[c] = len(found)
                 found.append(target)
         table.extend(row)
-    return found, table
+    return labels, table

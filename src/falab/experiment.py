@@ -5,7 +5,7 @@ compile -> remove_epsilon -> trim -> optimize_nfa -> determinize ->
 minimize (Brzozowski, cross-checked against Hopcroft).  All state counts
 exclude unreachable states and the implicit dead state.  The determinize
 stage is the subset walk alone: ``dfa_states`` counts its subsets, and
-the Hopcroft cross-check refines the walk's dense table, so no DFA
+the Hopcroft cross-check refines the walk's own table, so no DFA
 ``Automaton`` is built for either.
 
 Timings are measured per stage but written to the CSV only on request:
@@ -25,10 +25,9 @@ from ._version import __version__
 from .core import Automaton, StartKind, stats
 from .documents import write_text_atomic
 from .generators import Pattern, SplitMix64, compile_pattern, pattern_size
-from .transform import (CapExceededError, DEFAULT_STATE_CAP, _accepting,
-                        _refine, _subsets, equivalent, merge_patterns,
-                        minimize_brzozowski, optimize_nfa, remove_epsilon,
-                        trim)
+from .transform import (CapExceededError, DEFAULT_STATE_CAP, _dfa_sizes,
+                        equivalent, merge_patterns, minimize_brzozowski,
+                        optimize_nfa, remove_epsilon, trim)
 
 CAP_TOKEN = "CAP_EXCEEDED"
 SPOT_CHECK_ROWS = 4
@@ -183,16 +182,11 @@ def _run_pipeline(key: int, nfa_raw: Automaton,
     dfa_states = mdfa = None
     status = "ok"
     try:
-        atoms, subsets, table = _subsets(nfa, cap)
-        dfa_states = len(subsets)
+        sizes = _dfa_sizes(nfa, cap)
+        dfa_states = next(sizes)
         t3 = time.perf_counter()
         mdfa = minimize_brzozowski(nfa, cap)
-        # Hopcroft's cross-check refines the walk's own table.  It counts
-        # the blocks other than the dead state's, and 1 for the empty
-        # language, as minimize_hopcroft does.
-        block_of = _refine(dfa_states, len(atoms), table,
-                           _accepting(subsets, nfa.accepts))
-        hop_states = max(len(set(block_of)) - 1, 1)
+        hop_states = next(sizes)  # Hopcroft's cross-check
         t4 = time.perf_counter()
         if hop_states != mdfa.state_count:
             raise AssertionError(

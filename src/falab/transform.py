@@ -11,17 +11,19 @@ One builder (``_program``) turns an automaton into the flat program of
 byte-class successors that ``_simkernel_py`` specifies:
 :class:`~falab.simulate.Simulator` scans it, and the subset walk
 (``_subsets``) determinizes it into a dense DFA table, the NFA's byte
-classes and one target id per state and class.  Both run in the kernel
-this module loads: the compiled ``_simkernel`` when the extension was
-built (``python setup.py build_ext --inplace``) for the same program
-``FORMAT``, and otherwise ``_simkernel_py``, whose plain-Python loops are
-the specification both follow; a compiled module of another format is
-ignored with a ``RuntimeWarning``.  ``determinize`` builds its
-``Automaton`` from the walk's table, Brzozowski's second walk runs on the
-first one's table reversed, and one Hopcroft refinement (``_refine``)
-runs on a table, whether the walk's own (as the report pipeline's
-cross-check does) or one that ``minimize_hopcroft`` reads off a DFA's
-edges.
+classes and one target id per state and class, plus the number of report
+labels each DFA state accepts.  Both run in the kernel this module loads:
+the compiled ``_simkernel`` when the extension was built (``python
+setup.py build_ext --inplace``) for the same program ``FORMAT``, and
+otherwise ``_simkernel_py``, whose plain-Python loops are the
+specification both follow; a compiled module of another format is
+ignored with a ``RuntimeWarning``.  The walk is the only way into a DFA
+table: ``determinize`` builds its ``Automaton`` from it, Brzozowski's
+second walk runs on the first one's table reversed, and the one Hopcroft
+refinement (``_refine``) runs on the walk's own table, whether the walk
+of an NFA (the report pipeline's cross-check) or of a DFA
+(``minimize_hopcroft``, to which that walk is the DFA trimmed and
+renumbered breadth-first).
 
 Deterministic automata here are partial: a missing transition means
 rejection, and the implicit dead state is never materialized or counted.
@@ -32,7 +34,7 @@ from __future__ import annotations
 import warnings
 from array import array
 from collections import deque
-from itertools import accumulate, chain
+from itertools import accumulate, chain, compress
 
 from . import _simkernel_py
 from .core import (Automaton, StartKind, SymbolClass, is_deterministic,
@@ -265,39 +267,36 @@ def _program(a: Automaton) -> tuple[list[int], list, tuple]:
         array("i", sorted(init)), array("i", sorted(always)), report)
 
 
-def _subsets(a: Automaton, cap: int) -> tuple[list[int], list[int], array]:
-    """The subset walk behind :func:`determinize`, :func:`equivalent`
-    and the report pipeline, run to the end.
+def _subsets(a: Automaton, cap: int) -> tuple[list[int], array, array]:
+    """The subset walk behind :func:`determinize`, :func:`equivalent`,
+    both minimizers and the report pipeline, run to the end.
 
-    Returns ``(atoms, subsets, table)``: the lowered NFA's byte classes
+    Returns ``(atoms, labels, table)``: the lowered NFA's byte classes
     (the atoms of :func:`partition_masks` over every edge class, in
-    ascending order), the reachable subsets as int bitsets in DFA state
-    order, and the dense transition table, an ``array('i')`` of
-    ``len(subsets) * len(atoms)`` state ids: ``table[s * len(atoms) + i]``
-    is the state that ``s`` reaches on atom ``i``, or -1 for no move (the
-    empty subset).  The kernel's ``subsets`` walks :func:`_program` of
-    the lowered NFA.
+    ascending order), then two ``array('i')`` indexed by DFA state.
+    ``labels[s]`` counts the distinct report labels (the
+    ``component_labels`` of the accepting states, unlabeled as one) among
+    the NFA states of subset ``s``, so ``s`` accepts where it is above 0.
+    ``table`` holds ``len(labels) * len(atoms)`` state ids:
+    ``table[s * len(atoms) + i]`` is the state that ``s`` reaches on atom
+    ``i``, or -1 for no move (the empty subset).  The kernel's
+    ``subsets`` walks :func:`_program` of the lowered NFA.
     """
     atoms, _, program = _program(lower_all_input(a))
     return (atoms, *_kernel.subsets(program, cap))
 
 
-def _accepting(subsets: list[int], accepts) -> list[int]:
-    """The DFA states whose subset holds one of the NFA states ``accepts``."""
-    bits = sum(1 << s for s in accepts)
-    return [i for i, subset in enumerate(subsets) if subset & bits]
-
-
 def determinize(a: Automaton, cap: int = DEFAULT_STATE_CAP) -> Automaton:
     """Subset construction.  Only reachable subset states materialize.
 
-    ALL_INPUT starts are lowered first.  Subsets are int bitsets of NFA
-    states, stepped over the NFA's byte classes (the atoms of
+    ALL_INPUT starts are lowered first.  Subsets of NFA states are
+    stepped over the NFA's byte classes (the atoms of
     :func:`partition_masks` over every edge class, computed once): each
-    state maps each class it reads to the bitset of its epsilon-closed
-    successors.  The walk (:func:`_subsets`) fills a dense table of one
-    target id per subset and class; the empty subset (dead state) is
-    never created: missing transitions mean rejection.  Each output state
+    state maps each class it reads to its epsilon-closed successors.  The
+    walk (:func:`_subsets`) fills a dense table of one target id per
+    subset and class, and a state accepts where its subset holds an
+    accepting NFA state; the empty subset (dead state) is never created:
+    missing transitions mean rejection.  Each output state
     gets one edge per target, the union of the classes leading there, and
     edges come out sorted by (src, class mask, dst).  States are numbered
     breadth-first from the start-of-data closure, new targets in
@@ -306,15 +305,13 @@ def determinize(a: Automaton, cap: int = DEFAULT_STATE_CAP) -> Automaton:
     ``isomorphic``.  Raises :class:`CapExceededError` when more than
     ``cap`` states materialize, and ValueError when ``cap`` is below 1.
     """
-    atoms, subsets, table = _subsets(a, cap)
-    return _table_automaton(atoms, table, len(subsets), 0,
-                            _accepting(subsets, a.accepts))
+    return _table_automaton(*_subsets(a, cap))
 
 
-def _table_automaton(atoms: list[int], table: array, n: int, start: int,
-                     accepts) -> Automaton:
-    """The partial DFA of the ``n``-state dense table ``table`` over the
-    ascending ``atoms`` (laid out as :func:`_subsets` returns them).
+def _table_automaton(atoms: list[int], labels, table: array) -> Automaton:
+    """The partial DFA of a dense table over the ascending ``atoms``, laid
+    out as :func:`_subsets` returns it: state 0 starts, and a state
+    accepts where its ``labels`` item is above 0.
 
     Each state gets one edge per target, the union of the atoms leading
     there; edges are sorted by (src, class mask, dst), and edges with
@@ -339,10 +336,10 @@ def _table_automaton(atoms: list[int], table: array, n: int, start: int,
                 cls = classes[mask] = SymbolClass(mask)
             edges.append((src, cls, dst))
     return Automaton(
-        state_count=n,
+        state_count=len(labels),
         edges=tuple(edges),
-        starts={start: StartKind.START_OF_DATA},
-        accepts=frozenset(accepts),
+        starts={0: StartKind.START_OF_DATA},
+        accepts=frozenset(compress(range(len(labels)), labels)),
         deterministic=True,
     )
 
@@ -378,18 +375,21 @@ def _predecessors(table: array, natoms: int, n: int) -> list[list[list[int]]]:
     return preds
 
 
-def _reversed_program(table: array, natoms: int, n: int,
-                      accepting: list[int]) -> tuple:
-    """The kernel program of the ``n``-state dense table ``table`` with
-    its edges flipped: the successors of ``t`` on atom ``i`` are the
-    states that reach ``t`` on ``i``.  The accepting states are the
-    initial set."""
+def _reversed_program(natoms: int, labels, table: array) -> tuple:
+    """The kernel program of a dense table (as :func:`_table_automaton`
+    reads it) with its edges flipped: the successors of ``t`` on atom
+    ``i`` are the states that reach ``t`` on ``i``.  The accepting states
+    are the initial set, and the start, state 0, is the one state with a
+    report label, so a walk of the program accepts where it holds it."""
+    n = len(labels)
     # (t, i) order: state-major, as the program lays its rows out
     rows = list(chain.from_iterable(zip(*(col[:n] for col in
                                           _predecessors(table, natoms, n)))))
+    report = array("i", [-1]) * n
+    report[0] = 0
     return (n, natoms, array("i", accumulate(map(len, rows), initial=0)),
-            array("i", chain.from_iterable(rows)), array("i", accepting),
-            array("i"), array("i", [-1]) * n)
+            array("i", chain.from_iterable(rows)),
+            array("i", compress(range(n), labels)), array("i"), report)
 
 
 def minimize_brzozowski(a: Automaton, cap: int = DEFAULT_STATE_CAP) -> Automaton:
@@ -397,28 +397,25 @@ def minimize_brzozowski(a: Automaton, cap: int = DEFAULT_STATE_CAP) -> Automaton
 
     The middle DFA stays a table: the second walk runs on the first
     walk's table with its edges flipped, started from its accepting
-    subsets, and accepts in the subsets that hold its start.  Output is
+    states, and accepts in the subsets that hold its start.  Output is
     the unique minimal DFA modulo the (never materialized) dead state;
     its state count excludes that dead state by construction.  Raises
     :class:`CapExceededError` when either walk passes ``cap``.
     """
-    first = reverse(a)
-    atoms, found, table = _subsets(first, cap)
-    program = _reversed_program(table, len(atoms), len(found),
-                                _accepting(found, first.accepts))
-    found, table = _kernel.subsets(program, cap)
-    return _table_automaton(atoms, table, len(found), 0, _accepting(found, [0]))
+    atoms, labels, table = _subsets(reverse(a), cap)
+    program = _reversed_program(len(atoms), labels, table)
+    return _table_automaton(atoms, *_kernel.subsets(program, cap))
 
 
 # ---------------------------------------------------------------------------
 # Hopcroft minimization (partition refinement)
 
 
-def _refine(n: int, natoms: int, table: array, accepting) -> list[int]:
-    """Hopcroft's partition refinement on a dense DFA table.
+def _refine(natoms: int, labels, table: array) -> list[int]:
+    """Hopcroft's partition refinement on a dense DFA table of ``n =
+    len(labels)`` states, as :func:`_table_automaton` reads it.
 
-    ``table`` holds ``n * natoms`` target ids as :func:`_subsets` returns
-    them.  The DFA is completed with a virtual dead state, index ``n``,
+    The DFA is completed with a virtual dead state, index ``n``,
     so the -1 targets (no move) land on it, and is refined from the
     accepting/non-accepting split until every block agrees on the block
     it reaches on every atom.  A splitter block is taken off the worklist
@@ -428,12 +425,13 @@ def _refine(n: int, natoms: int, table: array, accepting) -> list[int]:
     block of each state, dead state last; states in the dead state's
     block cannot reach acceptance.
     """
+    n = len(labels)
     total = n + 1
     preds = _predecessors(table, natoms, n)
     for col in preds:
         col[n].append(n)  # the dead state loops on every atom
 
-    accepting = set(accepting)
+    accepting = set(compress(range(n), labels))
     blocks = [b for b in (accepting, set(range(total)) - accepting) if b]
     block_of = [0] * total
     for s in blocks[-1]:
@@ -470,39 +468,30 @@ def _refine(n: int, natoms: int, table: array, accepting) -> list[int]:
 def minimize_hopcroft(a: Automaton) -> Automaton:
     """Partition-refinement minimization of a DFA.
 
-    The input must be deterministic (determinize first).  After
-    :func:`trim`, its edges become a dense table over the atoms of its
-    edge classes (bytes no edge reads lead only to the dead state and
-    split nothing), which :func:`_refine` refines.  States
-    indistinguishable from the dead state are dropped from the output,
-    so counts match :func:`minimize_brzozowski`; output states are the
-    blocks, numbered in order of their smallest member.
+    The input must be deterministic (determinize first).  Its subset walk
+    (:func:`_subsets`, every subset a single state) is the DFA trimmed to
+    its reachable states and renumbered breadth-first, as
+    :func:`determinize` numbers its output, over the atoms of its edge
+    classes (bytes no edge reads lead only to the dead state and split
+    nothing); :func:`_refine` refines that table.  So the output does not
+    depend on the input's numbering, and a :func:`determinize` output is
+    walked unchanged.  States indistinguishable from the dead state are
+    dropped, so counts match :func:`minimize_brzozowski`; output states
+    are the blocks, numbered in order of their smallest walked member.
     """
     if not is_deterministic(a):
         raise ValueError("minimize_hopcroft requires a deterministic automaton")
-    a = trim(a)
-    n = a.state_count
-    atoms = sorted(partition_masks([c.mask for _, c, _ in a.edges]))
+    atoms, labels, table = _subsets(a, a.state_count)
     natoms = len(atoms)
-    table = array("i", [-1]) * (n * natoms)
-    for src, cls, dst in a.edges:
-        for i, atom in enumerate(atoms):
-            if atom & cls.mask:
-                table[src * natoms + i] = dst
-    block_of = _refine(n, natoms, table, a.accepts)
-
-    dead_block = block_of[n]
-    start = next(iter(a.starts))
-    if block_of[start] == dead_block:
+    block_of = _refine(natoms, labels, table)
+    dead_block = block_of[-1]
+    if block_of[0] == dead_block:
         # empty language: a lone start state, no edges, no accepts
-        return Automaton(state_count=1,
-                         starts={0: StartKind.START_OF_DATA},
-                         accepts=frozenset(),
+        return Automaton(state_count=1, starts={0: StartKind.START_OF_DATA},
                          deterministic=True)
     new_id: dict[int, int] = {}
     reps = []  # the smallest member of each live block, in state order
-    for s in range(n):
-        b = block_of[s]
+    for s, b in enumerate(block_of[:-1]):
         if b != dead_block and b not in new_id:
             new_id[b] = len(reps)
             reps.append(s)
@@ -510,9 +499,18 @@ def minimize_hopcroft(a: Automaton) -> Automaton:
     for rep in reps:
         quotient.extend(new_id.get(block_of[t], -1)
                         for t in table[rep * natoms:(rep + 1) * natoms])
-    return _table_automaton(atoms, quotient, len(reps),
-                            new_id[block_of[start]],
-                            (new_id[block_of[s]] for s in a.accepts))
+    return _table_automaton(atoms, [labels[rep] for rep in reps], quotient)
+
+
+def _dfa_sizes(a: Automaton, cap: int):
+    """Yield the state count of ``determinize(a, cap)``, then, once
+    resumed, that of its minimal DFA as :func:`minimize_hopcroft` counts
+    it: the live blocks of :func:`_refine` on the walk's own table, and 1
+    for the empty language.  The report pipeline times the two steps
+    apart and builds neither DFA."""
+    atoms, labels, table = _subsets(a, cap)
+    yield len(labels)
+    yield max(len(set(_refine(len(atoms), labels, table))) - 1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -625,24 +623,33 @@ def connected_components(a: Automaton) -> list[Automaton]:
 
     # Ascending states: each rule first appears at its smallest state.
     members: dict[int, list[int]] = {}
+    local = [0] * a.state_count  # each state's index within its rule
     for s in range(a.state_count):
         if rule_of(s) is not None:
-            members.setdefault(rule_of(s), []).append(s)
-    out = []
-    for index, states in enumerate(members.values()):
-        newid = {old: new for new, old in enumerate(states)}
-        label = labels[states[0]] if labels else index
-        out.append(Automaton(
-            state_count=len(states),
-            edges=tuple((newid[s], c, newid[d]) for s, c, d in a.edges
-                        if s in newid),
-            epsilon_edges=tuple((newid[s], newid[d])
-                                for s, d in a.epsilon_edges if s in newid),
-            starts={newid[s]: k for s, k in starts.items() if s in newid},
-            accepts=frozenset(newid[s] for s in a.accepts if s in newid),
-            component_labels={newid[s]: label for s in states},
-        ))
-    return out
+            states = members.setdefault(rule_of(s), [])
+            local[s] = len(states)
+            states.append(s)
+    # One pass over each collection splits it by rule, keeping its order;
+    # only the shared start's epsilon edges and marking are in no rule.
+    parts = {r: ([], [], {}, []) for r in members}
+    for s, c, d in a.edges:
+        parts[rule_of(s)][0].append((local[s], c, local[d]))
+    for s, d in a.epsilon_edges:
+        if rule_of(s) is not None:
+            parts[rule_of(s)][1].append((local[s], local[d]))
+    for s, k in starts.items():
+        if rule_of(s) is not None:
+            parts[rule_of(s)][2][local[s]] = k
+    for s in a.accepts:
+        parts[rule_of(s)][3].append(local[s])
+    return [Automaton(state_count=len(states), edges=tuple(edges),
+                      epsilon_edges=tuple(eps), starts=kinds,
+                      accepts=frozenset(accepting),
+                      component_labels=dict.fromkeys(
+                          range(len(states)),
+                          labels[states[0]] if labels else index))
+            for index, (states, (edges, eps, kinds, accepting))
+            in enumerate(zip(members.values(), parts.values()))]
 
 
 def merge_patterns(patterns: list[Automaton],
@@ -715,17 +722,14 @@ def equivalent(a: Automaton, b: Automaton,
     """Exact language equivalence, no length bound.
 
     Walks the subsets of ``merge_patterns([a, b])`` once: each pairs what
-    one word reaches in ``a`` and in ``b``, so the languages match when
-    every subset holds an accepting state of both sides or of neither.
-    ``cap`` bounds that joint walk, shared start included: it may raise
-    where each side alone fits.
+    one word reaches in ``a`` and in ``b``, and the union labels every
+    state with its side (the inputs' own ``component_labels`` are not
+    read), so the languages match when no subset accepts the label of
+    exactly one side.  ``cap`` bounds that joint walk, shared start
+    included: it may raise where each side alone fits.
     """
-    union = merge_patterns([a, b])
-    side = union.component_labels
-    side0, side1 = (sum(1 << s for s in union.accepts if side[s] == k)
-                    for k in (0, 1))
-    _, subsets, _ = _subsets(union, cap)
-    return all(bool(x & side0) == bool(x & side1) for x in subsets)
+    _, labels, _ = _subsets(merge_patterns([a, b]), cap)
+    return 1 not in labels
 
 
 # ---------------------------------------------------------------------------

@@ -106,11 +106,5 @@ def class_kernel(request):
 
 @pytest.fixture(params=KERNELS)
 def kernel(request, monkeypatch):
-    """Scan with each kernel in turn."""
-    return use_kernel(request, monkeypatch, request.param)
-
-
-@pytest.fixture(params=KERNELS)
-def walk(request, monkeypatch):
-    """Walk subsets with each kernel in turn."""
+    """Scan and walk subsets with each kernel in turn."""
     return use_kernel(request, monkeypatch, request.param)

@@ -9,7 +9,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from falab import experiment
+from falab import experiment, transform
 from falab.cli import main
 from falab.core import StartKind
 from falab.documents import PatternSet, save_pattern_set
@@ -34,13 +34,13 @@ def test_language_change_fails_the_spot_check(monkeypatch):
 
 
 def test_minimizer_disagreement_fails_the_report(monkeypatch):
-    refine = experiment._refine
+    refine = transform._refine
 
     def one_block_too_many(*args):
         blocks = refine(*args)
         return blocks + [max(blocks) + 1]
 
-    monkeypatch.setattr(experiment, "_refine", one_block_too_many)
+    monkeypatch.setattr(transform, "_refine", one_block_too_many)
     with pytest.raises(AssertionError,
                        match="minimizer disagreement on key 7: brzozowski 3 "
                              "vs hopcroft 4$"):
@@ -66,7 +66,7 @@ def test_counts_match_the_oracles(mode, data):
     assert row.mdfa_states == brute_force_minimal_states(dfa)
 
 
-def test_long_chain(walk):
+def test_long_chain(kernel):
     # A refinement in rounds, one per distinguishing length, would need
     # 20,000 rounds here; the subset walks hold 20,001 single-state
     # subsets, spread over 313 bitset words.

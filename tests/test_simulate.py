@@ -559,7 +559,7 @@ def import_with_fake_kernel(format) -> list[str]:
     return proc.stdout.splitlines()
 
 
-@pytest.mark.parametrize("format", [None, 1, 2, 3, 5])
+@pytest.mark.parametrize("format", [None, 1, 2, 3, 4, 6])
 def test_compiled_kernel_of_another_format_is_refused(format):
     # A module built from an older source (no FORMAT, or another one) is
     # ignored with a warning that names it and the rebuild command.
@@ -716,7 +716,8 @@ class TestCompiledKernelErrors:
             yield ((n, ncls, off, succ, ints(0), ints(), report),
                    (array("i", [n]) * n, bytes(n)), None)
             step = array("i", to_next)
-            yield ((n, ncls, off, step, ints(0), ints(), report),
+            labeled = array("i", range(n))  # the walk counts each label
+            yield ((n, ncls, off, step, ints(0), ints(), labeled),
                    (rules[0], rules[0]), CapExceededError)
             off.append(0)  # raises BufferError while a view is held
             succ.append(0)

@@ -1,5 +1,6 @@
 import json
 import time
+import tracemalloc
 from array import array
 from collections import deque
 from dataclasses import replace
@@ -11,7 +12,7 @@ from falab import _simkernel_py, transform
 from falab.cli import main
 from falab.core import (Automaton, StartKind, SymbolClass, canonicalize,
                         is_deterministic, isomorphic, merge_parallel_edges,
-                        validate)
+                        relabel, validate)
 from falab.documents import save_automaton
 from falab.generators import SplitMix64, gen_levenshtein
 from falab.regex import compile_regex
@@ -218,15 +219,26 @@ class TestSubsetWalk:
                    for module in (c_kernel, _simkernel_py)]
         assert minimal[0].structurally_equal(minimal[1])
 
-    def test_new_subsets_are_numbered_by_their_highest_class(self, walk):
+    def test_new_subsets_are_numbered_by_their_highest_class(self, kernel):
         # State 0 moves to 2 on classes 0 and 2, and to 1 on class 1.  The
         # highest class into {1} is 1 and into {2} is 2, so {1} comes
-        # first.
+        # first; only state 2 has a report label.
         program = (3, 3, ints(0, 1, 2, 3, 3, 3, 3, 3, 3, 3), ints(2, 1, 2),
-                   ints(0), ints(), ints(-1, -1, -1))
-        found, table = walk.subsets(program, 3)
-        assert found == [1, 2, 4]
+                   ints(0), ints(), ints(-1, -1, 0))
+        labels, table = kernel.subsets(program, 3)
+        assert list(labels) == [0, 0, 1]
         assert list(table) == [2, 1, 2] + [-1] * 6
+
+    @pytest.mark.parametrize("report, counts", [
+        ((-1, -1, -1), [0, 0]), ((-1, 0, 0), [0, 1]), ((-1, 0, 1), [0, 2]),
+        ((1, 2, 0), [1, 2])])
+    def test_labels_count_distinct_report_labels(self, kernel, report,
+                                                 counts):
+        # {0} moves to {1, 2} on the one class, which moves nowhere.
+        program = (3, 1, ints(0, 2, 2, 2), ints(1, 2), ints(0), ints(),
+                   ints(*report))
+        labels, table = kernel.subsets(program, 2)
+        assert (list(labels), list(table)) == (counts, [1, -1])
 
     @settings(max_examples=100, deadline=None)
     @given(nfas())
@@ -241,15 +253,31 @@ class TestSubsetWalk:
                 assert info.value.cap == n - 1
 
     @pytest.mark.parametrize("cap", [0, -3, -2**70])
-    def test_cap_below_one_is_rejected(self, walk, cap):
+    def test_cap_below_one_is_rejected(self, kernel, cap):
         one_state = Automaton(state_count=1, starts={0: SOD})
         with pytest.raises(ValueError,
                            match=rf"cap must be at least 1 \(got {cap}\)"):
             _subsets(one_state, cap)
 
-    def test_cap_beyond_a_machine_word_is_no_bound(self, walk):
-        assert _subsets(compile_regex("ab", SOD), 2**70)[1] == _subsets(
-            compile_regex("ab", SOD), CAP)[1]
+    def test_cap_beyond_a_machine_word_is_no_bound(self, kernel):
+        assert _subsets(compile_regex("ab", SOD), 2**70) == _subsets(
+            compile_regex("ab", SOD), CAP)
+
+    def test_walk_memory_does_not_hold_the_subsets(self, c_kernel,
+                                                   monkeypatch):
+        # The chain's 20,001 subsets, one state each, span up to 313
+        # 64-bit words: as Python ints they would take 27 MB.  The walk
+        # returns 0.4 MB of labels and table, and frees its scratch.
+        monkeypatch.setattr(transform, "_kernel", c_kernel)
+        chain = replace(alternating_chain(20_000), deterministic=False)
+        tracemalloc.start()
+        try:
+            atoms, labels, table = _subsets(chain, CAP)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (len(labels), sum(labels), len(atoms)) == (20_001, 1, 2)
+        assert peak < 8_000_000, peak
 
 
 class TestMinimizers:
@@ -275,6 +303,21 @@ class TestMinimizers:
             with pytest.raises(ValueError,
                                match="requires a deterministic automaton"):
                 minimize_hopcroft(nfa)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_hopcroft_ignores_the_input_numbering(self, data):
+        # The DFA beside an unreachable copy of itself, in any numbering:
+        # the walk trims the copy and renumbers the rest breadth-first.
+        dfa = determinize(data.draw(nfas()))
+        n = dfa.state_count
+        doubled = replace(dfa, state_count=2 * n,
+                          edges=dfa.edges + tuple((s + n, c, d + n)
+                                                  for s, c, d in dfa.edges),
+                          accepts=dfa.accepts | {s + n for s in dfa.accepts})
+        perm = data.draw(st.permutations(range(2 * n)))
+        assert minimize_hopcroft(relabel(doubled, perm)).structurally_equal(
+            minimize_hopcroft(dfa))
 
     def test_long_chain(self):
         # Moore-style rounds would need one round per state here.
@@ -376,6 +419,35 @@ class TestEquivalent:
                 equivalent(a, b, m - 1)
         with pytest.raises(ValueError, match="cap must be at least 1"):
             equivalent(a, b, 0)
+
+    @pytest.mark.parametrize("mode", START_MODES)
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_sides_that_accept_nothing(self, mode, data):
+        # With one side accepting nothing, the union has one report label,
+        # which a walk counts 1 wherever it accepts.
+        a = data.draw(nfas(mode))
+        empty = replace(a, accepts=frozenset())
+        assert equivalent(empty, empty)
+        assert equivalent(a, empty) == equivalent(empty, a) == (
+            minimize_brzozowski(a).accepts == frozenset())
+
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_inputs_own_component_labels_are_not_read(self, data):
+        # Merged rules carry several labels each; equivalence depends only
+        # on the languages.
+        a, b = data.draw(equivalence_pairs(data.draw(
+            st.sampled_from(START_MODES))))
+        seed = data.draw(st.integers(0, 2**32))
+        rules = regex_rules(seed, SOD) + regex_rules(seed + 1, ALL)
+        merged = merge_patterns(rules, [5, 3, 8, 1, 0, 9])
+        assert len(set(merged.component_labels.values())) == 6
+        assert equivalent(merged, merged)
+        assert equivalent(merged, determinize(merged))
+        labeled = [replace(x, component_labels={
+            s: s % 3 for s in range(x.state_count)}) for x in (a, b)]
+        assert equivalent(*labeled) == equivalent(a, b)
 
     def test_cap_can_fail_where_each_side_fits(self):
         a, b = compile_regex("a", SOD), compile_regex("b", SOD)
