@@ -70,9 +70,10 @@ breadth-first order (the empty subset is only ever the first, when
   atoms of the byte alphabet, that is ascending order of the class
   masks that lead to them.
 
-It raises ValueError when ``cap`` is below 1, and
-``falab.transform.CapExceededError(cap)`` when more than ``cap`` subsets
-would be found.
+It raises ValueError when ``cap`` is below 1, and returns None when more
+than ``cap`` subsets would be found (``falab.transform`` raises its
+``CapExceededError`` then).  Neither kernel imports any part of
+``falab``.
 
 ``FORMAT`` numbers this layout; ``falab.transform`` uses the compiled
 kernel only when its ``FORMAT`` is the same.
@@ -82,7 +83,7 @@ from __future__ import annotations
 
 from array import array
 
-FORMAT = 5
+FORMAT = 6
 
 
 def _steps(program, data: bytes):
@@ -133,8 +134,9 @@ def active_sets(program, data: bytes) -> list[frozenset[int]]:
     return [frozenset(active) for active, _ in _steps(program, data)]
 
 
-def subsets(program, cap: int) -> tuple[array, array]:
-    """Return (labels, table) of the program's subset construction."""
+def subsets(program, cap: int) -> tuple[array, array] | None:
+    """Return (labels, table) of the program's subset construction, or
+    None when it would find more than ``cap`` subsets."""
     if cap < 1:
         raise ValueError(f"determinization cap must be at least 1 (got {cap})")
     n, ncls, off, succ, init, always, report = program
@@ -183,8 +185,7 @@ def subsets(program, cap: int) -> tuple[array, array]:
                 if row[c] is None:
                     fresh.setdefault(step[c], []).append(c)
             if len(found) + len(fresh) > cap:
-                from .transform import CapExceededError
-                raise CapExceededError(cap)
+                return None
             for target, where in reversed(fresh.items()):
                 ids[target] = len(found)
                 for c in where:

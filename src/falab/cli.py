@@ -50,12 +50,16 @@ def _positive_int(value: str) -> int:
     return number
 
 
-def _write_automaton(a, out: str | None) -> None:
+def _emit(text: str, out: str | None) -> None:
+    """Write ``text`` to the file ``out`` atomically, or to stdout."""
     if out:
-        save_automaton(a, out)
+        write_text_atomic(out, text)
     else:
-        json.dump(automaton_to_document(a), sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        sys.stdout.write(text)
+
+
+def _write_automaton(a, out: str | None) -> None:
+    _emit(json.dumps(automaton_to_document(a), indent=2) + "\n", out)
 
 
 def _load_valid(path: str):
@@ -188,28 +192,20 @@ def _cmd_stats(args) -> int:
 
 def _cmd_simulate(args) -> int:
     trace = run(_load_valid(args.automaton), _read_input_bytes(args.input))
-    text = render_trace(trace)
-    if args.out:
-        write_text_atomic(args.out, text)
-    else:
-        sys.stdout.write(text)
+    _emit(render_trace(trace), args.out)
     return 0
 
 
 def _cmd_active_rules(args) -> int:
     components = connected_components(_load_valid(args.automaton))
     result = active_rule_frequency(components, _read_input_bytes(args.input))
-    payload = json.dumps({
+    _emit(json.dumps({
         "rules": len(components),
         "per_cycle_rule_count": list(result.per_cycle_rule_count),
         "min_active": result.min_active,
         "max_active": result.max_active,
         "start_only_fraction": result.start_only_fraction,
-    }, indent=2) + "\n"
-    if args.out:
-        write_text_atomic(args.out, payload)
-    else:
-        sys.stdout.write(payload)
+    }, indent=2) + "\n", args.out)
     return 0
 
 
@@ -218,10 +214,10 @@ def _growth_thresholds(args) -> GrowthThresholds:
                             r2_margin=args.r2_margin)
 
 
-def _cmd_report(args, merge: bool) -> int:
+def _cmd_report(args) -> int:
     ps = load_pattern_set(args.patterns)
     thresholds = _growth_thresholds(args)
-    if merge:
+    if args.merge:
         rows = incremental_merge_experiment(list(ps.patterns), args.seed,
                                             ps.start_kind, args.cap)
         xs = [row.key for row in rows]
@@ -362,8 +358,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.func is _cmd_report:
-            return args.func(args, args.merge)
         return args.func(args)
     except UsageError as exc:
         parser.print_usage(sys.stderr)

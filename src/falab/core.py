@@ -112,9 +112,9 @@ class Automaton:
     """A finite automaton over the byte alphabet.
 
     ``edges`` carry :class:`SymbolClass` labels; ``epsilon_edges`` consume
-    no input.  ``deterministic`` asserts the DFA invariants (checked by
-    :func:`validate`).  ``component_labels`` optionally assigns states to
-    the pattern/rule they came from.
+    no input.  ``component_labels`` optionally assigns states to the
+    pattern/rule they came from.  Whether an automaton is a DFA is read
+    from its structure by :func:`is_deterministic`; nothing stores it.
 
     Treat instances as immutable: the contained collections must not be
     mutated after construction.
@@ -125,7 +125,6 @@ class Automaton:
     epsilon_edges: tuple[tuple[int, int], ...] = ()
     starts: Mapping[int, StartKind] = field(default_factory=dict)
     accepts: frozenset[int] = frozenset()
-    deterministic: bool = False
     component_labels: Mapping[int, int] | None = None
 
     def __post_init__(self) -> None:
@@ -177,7 +176,10 @@ class StatsSummary:
 def validate(a: Automaton) -> list[str]:
     """Return every invariant violation as a human-readable string.
 
-    An empty list means the automaton is well-formed.  Never mutates.
+    An empty list means the automaton is well-formed: indices in range,
+    nonempty edge classes, a start state, and component labels that no
+    edge crosses.  Whether it is also a DFA is :func:`is_deterministic`'s
+    question.  Never mutates.
     """
     problems: list[str] = []
     n = a.state_count
@@ -209,24 +211,6 @@ def validate(a: Automaton) -> list[str]:
 
     if not a.starts:
         problems.append("no start state")
-
-    if a.deterministic:
-        if a.epsilon_edges:
-            problems.append("deterministic automaton has epsilon edges")
-        sod = [s for s, k in a.starts.items() if k is StartKind.START_OF_DATA]
-        if len(sod) != 1:
-            problems.append(
-                f"deterministic automaton must have exactly one start-of-data "
-                f"start (found {len(sod)})")
-        if any(k is StartKind.ALL_INPUT for k in a.starts.values()):
-            problems.append("deterministic automaton has an all-input start")
-        seen: dict[int, int] = {}
-        for src, cls, dst in a.edges:
-            if not in_range(src):
-                continue
-            if seen.get(src, 0) & cls.mask:
-                problems.append(f"nondeterministic choice at state {src}")
-            seen[src] = seen.get(src, 0) | cls.mask
 
     if a.component_labels is not None:
         for state in a.component_labels:
@@ -285,7 +269,6 @@ def relabel(a: Automaton, perm: list[int]) -> Automaton:
         epsilon_edges=eps,
         starts=starts,
         accepts=frozenset(perm[s] for s in a.accepts),
-        deterministic=a.deterministic,
         component_labels=labels,
     )
 
@@ -343,7 +326,11 @@ def merge_parallel_edges(edges: Iterable[Edge]) -> tuple[Edge, ...]:
 
 
 def is_deterministic(a: Automaton) -> bool:
-    """Structural determinism check (ignores the ``deterministic`` flag)."""
+    """Whether ``a`` is a DFA: the one definition every DFA-only path uses.
+
+    A (partial) DFA has no epsilon edges, exactly one start-of-data start,
+    no all-input start, and no byte read by two edges out of one state.
+    """
     if a.epsilon_edges:
         return False
     if sum(1 for k in a.starts.values() if k is StartKind.START_OF_DATA) != 1:

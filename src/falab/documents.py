@@ -8,6 +8,11 @@ Edge classes are written in a canonical character-set syntax (single safe
 byte, ``[...]`` with ranges and ``\\xHH`` escapes, or ``[^...]`` when the
 complement is smaller); a 64-hex-digit bitset literal is accepted on load
 for exactness.
+
+An automaton document may claim ``"deterministic": true``.  The writer
+never emits the key, as an automaton is a DFA by its structure alone;
+the loader accepts a boolean there and rejects a true claim on an
+automaton that :func:`~falab.core.is_deterministic` rejects.
 """
 
 from __future__ import annotations
@@ -17,7 +22,8 @@ import json
 import os
 from dataclasses import dataclass
 
-from .core import ALPHABET_SIZE, Automaton, StartKind, SymbolClass
+from .core import (ALPHABET_SIZE, Automaton, StartKind, SymbolClass,
+                   is_deterministic)
 from .generators import (DotStarSource, HammingSource, LevenshteinSource,
                          Pattern, RandomRecipe, RegexSource)
 from .regex import RegexParseError, parse_class_string, render_class_string
@@ -116,8 +122,6 @@ def automaton_to_document(a: Automaton) -> dict:
     if a.epsilon_edges:
         doc["epsilon_edges"] = [{"src": s, "dst": d}
                                 for s, d in a.epsilon_edges]
-    if a.deterministic:
-        doc["deterministic"] = True
     if a.component_labels:
         doc["labels"] = {str(s): a.component_labels[s]
                          for s in sorted(a.component_labels)}
@@ -186,15 +190,17 @@ def automaton_from_document(doc: dict) -> Automaton:
                     f"duplicate label for state {int(key)}")
             labels[int(key)] = value
 
-    return Automaton(
+    a = Automaton(
         state_count=states,
         edges=tuple(edges),
         epsilon_edges=tuple(eps),
         starts=starts,
         accepts=frozenset(accepts),
-        deterministic=deterministic,
         component_labels=labels,
     )
+    _expect(not deterministic or is_deterministic(a), "/deterministic",
+            "the automaton is not deterministic")
+    return a
 
 
 # ---------------------------------------------------------------------------

@@ -144,12 +144,7 @@ def classify_growth(rows: list[ReportRow], xs: list[int],
         raise ValueError("rows and x values differ in length")
     if series not in ("mdfa", "opt_nfa", "nfa", "dfa"):
         raise ValueError(f"unknown series {series!r}")
-    values = {
-        "mdfa": [r.mdfa_states for r in rows],
-        "opt_nfa": [r.opt_nfa_states for r in rows],
-        "nfa": [r.nfa_states for r in rows],
-        "dfa": [r.dfa_states for r in rows],
-    }[series]
+    values = [getattr(r, f"{series}_states") for r in rows]
     if any(v is None for v in values):
         raise ValueError(f"series {series!r} has rows without counts "
                          f"(status != ok)")

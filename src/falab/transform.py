@@ -157,7 +157,6 @@ def trim(a: Automaton) -> Automaton:
                             if seen[s] and seen[d]),
         starts={newid[s]: k for s, k in a.starts.items()},
         accepts=frozenset(newid[s] for s in a.accepts if seen[s]),
-        deterministic=a.deterministic,
         component_labels=labels,
     )
 
@@ -283,7 +282,16 @@ def _subsets(a: Automaton, cap: int) -> tuple[list[int], array, array]:
     ``subsets`` walks :func:`_program` of the lowered NFA.
     """
     atoms, _, program = _program(lower_all_input(a))
-    return (atoms, *_kernel.subsets(program, cap))
+    return (atoms, *_walk(program, cap))
+
+
+def _walk(program: tuple, cap: int) -> tuple[array, array]:
+    """Run the kernel's ``subsets(program, cap)``, raising
+    :class:`CapExceededError` where it returns None: past the cap."""
+    walked = _kernel.subsets(program, cap)
+    if walked is None:
+        raise CapExceededError(cap)
+    return walked
 
 
 def determinize(a: Automaton, cap: int = DEFAULT_STATE_CAP) -> Automaton:
@@ -340,7 +348,6 @@ def _table_automaton(atoms: list[int], labels, table: array) -> Automaton:
         edges=tuple(edges),
         starts={0: StartKind.START_OF_DATA},
         accepts=frozenset(compress(range(len(labels)), labels)),
-        deterministic=True,
     )
 
 
@@ -404,7 +411,7 @@ def minimize_brzozowski(a: Automaton, cap: int = DEFAULT_STATE_CAP) -> Automaton
     """
     atoms, labels, table = _subsets(reverse(a), cap)
     program = _reversed_program(len(atoms), labels, table)
-    return _table_automaton(atoms, *_kernel.subsets(program, cap))
+    return _table_automaton(atoms, *_walk(program, cap))
 
 
 # ---------------------------------------------------------------------------
@@ -487,8 +494,7 @@ def minimize_hopcroft(a: Automaton) -> Automaton:
     dead_block = block_of[-1]
     if block_of[0] == dead_block:
         # empty language: a lone start state, no edges, no accepts
-        return Automaton(state_count=1, starts={0: StartKind.START_OF_DATA},
-                         deterministic=True)
+        return Automaton(state_count=1, starts={0: StartKind.START_OF_DATA})
     new_id: dict[int, int] = {}
     reps = []  # the smallest member of each live block, in state order
     for s, b in enumerate(block_of[:-1]):
@@ -560,7 +566,6 @@ def optimize_nfa(a: Automaton) -> Automaton:
                                        for s, c, d in a.edges),
             starts={remap[s]: k for s, k in a.starts.items()},
             accepts=frozenset(remap[s] for s in a.accepts),
-            deterministic=a.deterministic,
             component_labels=new_labels,
         )
 

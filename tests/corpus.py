@@ -121,5 +121,4 @@ def alternating_chain(n: int) -> Automaton:
     a, b = SymbolClass.of(b"a"), SymbolClass.of(b"b")
     return Automaton(state_count=n + 1,
                      edges=tuple((i, (a, b)[i % 2], i + 1) for i in range(n)),
-                     starts={0: SOD}, accepts=frozenset([n]),
-                     deterministic=True)
+                     starts={0: SOD}, accepts=frozenset([n]))

@@ -163,6 +163,9 @@ def test_report_merge_names_the_bad_file(tmp_path, capsys, name):
      '"edges": [{"src": 0, "dst": 0, "class": ""}]}',
      "/edges/0/class: empty symbol class"),
     ('{"version": 1, "states": ', "not valid JSON: "),
+    ('{"version": 1, "states": 1, "accepts": [], "deterministic": true, '
+     '"starts": [{"id": 0, "kind": "all-input"}], "edges": []}',
+     "/deterministic: the automaton is not deterministic"),
 ])
 def test_merge_names_the_bad_file_only(paths, capsys, content, message):
     bad = f"{paths['dir']}/bad_document.json"

@@ -1,7 +1,10 @@
 import pytest
 
 from falab.core import (Automaton, StartKind, SymbolClass, canonicalize,
-                        isomorphic, relabel, stats, validate)
+                        is_deterministic, isomorphic, relabel, stats,
+                        validate)
+from falab.documents import (DocumentError, automaton_from_document,
+                             automaton_to_document)
 from falab.generators import RandomRecipe, gen_random_automaton
 from falab.regex import compile_regex
 from falab.transform import determinize, minimize_brzozowski
@@ -51,13 +54,17 @@ class TestValidate:
         assert any("edge target out of range" in p for p in validate(a))
 
     def test_nondeterministic_choice_flagged(self):
+        # A well-formed NFA: a document that claims it is a DFA is
+        # refused where the claim is read.
         a = Automaton(state_count=3,
                       edges=((0, SymbolClass.of(b"a"), 1),
                              (0, SymbolClass.of(b"ab"), 2)),
-                      starts={0: SOD}, accepts=frozenset([2]),
-                      deterministic=True)
-        assert any("nondeterministic choice at state 0" in p
-                   for p in validate(a))
+                      starts={0: SOD}, accepts=frozenset([2]))
+        assert validate(a) == [] and not is_deterministic(a)
+        with pytest.raises(DocumentError) as exc:
+            automaton_from_document(
+                {**automaton_to_document(a), "deterministic": True})
+        assert exc.value.path == "/deterministic"
 
     def test_empty_class_rejected(self):
         a = Automaton(state_count=2, edges=((0, SymbolClass(0), 1),),

@@ -82,12 +82,13 @@ class TestAutomatonRoundTrip:
         assert load_automaton(str(tmp_path / "a.json")) == a
 
     def test_deterministic_flag(self):
+        # The writer leaves the claim out; a DFA loads with or without it.
         a = Automaton(state_count=2, edges=((0, SymbolClass.of(b"ab"), 1),),
-                      starts={0: SOD}, accepts=frozenset({1}),
-                      deterministic=True)
+                      starts={0: SOD}, accepts=frozenset({1}))
         doc = automaton_to_document(a)
-        assert doc["deterministic"] is True
-        assert automaton_from_document(document_round_trip(doc)) == a
+        assert "deterministic" not in doc
+        for claim in (True, False):
+            assert automaton_from_document({**doc, "deterministic": claim}) == a
 
     def test_hex_literal_loads_as_its_bitset(self):
         mask = (1 << 0xFF) | (1 << 0x61) | 1
@@ -114,7 +115,6 @@ class TestAutomatonRoundTrip:
                                                    max_size=3))),
             starts=data.draw(st.dictionaries(state, st.sampled_from([SOD, ALL]))),
             accepts=data.draw(st.frozensets(state)),
-            deterministic=data.draw(st.booleans()),
             component_labels=data.draw(st.none() | st.dictionaries(
                 state, st.integers(0, 3), min_size=1)))
         assert automaton_from_document(
@@ -214,6 +214,8 @@ AUTOMATON_ERRORS = [
      "expected an integer"),
     (edited(AUTOMATON, "/deterministic", 1), "/deterministic",
      "expected a boolean"),
+    (edited(AUTOMATON, "/deterministic", True), "/deterministic",
+     "the automaton is not deterministic"),
     (edited(AUTOMATON, "/labels", [1]), "/labels", "expected an object"),
     (edited(AUTOMATON, "/labels/x", 1), "/labels/x",
      "state keys must be decimal"),

@@ -71,9 +71,8 @@ def test_long_chain(kernel):
     # 20,000 rounds here; the subset walks hold 20,001 single-state
     # subsets, spread over 313 bitset words.
     start = time.perf_counter()
-    row = experiment._run_pipeline(
-        1, replace(alternating_chain(20_000), deterministic=False),
-        DEFAULT_STATE_CAP).row
+    row = experiment._run_pipeline(1, alternating_chain(20_000),
+                                   DEFAULT_STATE_CAP).row
     assert time.perf_counter() - start < 30
     assert (row.dfa_states, row.mdfa_states, row.status) == (20_001, 20_001,
                                                              "ok")

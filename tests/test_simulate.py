@@ -15,8 +15,7 @@ from falab.generators import SplitMix64, gen_levenshtein
 from falab.regex import compile_regex
 from falab.simulate import (Simulator, active_rule_frequency,
                             available_kernels, default_kernel, run)
-from falab.transform import (CapExceededError, accepts,
-                             connected_components, merge_patterns)
+from falab.transform import accepts, connected_components, merge_patterns
 
 from conftest import SOURCE, SRC, c_compiler
 from corpus import random_regex
@@ -559,7 +558,10 @@ def import_with_fake_kernel(format) -> list[str]:
     return proc.stdout.splitlines()
 
 
-@pytest.mark.parametrize("format", [None, 1, 2, 3, 4, 6])
+@pytest.mark.parametrize("format", [
+    pytest.param(None, id="missing"), pytest.param(1, id="first"),
+    pytest.param(_simkernel_py.FORMAT - 1, id="older"),
+    pytest.param(_simkernel_py.FORMAT + 1, id="newer")])
 def test_compiled_kernel_of_another_format_is_refused(format):
     # A module built from an older source (no FORMAT, or another one) is
     # ignored with a warning that names it and the rebuild command.
@@ -692,17 +694,18 @@ class TestCompiledKernelErrors:
 
     def test_error_paths_free_their_buffers(self, c_kernel):
         # Each call fails after its 1 MB off and succ arrays (1000 states x
-        # 256 classes) are viewed, or, for the last subset walk, after
-        # half the walk.  A view left unreleased would keep them alive, so
-        # memory would grow, and would forbid resizing them; so would
-        # scratch memory that the walk did not free.
+        # 256 classes) are viewed, or, for the last subset walk, stops past
+        # the cap after half the walk.  A view left unreleased would keep
+        # them alive, so memory would grow, and would forbid resizing them;
+        # so would scratch memory that the walk did not free.
         n, ncls = 1000, 256
         # every state moves to the next on every class: n subsets
         to_next = array("i", [(k // ncls + 1) % n for k in range(n * ncls)])
 
         def failing_calls():
-            # (program, rules, what the subset walk raises, or None when
-            # the program is well-formed and fits the cap)
+            # (program, rules, and what the subset walk with cap n // 2
+            # gives: the error it raises, its state count, or None past
+            # the cap)
             off = array("i", range(n * ncls + 1))
             succ = array("i", [0]) * (n * ncls)
             rules = (array("i", [0]) * n, bytes(n))
@@ -714,24 +717,26 @@ class TestCompiledKernelErrors:
             yield ((n, ncls, off, succ, ints(0), ints(),
                     report[:-1] + ints(n)), rules, ValueError)
             yield ((n, ncls, off, succ, ints(0), ints(), report),
-                   (array("i", [n]) * n, bytes(n)), None)
+                   (array("i", [n]) * n, bytes(n)), 1)
             step = array("i", to_next)
             labeled = array("i", range(n))  # the walk counts each label
             yield ((n, ncls, off, step, ints(0), ints(), labeled),
-                   (rules[0], rules[0]), CapExceededError)
+                   (rules[0], rules[0]), None)
             off.append(0)  # raises BufferError while a view is held
             succ.append(0)
             step.append(0)
 
         def fail_all():
-            for program, rules, walk_error in failing_calls():
+            for program, rules, walked in failing_calls():
                 with pytest.raises((TypeError, ValueError)):
                     c_kernel.step_stream(program, b"\x00", rules)
-                if walk_error is None:
-                    assert len(c_kernel.subsets(program, n // 2)[0]) == 1
-                else:
-                    with pytest.raises(walk_error):
+                if isinstance(walked, type):
+                    with pytest.raises(walked):
                         c_kernel.subsets(program, n // 2)
+                else:
+                    result = c_kernel.subsets(program, n // 2)
+                    assert (None if result is None
+                            else len(result[0])) == walked
 
         tracemalloc.start()
         try:
