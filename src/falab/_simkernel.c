@@ -1,34 +1,52 @@
-/* Compiled kernel of falab: the byte-stream scan behind falab.Simulator
-   and the subset walk behind falab.transform's determinization.
+/* Compiled kernel of falab: the byte-stream scan behind falab.Simulator,
+   and the subset walk and partition refinement behind falab.transform's
+   determinization and minimization.
 
-   step_stream(program, data, rules=None), active_sets(program, data) and
-   subsets(program, cap) keep the contracts of falab._simkernel_py, which
-   is their specification: the same flat program (n, ncls, off, succ,
-   init, always, report), the same ((per_cycle_count, activation,
-   reports), work) summary or, with rules = (rule_of, raw_start), the same
-   (active_rules, moving_rules) pairs, the same per-cycle frozensets from
-   active_sets, the same operation count, and the same (labels, table)
-   numbering from subsets, or None where more than cap subsets would be
-   found.  The module imports no part of falab, only the standard array
-   module for its results.  The arrays are read in place through the
-   buffer protocol, never copied.  One pass checks them all before the
-   scan or walk: an argument that is not a buffer, or whose items are not
-   'i' (raw_start: 'B'), raises TypeError; a wrong length, offsets that
-   decrease or do not end at len(succ), a state outside 0..n-1 or a
-   report item outside -1..n-1 raises ValueError naming the array and
-   index.  The walk keeps each subset as the span of its nonzero 64-bit
-   words, found again through an open-addressing hash of the spans, and
-   counts each subset's report labels with per-label stamps, as the scan
-   does per cycle; the spans never leave the module.
-   FORMAT numbers this program layout; falab.transform uses the module
-   only when it equals falab._simkernel_py.FORMAT. */
+   step_stream(program, data, rules=None), active_sets(program, data),
+   subsets(program, cap) and refine(natoms, labels, table) keep the
+   contracts of falab._simkernel_py, which is their specification: the
+   same flat program (n, ncls, off, succ, init, always, report), the same
+   ((per_cycle_count, activation, reports), work) summary or, with rules =
+   (rule_of, raw_start), the same (active_rules, moving_rules) pairs, the
+   same per-cycle frozensets from active_sets, the same operation count,
+   the same (labels, table) numbering from subsets, or None where more
+   than cap subsets would be found, and the same blocks from refine.  The
+   module imports no part of falab, only the standard array module for its
+   results.  The arrays are read in place through the buffer protocol,
+   never copied.  One pass checks them all before the scan or walk: an
+   argument that is not a buffer, or whose items are not 'i' (raw_start:
+   'B'), raises TypeError; a wrong length, offsets that decrease or do not
+   end at len(succ), a state outside 0..n-1 or a report item outside
+   -1..n-1 raises ValueError naming the array and index.  The walk keeps
+   each subset as the span of its nonzero 64-bit words, found again
+   through an open-addressing hash of the spans, and counts each subset's
+   report labels with per-label stamps, as the scan does per cycle; the
+   spans never leave the module.
+
+   refine(natoms, labels, table) refines the dense table of n =
+   len(labels) states over natoms atoms that subsets returns: table[s *
+   natoms + i] is the state s reaches on atom i, or -1 for no move, and s
+   accepts where labels[s] > 0.  The -1 targets reach a virtual dead
+   state, index n, which loops on every atom.  It returns an array('i')
+   with the block of each of the n + 1 states, dead state last, blocks
+   numbered in order of their smallest member, so it equals the Python
+   kernel's result item for item.  labels or table not a buffer of 'i'
+   items raises TypeError; natoms outside 0..256, len(table) other than
+   n * natoms, or a target outside -1..n-1 raises ValueError naming the
+   array and index.  It builds the inverse table once, by counting sort,
+   and refines Hopcroft's way (only the smaller half of a split waits) on
+   a partition refined in place, in O(m log n) for m table entries; its
+   scratch memory is freed on every path.
+
+   FORMAT numbers this program layout and contract; falab.transform uses
+   the module only when it equals falab._simkernel_py.FORMAT. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <stdint.h>
 #include <stdlib.h>
 
-#define FORMAT 6
+#define FORMAT 7
 
 /* Buffer views, acquired in this order (DATA only for a scan, RULE_OF
    and RAW_START only with rules), with their names and item formats;
@@ -52,29 +70,36 @@ typedef struct {
 
 #define ITEMS(p, i) ((const int32_t *)(p)->views[i].buf)
 
-/* Acquire obj as view i. */
-static int
-acquire(Program *p, int i, PyObject *obj)
+/* View obj, named name, as a buffer of fmt items (NULL: any bytes-like
+   object); its item count, or -1 with no view held. */
+static Py_ssize_t
+get_items(Py_buffer *view, PyObject *obj, const char *name, const char *fmt)
 {
-    Py_buffer *view = &p->views[i];
-    const char *fmt = formats[i];
-
     if (!PyObject_CheckBuffer(obj)) {
         PyErr_Format(PyExc_TypeError, "%s must be a %s, not '%.100s'",
-                     names[i], fmt ? "buffer" : "bytes-like object",
+                     name, fmt ? "buffer" : "bytes-like object",
                      Py_TYPE(obj)->tp_name);
         return -1;
     }
     if (PyObject_GetBuffer(obj, view, fmt ? PyBUF_FORMAT | PyBUF_C_CONTIGUOUS
                                           : PyBUF_SIMPLE) < 0)
         return -1;
-    p->held = i + 1;
     if (fmt && strcmp(view->format, fmt) != 0) {
         PyErr_Format(PyExc_TypeError, "%s must hold '%s' items, not '%s'",
-                     names[i], fmt, view->format);
+                     name, fmt, view->format);
+        PyBuffer_Release(view);
         return -1;
     }
-    p->len[i] = fmt ? view->len / view->itemsize : view->len;
+    return fmt ? view->len / view->itemsize : view->len;
+}
+
+/* Acquire obj as view i. */
+static int
+acquire(Program *p, int i, PyObject *obj)
+{
+    if ((p->len[i] = get_items(&p->views[i], obj, names[i], formats[i])) < 0)
+        return -1;
+    p->held = i + 1;
     return 0;
 }
 
@@ -583,6 +608,139 @@ done:
     return result;
 }
 
+/* Hopcroft's refinement of a checked dense table of n states over natoms
+   atoms, completed with the dead state n, numbered as
+   falab._simkernel_py.refine numbers it.  The partition is refined in
+   place (Valmari & Lehtinen, STACS 2008): elems holds the states with
+   each block a span [first, end) of it, a sweep moves the states it
+   marks to the front of their block, up to mid, and a split makes the
+   smaller part a new block, so no split allocates. */
+static PyObject *
+partition(Py_ssize_t natoms, const int32_t *labels, Py_ssize_t n,
+          const int32_t *table)
+{
+    Py_ssize_t total = n + 1, cols = natoms * total;
+    /* The inverse table by counting sort: the states that move to t on
+       atom i are pred[head[i * total + t]..head[i * total + t + 1]),
+       ascending. */
+    Py_ssize_t *head = PyMem_Calloc(cols + 1, sizeof *head);
+    int32_t *pred = PyMem_Malloc((cols ? cols : 1) * sizeof *pred);
+    int32_t *scratch = PyMem_Malloc(9 * total * sizeof *scratch);
+    PyObject *result = NULL;
+
+    if (!head || !pred || !scratch) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    /* per state: its place in elems and its block; per block: its span
+       and marked prefix; the worklist, the blocks a sweep marked, and the
+       splitter's states */
+    int32_t *elems = scratch, *loc = elems + total, *block_of = loc + total;
+    int32_t *first = block_of + total, *mid = first + total;
+    int32_t *end = mid + total, *waiting = end + total;
+    int32_t *touched = waiting + total, *splitter = touched + total;
+
+#define TARGET(s, i) ((s) == n || table[(s) * natoms + (i)] < 0 \
+                      ? n : table[(s) * natoms + (i)])
+    for (Py_ssize_t s = 0; s < total; s++)  /* the dead state loops */
+        for (Py_ssize_t i = 0; i < natoms; i++)
+            head[i * total + TARGET(s, i)]++;
+    for (Py_ssize_t k = 1; k < cols; k++)
+        head[k] += head[k - 1];
+    head[cols] = cols;
+    for (Py_ssize_t s = n; s >= 0; s--)
+        for (Py_ssize_t i = 0; i < natoms; i++)
+            pred[--head[i * total + TARGET(s, i)]] = (int32_t)s;
+#undef TARGET
+
+    /* block 0 holds the accepting states, when there are any, and the
+       next block the rest, the dead state included */
+    Py_ssize_t nacc = 0, nblocks, nwaiting = 0;
+    for (Py_ssize_t s = 0; s < n; s++)
+        nacc += labels[s] > 0;
+    for (Py_ssize_t s = 0, acc = 0, rest = nacc; s < total; s++) {
+        int accepts = s < n && labels[s] > 0;
+        Py_ssize_t at = accepts ? acc++ : rest++;
+        elems[at] = (int32_t)s;
+        loc[s] = (int32_t)at;
+        block_of[s] = !accepts && nacc > 0;
+    }
+    first[0] = mid[0] = 0;
+    end[0] = (int32_t)(nacc > 0 ? nacc : total);
+    nblocks = 1;
+    if (nacc > 0) {
+        first[1] = mid[1] = end[0];
+        end[1] = (int32_t)total;
+        nblocks = 2;
+        /* the dead state makes the DFA complete, so one part of the
+           first split suffices as a splitter; one block splits nothing */
+        waiting[nwaiting++] = nacc <= total - nacc ? 0 : 1;
+    }
+    while (nwaiting > 0) {
+        int32_t b = waiting[--nwaiting];
+        Py_ssize_t size = end[b] - first[b];
+        /* sweeps reorder elems, the splitter's span included */
+        memcpy(splitter, elems + first[b], size * sizeof *splitter);
+        for (Py_ssize_t i = 0; i < natoms; i++) {
+            const Py_ssize_t *col = head + i * total;
+            Py_ssize_t ntouched = 0;
+            for (Py_ssize_t k = 0; k < size; k++)
+                for (Py_ssize_t j = col[splitter[k]];
+                     j < col[splitter[k] + 1]; j++) {
+                    int32_t s = pred[j], c = block_of[s];
+                    int32_t at = loc[s], m = mid[c];
+                    if (at < m)
+                        continue;  /* marked already */
+                    if (m == first[c])
+                        touched[ntouched++] = c;
+                    elems[at] = elems[m];
+                    loc[elems[at]] = at;
+                    elems[m] = s;
+                    loc[s] = m;
+                    mid[c] = m + 1;
+                }
+            for (Py_ssize_t k = 0; k < ntouched; k++) {
+                int32_t c = touched[k], m = mid[c];
+                mid[c] = first[c];
+                if (m == end[c])
+                    continue;  /* all marked: no split */
+                /* The smaller part becomes the new block and waits; when c
+                   was waiting, both parts wait now. */
+                int32_t nb = (int32_t)nblocks++;
+                if (m - first[c] <= end[c] - m) {
+                    first[nb] = first[c];
+                    end[nb] = m;
+                    first[c] = mid[c] = m;
+                }
+                else {
+                    first[nb] = m;
+                    end[nb] = end[c];
+                    end[c] = m;
+                }
+                mid[nb] = first[nb];
+                for (int32_t x = first[nb]; x < end[nb]; x++)
+                    block_of[elems[x]] = nb;
+                waiting[nwaiting++] = nb;
+            }
+        }
+    }
+    /* renumber the blocks in order of their smallest member */
+    int32_t *canonical = touched, *out = splitter, next = 0;
+    for (Py_ssize_t b = 0; b < nblocks; b++)
+        canonical[b] = -1;
+    for (Py_ssize_t s = 0; s < total; s++) {
+        if (canonical[block_of[s]] < 0)
+            canonical[block_of[s]] = next++;
+        out[s] = canonical[block_of[s]];
+    }
+    result = int_array(out, total);
+done:
+    PyMem_Free(head);
+    PyMem_Free(pred);
+    PyMem_Free(scratch);
+    return result;
+}
+
 /* Acquire and check the program's views, and data's and rules' as mode
    needs them; on failure the views acquired so far stay held. */
 static int
@@ -692,6 +850,51 @@ subsets(PyObject *self, PyObject *args, PyObject *kwargs)
     return result;
 }
 
+static PyObject *
+refine(PyObject *self, PyObject *args, PyObject *kwargs)
+{
+    static char *kwlist[] = {"natoms", "labels", "table", NULL};
+    PyObject *atoms, *labels_arg, *table_arg, *result = NULL;
+    Py_buffer labels, table;
+
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOO:refine", kwlist,
+                                     &atoms, &labels_arg, &table_arg))
+        return NULL;
+    Py_ssize_t natoms = PyLong_AsSsize_t(atoms);
+    if (natoms < 0 || natoms > 256) {
+        PyErr_Clear();  /* a non-int or an overflow is reported as below */
+        PyErr_Format(PyExc_ValueError, "natoms is %R; it must be an int in "
+                     "0..256", atoms);
+        return NULL;
+    }
+    Py_ssize_t n = get_items(&labels, labels_arg, "labels", "i");
+    if (n < 0)
+        return NULL;
+    Py_ssize_t len = get_items(&table, table_arg, "table", "i");
+    if (len >= 0) {
+        const int32_t *targets = table.buf;
+        Py_ssize_t k = 0;
+        if (n >= INT32_MAX)
+            PyErr_Format(PyExc_ValueError, "labels has %zd items; at most "
+                         "%d states fit", n, INT32_MAX - 1);
+        else if (len != n * natoms)
+            PyErr_Format(PyExc_ValueError, "table must have len(labels) * "
+                         "natoms = %zd items, not %zd", n * natoms, len);
+        else {
+            while (k < len && targets[k] >= -1 && targets[k] < n)
+                k++;
+            if (k < len)
+                PyErr_Format(PyExc_ValueError, "table[%zd] is %d, outside "
+                             "-1..%zd", k, (int)targets[k], n - 1);
+            else
+                result = partition(natoms, labels.buf, n, targets);
+        }
+        PyBuffer_Release(&table);
+    }
+    PyBuffer_Release(&labels);
+    return result;
+}
+
 static PyMethodDef methods[] = {
     {"step_stream", (PyCFunction)(void (*)(void))step_stream,
      METH_VARARGS | METH_KEYWORDS,
@@ -707,12 +910,18 @@ static PyMethodDef methods[] = {
      "subsets(program, cap)\n--\n\n"
      "Return (labels, table) of the program's subset construction, or\n"
      "None when it would find more than cap subsets."},
+    {"refine", (PyCFunction)(void (*)(void))refine,
+     METH_VARARGS | METH_KEYWORDS,
+     "refine(natoms, labels, table)\n--\n\n"
+     "Return the canonically numbered block of each state of the dense\n"
+     "table's Hopcroft refinement, dead state last."},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT, "falab._simkernel",
-    "Compiled scan kernel and subset walk; see falab._simkernel_py.", -1,
+    "Compiled scan kernel, subset walk and refinement; see "
+    "falab._simkernel_py.", -1,
     methods,
 };
 

@@ -1,10 +1,10 @@
-"""Byte-stream stepping kernel and subset walk in plain Python: the
-specification.
+"""Byte-stream stepping kernel, subset walk and partition refinement in
+plain Python: the specification.
 
 This is the reference for the compiled kernel ``falab._simkernel``, the
-one :class:`falab.Simulator` and the subset walk of ``falab.transform``
-run when it is built, and the fallback when it is not.  Both take the
-same arguments and return the same values.
+one :class:`falab.Simulator` and the subset walk and refinement of
+``falab.transform`` run when it is built, and the fallback when it is
+not.  Both take the same arguments and return the same values.
 
 The program is a flat tuple ``(n, ncls, off, succ, init, always,
 report)`` of ``array('i')`` buffers, built by ``falab.transform._program``
@@ -75,6 +75,26 @@ than ``cap`` subsets would be found (``falab.transform`` raises its
 ``CapExceededError`` then).  Neither kernel imports any part of
 ``falab``.
 
+``refine(natoms, labels, table)`` is Hopcroft's partition refinement
+(Hopcroft 1971) of a dense DFA table laid out as ``subsets`` returns it:
+``n = len(labels)`` states over ``natoms`` classes, ``table[s * natoms +
+i]`` the state that ``s`` reaches on class ``i`` or -1 for no move, and
+``s`` accepting where ``labels[s]`` is above 0.  The table is completed
+with a virtual dead state, index ``n``, which every -1 reaches and which
+loops on every class.  Refinement starts from the accepting/non-accepting
+split; a splitter block is taken off the worklist with all classes at
+once, and of the two halves of a split block only the smaller goes on
+(unless the block was waiting there already), so the work is O(m log n)
+for m table entries.  It returns an ``array('i')`` with the block of each
+of the ``n + 1`` states, dead state last, where two states share a block
+exactly when they accept the same words; blocks are numbered canonically,
+in order of their smallest member, so both kernels return equal arrays.
+States in the dead state's block cannot reach acceptance.  The compiled
+kernel raises TypeError when ``labels`` or ``table`` is not a buffer of
+``'i'`` items, and ValueError when ``natoms`` is outside 0..256, when
+``len(table)`` is not ``len(labels) * natoms``, or when a target is
+outside -1..n-1, naming the array and index.
+
 ``FORMAT`` numbers this layout; ``falab.transform`` uses the compiled
 kernel only when its ``FORMAT`` is the same.
 """
@@ -82,8 +102,10 @@ kernel only when its ``FORMAT`` is the same.
 from __future__ import annotations
 
 from array import array
+from collections import deque
+from itertools import compress
 
-FORMAT = 6
+FORMAT = 7
 
 
 def _steps(program, data: bytes):
@@ -193,3 +215,61 @@ def subsets(program, cap: int) -> tuple[array, array] | None:
                 found.append(target)
         table.extend(row)
     return labels, table
+
+
+def _predecessors(table, natoms: int, n: int) -> list[list[list[int]]]:
+    """``preds[i][t]``: the states of the ``n``-state dense table
+    ``table`` that move to ``t`` on class ``i``, in ascending order; the
+    -1 targets (no move) land in ``preds[i][n]``."""
+    preds = [[[] for _ in range(n + 1)] for _ in range(natoms)]
+    for i, col in enumerate(preds):
+        # col[t].append(s) for each state s and its target t, with the
+        # loop in map rather than in bytecode
+        deque(map(list.append, map(col.__getitem__, table[i::natoms]),
+                  range(n)), maxlen=0)
+    return preds
+
+
+def refine(natoms: int, labels, table) -> array:
+    """Return the canonically numbered block of each state of the table's
+    Hopcroft refinement, dead state last."""
+    n = len(labels)
+    total = n + 1
+    preds = _predecessors(table, natoms, n)
+    for col in preds:
+        col[n].append(n)  # the dead state loops on every class
+
+    accepting = set(compress(range(n), labels))
+    blocks = [b for b in (accepting, set(range(total)) - accepting) if b]
+    block_of = [0] * total
+    for s in blocks[-1]:
+        block_of[s] = len(blocks) - 1
+    # the dead state makes the DFA complete, so one half of the first
+    # split suffices as a splitter
+    worklist = {min(range(len(blocks)), key=lambda b: len(blocks[b]))}
+    while worklist:
+        splitter = tuple(blocks[worklist.pop()])
+        for col in preds:
+            moved: dict[int, list[int]] = {}
+            for t in splitter:
+                for s in col[t]:
+                    moved.setdefault(block_of[s], []).append(s)
+            for b, members in moved.items():
+                block = blocks[b]
+                if len(members) == len(block):
+                    continue
+                new_block = set(members)
+                block -= new_block
+                if len(block) < len(new_block):
+                    block, new_block = new_block, block
+                    blocks[b] = block
+                new = len(blocks)
+                blocks.append(new_block)
+                for s in new_block:
+                    block_of[s] = new
+                # new_block is the smaller half; when b was waiting, both
+                # halves wait now
+                worklist.add(new)
+    canonical: dict[int, int] = {}  # in order of each block's smallest state
+    return array("i", [canonical.setdefault(b, len(canonical))
+                       for b in block_of])

@@ -12,18 +12,18 @@ byte-class successors that ``_simkernel_py`` specifies:
 :class:`~falab.simulate.Simulator` scans it, and the subset walk
 (``_subsets``) determinizes it into a dense DFA table, the NFA's byte
 classes and one target id per state and class, plus the number of report
-labels each DFA state accepts.  Both run in the kernel this module loads:
-the compiled ``_simkernel`` when the extension was built (``python
-setup.py build_ext --inplace``) for the same program ``FORMAT``, and
-otherwise ``_simkernel_py``, whose plain-Python loops are the
-specification both follow; a compiled module of another format is
-ignored with a ``RuntimeWarning``.  The walk is the only way into a DFA
+labels each DFA state accepts.  The walk is the only way into a DFA
 table: ``determinize`` builds its ``Automaton`` from it, Brzozowski's
 second walk runs on the first one's table reversed, and the one Hopcroft
 refinement (``_refine``) runs on the walk's own table, whether the walk
 of an NFA (the report pipeline's cross-check) or of a DFA
 (``minimize_hopcroft``, to which that walk is the DFA trimmed and
-renumbered breadth-first).
+renumbered breadth-first).  The scan, the walk and the refinement all
+run in the kernel this module loads: the compiled ``_simkernel`` when
+the extension was built (``python setup.py build_ext --inplace``) for
+the same program ``FORMAT``, and otherwise ``_simkernel_py``, whose
+plain-Python loops are the specification both follow; a compiled module
+of another format is ignored with a ``RuntimeWarning``.
 
 Deterministic automata here are partial: a missing transition means
 rejection, and the implicit dead state is never materialized or counted.
@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import warnings
 from array import array
-from collections import deque
 from itertools import accumulate, chain, compress
 
 from . import _simkernel_py
@@ -42,7 +41,7 @@ from .core import (Automaton, StartKind, SymbolClass, is_deterministic,
 
 try:
     from . import _simkernel
-except ImportError:  # built without a C compiler: scan and walk in Python
+except ImportError:  # built without a C compiler: all in Python
     _simkernel = None
 if (_simkernel is not None
         and getattr(_simkernel, "FORMAT", None) != _simkernel_py.FORMAT):
@@ -51,8 +50,8 @@ if (_simkernel is not None
                   f"build_ext --inplace --force", RuntimeWarning)
     _simkernel = None
 
-# The kernel every scan and subset walk calls, looked up through this
-# name on each call.
+# The kernel every scan, subset walk and refinement calls, looked up
+# through this name on each call.
 _kernel = _simkernel or _simkernel_py
 
 DEFAULT_STATE_CAP = 1 << 20
@@ -369,19 +368,6 @@ def reverse(a: Automaton) -> Automaton:
     )
 
 
-def _predecessors(table: array, natoms: int, n: int) -> list[list[list[int]]]:
-    """``preds[i][t]``: the states of the ``n``-state dense table
-    ``table`` that move to ``t`` on atom ``i``, in ascending order; the -1
-    targets (no move) land in ``preds[i][n]``."""
-    preds = [[[] for _ in range(n + 1)] for _ in range(natoms)]
-    for i, col in enumerate(preds):
-        # col[t].append(s) for each state s and its target t, with the
-        # loop in map rather than in bytecode
-        deque(map(list.append, map(col.__getitem__, table[i::natoms]),
-                  range(n)), maxlen=0)
-    return preds
-
-
 def _reversed_program(natoms: int, labels, table: array) -> tuple:
     """The kernel program of a dense table (as :func:`_table_automaton`
     reads it) with its edges flipped: the successors of ``t`` on atom
@@ -390,8 +376,8 @@ def _reversed_program(natoms: int, labels, table: array) -> tuple:
     report label, so a walk of the program accepts where it holds it."""
     n = len(labels)
     # (t, i) order: state-major, as the program lays its rows out
-    rows = list(chain.from_iterable(zip(*(col[:n] for col in
-                                          _predecessors(table, natoms, n)))))
+    rows = list(chain.from_iterable(zip(*(
+        col[:n] for col in _simkernel_py._predecessors(table, natoms, n)))))
     report = array("i", [-1]) * n
     report[0] = 0
     return (n, natoms, array("i", accumulate(map(len, rows), initial=0)),
@@ -419,57 +405,12 @@ def minimize_brzozowski(a: Automaton, cap: int = DEFAULT_STATE_CAP) -> Automaton
 
 
 def _refine(natoms: int, labels, table: array) -> list[int]:
-    """Hopcroft's partition refinement on a dense DFA table of ``n =
-    len(labels)`` states, as :func:`_table_automaton` reads it.
-
-    The DFA is completed with a virtual dead state, index ``n``,
-    so the -1 targets (no move) land on it, and is refined from the
-    accepting/non-accepting split until every block agrees on the block
-    it reaches on every atom.  A splitter block is taken off the worklist
-    with all atoms at once, and of the two halves of a split block only
-    the smaller goes on (unless the block was waiting there already),
-    which bounds the work by O(m log n) for m table entries.  Returns the
-    block of each state, dead state last; states in the dead state's
-    block cannot reach acceptance.
-    """
-    n = len(labels)
-    total = n + 1
-    preds = _predecessors(table, natoms, n)
-    for col in preds:
-        col[n].append(n)  # the dead state loops on every atom
-
-    accepting = set(compress(range(n), labels))
-    blocks = [b for b in (accepting, set(range(total)) - accepting) if b]
-    block_of = [0] * total
-    for s in blocks[-1]:
-        block_of[s] = len(blocks) - 1
-    # the dead state makes the DFA complete, so one half of the first
-    # split suffices as a splitter
-    worklist = {min(range(len(blocks)), key=lambda b: len(blocks[b]))}
-    while worklist:
-        splitter = tuple(blocks[worklist.pop()])
-        for col in preds:
-            moved: dict[int, list[int]] = {}
-            for t in splitter:
-                for s in col[t]:
-                    moved.setdefault(block_of[s], []).append(s)
-            for b, members in moved.items():
-                block = blocks[b]
-                if len(members) == len(block):
-                    continue
-                new_block = set(members)
-                block -= new_block
-                if len(block) < len(new_block):
-                    block, new_block = new_block, block
-                    blocks[b] = block
-                new = len(blocks)
-                blocks.append(new_block)
-                for s in new_block:
-                    block_of[s] = new
-                # new_block is the smaller half; when b was waiting, both
-                # halves wait now
-                worklist.add(new)
-    return block_of
+    """Hopcroft's partition refinement of a dense DFA table of ``len(labels)``
+    states, as :func:`_table_automaton` reads it, in the kernel's
+    ``refine``: a list of the block of each state, the virtual dead state
+    last, with blocks numbered in order of their smallest member; states
+    in the dead state's block cannot reach acceptance."""
+    return _kernel.refine(natoms, labels, table).tolist()
 
 
 def minimize_hopcroft(a: Automaton) -> Automaton:
@@ -491,32 +432,37 @@ def minimize_hopcroft(a: Automaton) -> Automaton:
     atoms, labels, table = _subsets(a, a.state_count)
     natoms = len(atoms)
     block_of = _refine(natoms, labels, table)
-    dead_block = block_of[-1]
-    if block_of[0] == dead_block:
+    dead = block_of[-1]
+    if block_of[0] == dead:
         # empty language: a lone start state, no edges, no accepts
         return Automaton(state_count=1, starts={0: StartKind.START_OF_DATA})
-    new_id: dict[int, int] = {}
-    reps = []  # the smallest member of each live block, in state order
-    for s, b in enumerate(block_of[:-1]):
-        if b != dead_block and b not in new_id:
-            new_id[b] = len(reps)
-            reps.append(s)
+    # Blocks are numbered in order of their smallest member: a state is
+    # its block's smallest member when its block is the next new one.
+    reps, seen = [], 0  # the smallest member of each live block
+    for s, b in enumerate(block_of):
+        if b == seen:
+            seen += 1
+            if b != dead:
+                reps.append(s)
+    # live block b is output state b - (b > dead); -1 targets reach dead
     quotient = array("i")
     for rep in reps:
-        quotient.extend(new_id.get(block_of[t], -1)
-                        for t in table[rep * natoms:(rep + 1) * natoms])
+        quotient.extend(-1 if b == dead else b - (b > dead) for b in
+                        map(block_of.__getitem__,
+                            table[rep * natoms:(rep + 1) * natoms]))
     return _table_automaton(atoms, [labels[rep] for rep in reps], quotient)
 
 
 def _dfa_sizes(a: Automaton, cap: int):
     """Yield the state count of ``determinize(a, cap)``, then, once
     resumed, that of its minimal DFA as :func:`minimize_hopcroft` counts
-    it: the live blocks of :func:`_refine` on the walk's own table, and 1
-    for the empty language.  The report pipeline times the two steps
-    apart and builds neither DFA."""
+    it: the live blocks of :func:`_refine` on the walk's own table, that
+    is all blocks but the dead state's, as many as the highest block
+    number, and 1 for the empty language.  The report pipeline times the
+    two steps apart and builds neither DFA."""
     atoms, labels, table = _subsets(a, cap)
     yield len(labels)
-    yield max(len(set(_refine(len(atoms), labels, table))) - 1, 1)
+    yield max(max(_refine(len(atoms), labels, table)), 1)
 
 
 # ---------------------------------------------------------------------------

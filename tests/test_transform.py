@@ -189,6 +189,12 @@ def ints(*items):
     return array("i", items)
 
 
+def multiword_merge(kind: StartKind) -> Automaton:
+    """Four Levenshtein d=2 patterns merged: over 64 states."""
+    return merge_patterns([gen_levenshtein(p, 2, kind) for p in (
+        b"abcdabcd", b"dcbadcba", b"abcabcab", b"hgfedcba")])
+
+
 class TestSubsetWalk:
     """The compiled walk against its specification, _simkernel_py.subsets."""
 
@@ -209,8 +215,7 @@ class TestSubsetWalk:
     def test_multiword_subsets_match_python(self, c_kernel, kind):
         # Over 64 states, so subsets span several 64-bit words, in the
         # forward walk and in Brzozowski's walk of the reversed table.
-        merged = merge_patterns([gen_levenshtein(p, 2, kind) for p in (
-            b"abcdabcd", b"dcbadcba", b"abcabcab", b"hgfedcba")])
+        merged = multiword_merge(kind)
         assert merged.state_count > 64
         assert (walked_by(c_kernel, _subsets, merged, CAP)
                 == walked_by(_simkernel_py, _subsets, merged, CAP))
@@ -281,6 +286,73 @@ class TestSubsetWalk:
         assert peak < 8_000_000, peak
 
 
+class TestRefine:
+    """The compiled refinement against its specification,
+    _simkernel_py.refine: equal arrays, blocks numbered canonically."""
+
+    @staticmethod
+    def refined(c_kernel, natoms, labels, table):
+        blocks = c_kernel.refine(natoms, labels, table)
+        assert isinstance(blocks, array) and blocks.typecode == "i"
+        assert blocks == _simkernel_py.refine(natoms, labels, table)
+        return list(blocks)
+
+    @pytest.mark.parametrize("mode", START_MODES)
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_walked_tables_match_python(self, c_kernel, mode, data):
+        atoms, labels, table = _subsets(data.draw(nfas(mode)), CAP)
+        blocks = self.refined(c_kernel, len(atoms), labels, table)
+        # canonical: each block's smallest member comes before those of the
+        # blocks numbered above it
+        assert [b for k, b in enumerate(blocks)
+                if b not in blocks[:k]] == list(range(max(blocks) + 1))
+
+    @pytest.mark.parametrize("kind", [SOD, ALL],
+                             ids=["start-of-data", "all-input"])
+    def test_multiword_table_matches_python(self, c_kernel, kind):
+        atoms, labels, table = _subsets(multiword_merge(kind), CAP)
+        assert len(labels) > 64
+        self.refined(c_kernel, len(atoms), labels, table)
+
+    @pytest.mark.parametrize("accepts", [frozenset(), frozenset([0])])
+    def test_automaton_without_edges(self, c_kernel, accepts):
+        atoms, labels, table = _subsets(
+            Automaton(state_count=1, starts={0: SOD}, accepts=accepts), CAP)
+        assert (atoms, len(table)) == ([], 0)
+        assert self.refined(c_kernel, 0, labels, table) == [0, len(accepts)]
+
+    def test_no_atoms_tell_only_acceptance_apart(self, c_kernel):
+        assert self.refined(c_kernel, 0, ints(0, 1, 0), ints()) == [0, 1, 0,
+                                                                    0]
+
+    def test_empty_language(self, c_kernel):
+        # 0 -> 1 -> 0 on atom 0, 1 -> no move on atom 1; nothing accepts
+        blocks = self.refined(c_kernel, 2, ints(0, 0), ints(1, 1, 0, -1))
+        assert blocks == [0, 0, 0]
+
+    def test_complete_table_accepting_everywhere(self, c_kernel):
+        # every state accepts every word, so only the dead state differs
+        blocks = self.refined(c_kernel, 2, ints(1, 2, 1), ints(1, 2, 2, 0,
+                                                              0, 1))
+        assert blocks == [0, 0, 0, 1]
+
+    @pytest.mark.parametrize("labels, table, blocks", [
+        ((1,), (0,), [0, 1]), ((0,), (0,), [0, 0]), ((1,), (-1,), [0, 1])])
+    def test_one_state(self, c_kernel, labels, table, blocks):
+        assert self.refined(c_kernel, 1, ints(*labels), ints(*table)) == blocks
+
+    def test_blocks_are_numbered_by_their_smallest_member(self, c_kernel):
+        # 0 and 2 move to the accepting 1, which stops: {0, 2}, {1}, dead
+        blocks = self.refined(c_kernel, 1, ints(0, 1, 0), ints(1, -1, 1))
+        assert blocks == [0, 1, 0, 2]
+
+    def test_long_chain_matches_python(self, c_kernel):
+        atoms, labels, table = _subsets(alternating_chain(2_000), CAP)
+        assert self.refined(c_kernel, len(atoms), labels, table) == list(
+            range(2_002))
+
+
 class TestMinimizers:
     @settings(max_examples=200, deadline=None)
     @given(nfas())
@@ -320,8 +392,9 @@ class TestMinimizers:
         assert minimize_hopcroft(relabel(doubled, perm)).structurally_equal(
             minimize_hopcroft(dfa))
 
-    def test_long_chain(self):
-        # Moore-style rounds would need one round per state here.
+    def test_long_chain(self, kernel):
+        # Moore-style rounds would need one round per state here, and a
+        # refinement quadratic on a chain would not finish in time either.
         start = time.perf_counter()
         assert minimize_hopcroft(alternating_chain(20_000)).state_count == 20_001
         assert time.perf_counter() - start < 30
