@@ -1,16 +1,17 @@
 /* Compiled kernel of falab: the byte-stream scan behind falab.Simulator,
-   and the subset walk and partition refinement behind falab.transform's
-   determinization and minimization.
+   and the subset walk, partition refinement and table flip behind
+   falab.transform's determinization and minimization.
 
    step_stream(program, data, rules=None), active_sets(program, data),
-   subsets(program, cap) and refine(natoms, labels, table) keep the
-   contracts of falab._simkernel_py, which is their specification: the
-   same flat program (n, ncls, off, succ, init, always, report), the same
-   ((per_cycle_count, activation, reports), work) summary or, with rules =
-   (rule_of, raw_start), the same (active_rules, moving_rules) pairs, the
-   same per-cycle frozensets from active_sets, the same operation count,
-   the same (labels, table) numbering from subsets, or None where more
-   than cap subsets would be found, and the same blocks from refine.  The
+   subsets(program, cap), refine(natoms, labels, table) and flip(natoms,
+   labels, table) keep the contracts of falab._simkernel_py, which is
+   their specification: the same flat program (n, ncls, off, succ, init,
+   always, report), the same ((per_cycle_count, activation, reports),
+   work) summary or, with rules = (rule_of, raw_start), the same
+   (active_rules, moving_rules) pairs, the same per-cycle frozensets from
+   active_sets, the same operation count, the same (labels, table)
+   numbering from subsets, or None where more than cap subsets would be
+   found, the same blocks from refine and the same program from flip.  The
    module imports no part of falab, only the standard array module for its
    results.  The arrays are read in place through the buffer protocol,
    never copied.  One pass checks them all before the scan or walk: an
@@ -38,6 +39,12 @@
    a partition refined in place, in O(m log n) for m table entries; its
    scratch memory is freed on every path.
 
+   flip(natoms, labels, table) takes the same table, with the same checks
+   and errors (one helper makes them for both), and returns the program
+   of the table with every move reversed: the inverse table, by the same
+   counting sort without the dead state, as off and succ, the accepting
+   states as init, no always states, and a report at state 0 alone.
+
    FORMAT numbers this program layout and contract; falab.transform uses
    the module only when it equals falab._simkernel_py.FORMAT. */
 
@@ -46,7 +53,7 @@
 #include <stdint.h>
 #include <stdlib.h>
 
-#define FORMAT 7
+#define FORMAT 8
 
 /* Buffer views, acquired in this order (DATA only for a scan, RULE_OF
    and RAW_START only with rules), with their names and item formats;
@@ -850,48 +857,156 @@ subsets(PyObject *self, PyObject *args, PyObject *kwargs)
     return result;
 }
 
-static PyObject *
-refine(PyObject *self, PyObject *args, PyObject *kwargs)
+/* The checked arguments of refine and flip: a dense table of n =
+   len(labels) states over natoms atoms. */
+typedef struct {
+    Py_ssize_t natoms, n;
+    Py_buffer labels, table;
+} Table;
+
+/* Parse (natoms, labels, table) by format and check them: natoms an int
+   in 0..256, labels and table buffers of 'i' items, len(table) equal to
+   n * natoms, every target in -1..n-1.  On success both views are held;
+   on failure none is. */
+static int
+load_table(Table *t, PyObject *args, PyObject *kwargs, const char *format)
 {
     static char *kwlist[] = {"natoms", "labels", "table", NULL};
-    PyObject *atoms, *labels_arg, *table_arg, *result = NULL;
-    Py_buffer labels, table;
+    PyObject *atoms, *labels, *table;
 
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOO:refine", kwlist,
-                                     &atoms, &labels_arg, &table_arg))
-        return NULL;
-    Py_ssize_t natoms = PyLong_AsSsize_t(atoms);
-    if (natoms < 0 || natoms > 256) {
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, format, kwlist, &atoms,
+                                     &labels, &table))
+        return -1;
+    t->natoms = PyLong_AsSsize_t(atoms);
+    if (t->natoms < 0 || t->natoms > 256) {
         PyErr_Clear();  /* a non-int or an overflow is reported as below */
         PyErr_Format(PyExc_ValueError, "natoms is %R; it must be an int in "
                      "0..256", atoms);
+        return -1;
+    }
+    if ((t->n = get_items(&t->labels, labels, "labels", "i")) < 0)
+        return -1;
+    Py_ssize_t len = get_items(&t->table, table, "table", "i");
+    if (len < 0) {
+        PyBuffer_Release(&t->labels);
+        return -1;
+    }
+    const int32_t *targets = t->table.buf;
+    Py_ssize_t k = 0;
+    if (t->n >= INT32_MAX)
+        PyErr_Format(PyExc_ValueError, "labels has %zd items; at most %d "
+                     "states fit", t->n, INT32_MAX - 1);
+    else if (len != t->n * t->natoms)
+        PyErr_Format(PyExc_ValueError, "table must have len(labels) * "
+                     "natoms = %zd items, not %zd", t->n * t->natoms, len);
+    else {
+        while (k < len && targets[k] >= -1 && targets[k] < t->n)
+            k++;
+        if (k == len)
+            return 0;
+        PyErr_Format(PyExc_ValueError, "table[%zd] is %d, outside -1..%zd",
+                     k, (int)targets[k], t->n - 1);
+    }
+    PyBuffer_Release(&t->table);
+    PyBuffer_Release(&t->labels);
+    return -1;
+}
+
+static void
+release_table(Table *t)
+{
+    PyBuffer_Release(&t->table);
+    PyBuffer_Release(&t->labels);
+}
+
+static PyObject *
+refine(PyObject *self, PyObject *args, PyObject *kwargs)
+{
+    Table t;
+
+    if (load_table(&t, args, kwargs, "OOO:refine") < 0)
+        return NULL;
+    PyObject *result = partition(t.natoms, t.labels.buf, t.n, t.table.buf);
+    release_table(&t);
+    return result;
+}
+
+/* The program of a checked table with every move reversed, as
+   falab._simkernel_py.flip builds it.  off and succ are the inverse
+   table by counting sort, as partition builds it but without the dead
+   state: the states that move to t on atom i are succ[off[t * natoms +
+   i]..off[t * natoms + i + 1]), ascending. */
+static PyObject *
+reversal(const Table *t)
+{
+    const int32_t *labels = t->labels.buf, *table = t->table.buf;
+    Py_ssize_t n = t->n, natoms = t->natoms, rows = n * natoms, m = 0;
+    int32_t *off = NULL, *succ = NULL, *init = NULL;
+    PyObject *arrays[5] = {NULL}, *result = NULL;
+
+    if (n == 0) {
+        PyErr_SetString(PyExc_IndexError, "labels is empty: the table has "
+                        "no start state to report");
         return NULL;
     }
-    Py_ssize_t n = get_items(&labels, labels_arg, "labels", "i");
-    if (n < 0)
+    for (Py_ssize_t k = 0; k < rows; k++)
+        m += table[k] >= 0;
+    if (m >= INT32_MAX) {
+        PyErr_Format(PyExc_ValueError, "table has %zd moves; at most %d fit "
+                     "the program's offsets", m, INT32_MAX - 1);
         return NULL;
-    Py_ssize_t len = get_items(&table, table_arg, "table", "i");
-    if (len >= 0) {
-        const int32_t *targets = table.buf;
-        Py_ssize_t k = 0;
-        if (n >= INT32_MAX)
-            PyErr_Format(PyExc_ValueError, "labels has %zd items; at most "
-                         "%d states fit", n, INT32_MAX - 1);
-        else if (len != n * natoms)
-            PyErr_Format(PyExc_ValueError, "table must have len(labels) * "
-                         "natoms = %zd items, not %zd", n * natoms, len);
-        else {
-            while (k < len && targets[k] >= -1 && targets[k] < n)
-                k++;
-            if (k < len)
-                PyErr_Format(PyExc_ValueError, "table[%zd] is %d, outside "
-                             "-1..%zd", k, (int)targets[k], n - 1);
-            else
-                result = partition(natoms, labels.buf, n, targets);
-        }
-        PyBuffer_Release(&table);
     }
-    PyBuffer_Release(&labels);
+    off = PyMem_Calloc(rows + 1, sizeof *off);
+    succ = PyMem_Malloc((m ? m : 1) * sizeof *succ);
+    init = PyMem_Malloc(2 * n * sizeof *init);  /* n items, then report */
+    if (!off || !succ || !init) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    for (Py_ssize_t s = 0; s < n; s++)
+        for (Py_ssize_t i = 0; i < natoms; i++)
+            if (table[s * natoms + i] >= 0)
+                off[table[s * natoms + i] * natoms + i]++;
+    for (Py_ssize_t k = 1; k < rows; k++)
+        off[k] += off[k - 1];
+    off[rows] = (int32_t)m;
+    for (Py_ssize_t s = n - 1; s >= 0; s--)
+        for (Py_ssize_t i = 0; i < natoms; i++)
+            if (table[s * natoms + i] >= 0)
+                succ[--off[table[s * natoms + i] * natoms + i]] = (int32_t)s;
+    Py_ssize_t ninit = 0;
+    for (Py_ssize_t s = 0; s < n; s++)
+        if (labels[s] > 0)
+            init[ninit++] = (int32_t)s;
+    int32_t *report = init + n;
+    report[0] = 0;
+    for (Py_ssize_t s = 1; s < n; s++)
+        report[s] = -1;
+    if ((arrays[0] = int_array(off, rows + 1)) != NULL
+        && (arrays[1] = int_array(succ, m)) != NULL
+        && (arrays[2] = int_array(init, ninit)) != NULL
+        && (arrays[3] = int_array(init, 0)) != NULL
+        && (arrays[4] = int_array(report, n)) != NULL)
+        result = Py_BuildValue("(nnOOOOO)", n, natoms, arrays[0], arrays[1],
+                               arrays[2], arrays[3], arrays[4]);
+done:
+    PyMem_Free(off);
+    PyMem_Free(succ);
+    PyMem_Free(init);
+    for (int k = 0; k < 5; k++)
+        Py_XDECREF(arrays[k]);
+    return result;
+}
+
+static PyObject *
+flip(PyObject *self, PyObject *args, PyObject *kwargs)
+{
+    Table t;
+
+    if (load_table(&t, args, kwargs, "OOO:flip") < 0)
+        return NULL;
+    PyObject *result = reversal(&t);
+    release_table(&t);
     return result;
 }
 
@@ -915,12 +1030,17 @@ static PyMethodDef methods[] = {
      "refine(natoms, labels, table)\n--\n\n"
      "Return the canonically numbered block of each state of the dense\n"
      "table's Hopcroft refinement, dead state last."},
+    {"flip", (PyCFunction)(void (*)(void))flip,
+     METH_VARARGS | METH_KEYWORDS,
+     "flip(natoms, labels, table)\n--\n\n"
+     "Return the program of the dense table with every move reversed,\n"
+     "started from its accepting states and reporting at state 0."},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT, "falab._simkernel",
-    "Compiled scan kernel, subset walk and refinement; see "
+    "Compiled scan kernel, subset walk, refinement and flip; see "
     "falab._simkernel_py.", -1,
     methods,
 };

@@ -1,8 +1,8 @@
-"""Byte-stream stepping kernel, subset walk and partition refinement in
-plain Python: the specification.
+"""Byte-stream stepping kernel, subset walk, partition refinement and
+table flip in plain Python: the specification.
 
 This is the reference for the compiled kernel ``falab._simkernel``, the
-one :class:`falab.Simulator` and the subset walk and refinement of
+one :class:`falab.Simulator` and the subset walk, refinement and flip of
 ``falab.transform`` run when it is built, and the fallback when it is
 not.  Both take the same arguments and return the same values.
 
@@ -95,6 +95,19 @@ kernel raises TypeError when ``labels`` or ``table`` is not a buffer of
 ``len(table)`` is not ``len(labels) * natoms``, or when a target is
 outside -1..n-1, naming the array and index.
 
+``flip(natoms, labels, table)`` is the middle step of Brzozowski's
+minimization: it takes a dense table laid out as ``subsets`` returns it
+and returns the program, laid out as above with ``ncls = natoms``, of
+the same states with every move reversed.  The successors of ``t`` on
+class ``i`` are the states that reach ``t`` on ``i``, in ascending order
+(the -1 targets reach nothing); ``init`` holds the accepting states
+(``labels`` above 0), ascending, ``always`` is empty, and ``report`` is
+0 at state 0, the table's start, and -1 elsewhere.  So ``subsets`` of
+the result walks the reversed language, and a subset accepts exactly
+where it holds the start.  The compiled kernel checks its arguments as
+``refine`` does, with the same errors, and both raise IndexError when
+``labels`` is empty: a table with no state 0 has no start to report.
+
 ``FORMAT`` numbers this layout; ``falab.transform`` uses the compiled
 kernel only when its ``FORMAT`` is the same.
 """
@@ -103,9 +116,9 @@ from __future__ import annotations
 
 from array import array
 from collections import deque
-from itertools import compress
+from itertools import accumulate, chain, compress
 
-FORMAT = 7
+FORMAT = 8
 
 
 def _steps(program, data: bytes):
@@ -273,3 +286,20 @@ def refine(natoms: int, labels, table) -> array:
     canonical: dict[int, int] = {}  # in order of each block's smallest state
     return array("i", [canonical.setdefault(b, len(canonical))
                        for b in block_of])
+
+
+def flip(natoms: int, labels, table) -> tuple:
+    """The kernel program of a dense table (as ``refine`` reads it) with
+    its edges flipped: the successors of ``t`` on atom ``i`` are the
+    states that reach ``t`` on ``i``.  The accepting states are the
+    initial set, and the start, state 0, is the one state with a report
+    label, so a walk of the program accepts where it holds it."""
+    n = len(labels)
+    # (t, i) order: state-major, as the program lays its rows out
+    rows = list(chain.from_iterable(zip(*(
+        col[:n] for col in _predecessors(table, natoms, n)))))
+    report = array("i", [-1]) * n
+    report[0] = 0
+    return (n, natoms, array("i", accumulate(map(len, rows), initial=0)),
+            array("i", chain.from_iterable(rows)),
+            array("i", compress(range(n), labels)), array("i"), report)

@@ -4,7 +4,9 @@ library call plus document I/O.
 Exit codes: 0 success, 1 domain error (bad automaton, cap exceeded,
 schema violation, I/O failure), 2 usage error.  Diagnostics go to stderr;
 data goes to files or stdout only.  ``equivalent`` follows cmp(1)
-conventions: exit 0 when the languages match, 1 when they differ.
+conventions: exit 0 when the languages match, 1 when they differ, and
+then it prints a shortest word that exactly one of the two accepts, as
+pattern text (``regex.escape_literal``), on a ``witness:`` line.
 
 Randomized commands require an explicit --seed; there is never an
 implicit random seed.
@@ -26,9 +28,10 @@ from .experiment import (GrowthThresholds, classify_growth, emit_report,
                          experiment_x_axis, incremental_merge_experiment,
                          per_pattern_experiment)
 from .generators import gen_dotstar, gen_mesh_patterns, Pattern, RandomRecipe
+from .regex import escape_literal
 from .simulate import active_rule_frequency, run
 from .transform import (CapExceededError, DEFAULT_STATE_CAP,
-                        connected_components, determinize, equivalent,
+                        _witness, connected_components, determinize,
                         merge_patterns, minimize_brzozowski,
                         minimize_hopcroft, optimize_nfa)
 
@@ -170,10 +173,12 @@ def _cmd_merge(args) -> int:
 
 def _cmd_equivalent(args) -> int:
     a, b = _load_valid(args.first), _load_valid(args.second)
-    if equivalent(a, b, args.cap):
+    word = _witness(a, b, args.cap)
+    if word is None:
         print("equivalent")
         return 0
     print("not equivalent")
+    print(f"witness: {escape_literal(word)}")
     return 1
 
 

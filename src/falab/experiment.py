@@ -5,8 +5,11 @@ compile -> remove_epsilon -> trim -> optimize_nfa -> determinize ->
 minimize (Brzozowski, cross-checked against Hopcroft).  All state counts
 exclude unreachable states and the implicit dead state.  The determinize
 stage is the subset walk alone: ``dfa_states`` counts its subsets, and
-the Hopcroft cross-check refines the walk's own table, so no DFA
-``Automaton`` is built for either.
+the Hopcroft cross-check refines the walk's own table.  Brzozowski's
+minimal DFA stays the table of its second walk: ``mdfa_states`` counts
+its rows and ``mdfa_max_fanout`` their distinct targets.  So no DFA
+``Automaton`` is built, except the minimal DFA of each row that the
+equivalence spot check samples.
 
 Timings are measured per stage but written to the CSV only on request:
 wall-clock values would break the byte-identical rerun guarantee, so the
@@ -25,9 +28,11 @@ from ._version import __version__
 from .core import Automaton, StartKind, stats
 from .documents import write_text_atomic
 from .generators import Pattern, SplitMix64, compile_pattern, pattern_size
+from .regex import escape_literal
 from .transform import (CapExceededError, DEFAULT_STATE_CAP, _dfa_sizes,
-                        equivalent, merge_patterns, minimize_brzozowski,
-                        optimize_nfa, remove_epsilon, trim)
+                        _minimal_table, _table_automaton, _witness,
+                        equivalent, merge_patterns, optimize_nfa,
+                        remove_epsilon, trim)
 
 CAP_TOKEN = "CAP_EXCEEDED"
 SPOT_CHECK_ROWS = 4
@@ -163,8 +168,16 @@ def classify_growth(rows: list[ReportRow], xs: list[int],
 class _StageResult:
     nfa: Automaton
     opt: Automaton
-    mdfa: Automaton | None
+    mdfa: tuple | None  # the minimal DFA's (atoms, labels, table)
     row: ReportRow
+
+
+def _max_fanout(natoms: int, table) -> int:
+    """The most distinct targets (-1, no move, aside) in one row of a
+    dense table: ``stats(_table_automaton(...)).max_fanout``, as that
+    automaton has one edge per target.  0 when there are no atoms."""
+    rows = map(set, zip(*[iter(table)] * natoms))
+    return max((len(row) - (-1 in row) for row in rows), default=0)
 
 
 def _run_pipeline(key: int, nfa_raw: Automaton,
@@ -174,19 +187,22 @@ def _run_pipeline(key: int, nfa_raw: Automaton,
     t1 = time.perf_counter()
     opt = optimize_nfa(nfa)
     t2 = time.perf_counter()
-    dfa_states = mdfa = None
+    dfa_states = mdfa = mdfa_states = mdfa_max_fanout = None
     status = "ok"
     try:
         sizes = _dfa_sizes(nfa, cap)
         dfa_states = next(sizes)
         t3 = time.perf_counter()
-        mdfa = minimize_brzozowski(nfa, cap)
+        mdfa = _minimal_table(nfa, cap)
         hop_states = next(sizes)  # Hopcroft's cross-check
         t4 = time.perf_counter()
-        if hop_states != mdfa.state_count:
+        atoms, labels, table = mdfa
+        mdfa_states = len(labels)
+        mdfa_max_fanout = _max_fanout(len(atoms), table)
+        if hop_states != mdfa_states:
             raise AssertionError(
                 f"minimizer disagreement on key {key}: brzozowski "
-                f"{mdfa.state_count} vs hopcroft {hop_states}")
+                f"{mdfa_states} vs hopcroft {hop_states}")
     except CapExceededError:
         status = CAP_TOKEN
         t3 = time.perf_counter() if dfa_states is None else t3
@@ -197,9 +213,9 @@ def _run_pipeline(key: int, nfa_raw: Automaton,
         nfa_states=nfa.state_count,
         opt_nfa_states=opt.state_count,
         dfa_states=dfa_states,
-        mdfa_states=mdfa.state_count if mdfa is not None else None,
+        mdfa_states=mdfa_states,
         nfa_max_fanout=nfa_stats.max_fanout,
-        mdfa_max_fanout=stats(mdfa).max_fanout if mdfa is not None else None,
+        mdfa_max_fanout=mdfa_max_fanout,
         t_compile_s=t1 - t0,
         t_optimize_s=t2 - t1,
         t_determinize_s=(t3 - t2) if dfa_states is not None else 0.0,
@@ -210,7 +226,9 @@ def _run_pipeline(key: int, nfa_raw: Automaton,
 
 
 def _spot_check(results: list[_StageResult], seed: int, cap: int) -> None:
-    """Verify language preservation on a seeded sample of rows."""
+    """Verify language preservation on a seeded sample of rows, naming a
+    shortest word on which a row's optimized NFA or minimal DFA differs
+    from its NFA."""
     ok_rows = [r for r in results if r.row.status == "ok"]
     if not ok_rows:
         return
@@ -221,9 +239,15 @@ def _spot_check(results: list[_StageResult], seed: int, cap: int) -> None:
     cap += 1
     for i in picks:
         r = ok_rows[i]
-        if not equivalent(r.nfa, r.opt, cap) or not equivalent(r.nfa, r.mdfa, cap):
-            raise AssertionError(
-                f"pipeline changed the language on key {r.row.key}")
+        for stage, out in (("optimized NFA", r.opt),
+                           ("minimal DFA", _table_automaton(*r.mdfa))):
+            # equivalent, a public name, is what bench/tracing.py counts;
+            # the witness walks again, on failure only
+            if not equivalent(r.nfa, out, cap):
+                word = escape_literal(_witness(r.nfa, out, cap))
+                raise AssertionError(
+                    f"pipeline changed the language on key {r.row.key}: "
+                    f"the {stage} and the NFA differ on '{word}'")
 
 
 def per_pattern_experiment(patterns: list[Pattern], seed: int,

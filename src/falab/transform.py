@@ -13,17 +13,21 @@ byte-class successors that ``_simkernel_py`` specifies:
 (``_subsets``) determinizes it into a dense DFA table, the NFA's byte
 classes and one target id per state and class, plus the number of report
 labels each DFA state accepts.  The walk is the only way into a DFA
-table: ``determinize`` builds its ``Automaton`` from it, Brzozowski's
-second walk runs on the first one's table reversed, and the one Hopcroft
-refinement (``_refine``) runs on the walk's own table, whether the walk
-of an NFA (the report pipeline's cross-check) or of a DFA
-(``minimize_hopcroft``, to which that walk is the DFA trimmed and
-renumbered breadth-first).  The scan, the walk and the refinement all
-run in the kernel this module loads: the compiled ``_simkernel`` when
-the extension was built (``python setup.py build_ext --inplace``) for
-the same program ``FORMAT``, and otherwise ``_simkernel_py``, whose
-plain-Python loops are the specification both follow; a compiled module
-of another format is ignored with a ``RuntimeWarning``.
+table: ``determinize`` builds its ``Automaton`` from it; Brzozowski's
+second walk runs on the first one's table flipped by the kernel's
+``flip`` (:func:`_minimal_table`, whose table the report pipeline reads
+without building the minimal DFA); ``equivalent`` reads a shortest
+separating word off its joint walk's table (:func:`_witness`); and the
+one Hopcroft refinement (``_refine``) runs on the walk's own table,
+whether the walk of an NFA (the report pipeline's cross-check) or of a
+DFA (``minimize_hopcroft``, to which that walk is the DFA trimmed and
+renumbered breadth-first).  The scan, the walk, the refinement and the
+flip all run in the kernel this module loads: the compiled
+``_simkernel`` when the extension was built (``python setup.py
+build_ext --inplace``) for the same program ``FORMAT``, and otherwise
+``_simkernel_py``, whose plain-Python loops are the specification both
+follow; a compiled module of another format is ignored with a
+``RuntimeWarning``.
 
 Deterministic automata here are partial: a missing transition means
 rejection, and the implicit dead state is never materialized or counted.
@@ -368,21 +372,13 @@ def reverse(a: Automaton) -> Automaton:
     )
 
 
-def _reversed_program(natoms: int, labels, table: array) -> tuple:
-    """The kernel program of a dense table (as :func:`_table_automaton`
-    reads it) with its edges flipped: the successors of ``t`` on atom
-    ``i`` are the states that reach ``t`` on ``i``.  The accepting states
-    are the initial set, and the start, state 0, is the one state with a
-    report label, so a walk of the program accepts where it holds it."""
-    n = len(labels)
-    # (t, i) order: state-major, as the program lays its rows out
-    rows = list(chain.from_iterable(zip(*(
-        col[:n] for col in _simkernel_py._predecessors(table, natoms, n)))))
-    report = array("i", [-1]) * n
-    report[0] = 0
-    return (n, natoms, array("i", accumulate(map(len, rows), initial=0)),
-            array("i", chain.from_iterable(rows)),
-            array("i", compress(range(n), labels)), array("i"), report)
+def _minimal_table(a: Automaton, cap: int) -> tuple[list[int], array, array]:
+    """Brzozowski's minimal DFA of ``a`` as a dense table: the
+    ``(atoms, labels, table)`` of the second walk, laid out as
+    :func:`_subsets` returns it.  The first walk's table is flipped in the
+    kernel's ``flip``, so the middle DFA is never built."""
+    atoms, labels, table = _subsets(reverse(a), cap)
+    return (atoms, *_walk(_kernel.flip(len(atoms), labels, table), cap))
 
 
 def minimize_brzozowski(a: Automaton, cap: int = DEFAULT_STATE_CAP) -> Automaton:
@@ -390,14 +386,13 @@ def minimize_brzozowski(a: Automaton, cap: int = DEFAULT_STATE_CAP) -> Automaton
 
     The middle DFA stays a table: the second walk runs on the first
     walk's table with its edges flipped, started from its accepting
-    states, and accepts in the subsets that hold its start.  Output is
-    the unique minimal DFA modulo the (never materialized) dead state;
-    its state count excludes that dead state by construction.  Raises
-    :class:`CapExceededError` when either walk passes ``cap``.
+    states, and accepts in the subsets that hold its start
+    (:func:`_minimal_table`).  Output is the unique minimal DFA modulo the
+    (never materialized) dead state; its state count excludes that dead
+    state by construction.  Raises :class:`CapExceededError` when either
+    walk passes ``cap``.
     """
-    atoms, labels, table = _subsets(reverse(a), cap)
-    program = _reversed_program(len(atoms), labels, table)
-    return _table_automaton(atoms, *_walk(program, cap))
+    return _table_automaton(*_minimal_table(a, cap))
 
 
 # ---------------------------------------------------------------------------
@@ -679,8 +674,34 @@ def equivalent(a: Automaton, b: Automaton,
     exactly one side.  ``cap`` bounds that joint walk, shared start
     included: it may raise where each side alone fits.
     """
-    _, labels, _ = _subsets(merge_patterns([a, b]), cap)
-    return 1 not in labels
+    return _witness(a, b, cap) is None
+
+
+def _witness(a: Automaton, b: Automaton, cap: int) -> bytes | None:
+    """A shortest word that exactly one of ``a`` and ``b`` accepts, or
+    None when they are :func:`equivalent`.
+
+    The walk numbers the subsets breadth-first, so the first one that
+    accepts exactly one side is at the least depth, and the first move
+    into each subset, in table order, comes from one a level nearer the
+    start: following those moves back spells a shortest word, one byte,
+    the lowest of its atom, per move.
+    """
+    atoms, labels, table = _subsets(merge_patterns([a, b]), cap)
+    try:
+        target = labels.index(1)
+    except ValueError:
+        return None
+    natoms = len(atoms)
+    into: dict[int, int] = {}  # subset -> the first table slot leading in
+    for k, t in enumerate(table[:target * natoms]):
+        into.setdefault(t, k)
+    word = bytearray()
+    while target:
+        source, i = divmod(into[target], natoms)
+        word.append((atoms[i] & -atoms[i]).bit_length() - 1)
+        target = source
+    return bytes(reversed(word))
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@ are covered in ``test_cli_scan.py``).
 
 Every subcommand exits 0 on a valid input, 1 for a missing file or an
 invalid document, and 2 when a required argument is missing.
-``equivalent`` also exits 1 when the two languages differ.
+``equivalent`` also exits 1 when the two languages differ, and then
+prints a shortest word that tells them apart.
 """
 
 import json
@@ -15,6 +16,7 @@ from falab.core import StartKind
 from falab.documents import PatternSet, save_automaton, save_pattern_set
 from falab.generators import Pattern, RegexSource, gen_dotstar
 from falab.regex import compile_regex
+from falab.transform import accepts
 
 from conftest import cli_with_python_kernel
 
@@ -200,7 +202,7 @@ def test_report_spot_check_fits_where_the_rows_fit(tmp_path, capsys):
 
 @pytest.mark.parametrize("first, second, code, verdict", [
     ("ab", "abb", 0, "equivalent\n"),
-    ("ab", "ac", 1, "not equivalent\n"),
+    ("ab", "ac", 1, "not equivalent\nwitness: ab\n"),
 ], ids=["same-language", "different-languages"])
 def test_equivalent_on_the_python_kernel(paths, capsys, first, second, code,
                                          verdict):
@@ -209,3 +211,19 @@ def test_equivalent_on_the_python_kernel(paths, capsys, first, second, code,
     assert capsys.readouterr().out == verdict
     proc = cli_with_python_kernel(argv)
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, verdict, "")
+
+
+@pytest.mark.parametrize("first, second, word, witness", [
+    ("a\\(\\x00", "a\\(\\x01", b"a(\x00", "a\\(\\x00"),
+    ("a*", "a+", b"", ""),
+], ids=["escaped", "empty-word"])
+def test_equivalent_prints_the_witness_as_pattern_text(tmp_path, capsys, first,
+                                                       second, word, witness):
+    automata = [compile_regex(text, SOD) for text in (first, second)]
+    paths = [str(tmp_path / f"{k}.json") for k in range(2)]
+    for a, path in zip(automata, paths):
+        save_automaton(a, path)
+    assert exit_code(["equivalent", *paths]) == 1
+    assert capsys.readouterr().out == f"not equivalent\nwitness: {witness}\n"
+    assert accepts(automata[0], word) != accepts(automata[1], word)
+    assert accepts(compile_regex(witness, SOD), word)

@@ -2,35 +2,68 @@
 cap boundary, its timing cells, and growth classification (each label
 and each rejected input)."""
 
+import importlib.util
 import math
+import re
+import sys
 import time
+from array import array
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from falab import experiment, transform
 from falab.cli import main
-from falab.core import StartKind
+from falab.core import Automaton, StartKind, stats
 from falab.documents import PatternSet, save_pattern_set
 from falab.experiment import (CAP_TOKEN, GrowthLabel, ReportRow,
                               classify_growth, per_pattern_experiment)
 from falab.generators import Pattern, RegexSource, compile_pattern, gen_dotstar
 from falab.regex import compile_regex
 from falab.transform import (DEFAULT_STATE_CAP, brute_force_minimal_states,
-                             determinize, remove_epsilon, trim)
+                             determinize, merge_patterns, minimize_brzozowski,
+                             remove_epsilon, trim)
 
 from corpus import START_MODES, alternating_chain, nfas
 
 SOD = StartKind.START_OF_DATA
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 def test_language_change_fails_the_spot_check(monkeypatch):
     monkeypatch.setattr(experiment, "optimize_nfa",
                         lambda nfa: compile_regex("zz", SOD))
     with pytest.raises(AssertionError,
-                       match="pipeline changed the language on key 7$"):
+                       match="pipeline changed the language on key 7: the "
+                             "optimized NFA and the NFA differ on 'ab'$"):
         per_pattern_experiment([Pattern(7, RegexSource("ab"))], seed=0)
+
+
+def drop_accepts(labels, table):
+    labels[:] = array("i", [0]) * len(labels)
+
+
+def drop_moves(labels, table):
+    table[:] = array("i", [-1]) * len(table)
+
+
+def accept_at_start(labels, table):
+    labels[0] = 1
+
+
+@pytest.mark.parametrize("corrupt, word", [
+    (drop_accepts, "a\\(b"), (drop_moves, "a\\(b"), (accept_at_start, "")])
+def test_corrupted_minimal_table_fails_the_spot_check(corrupt, word):
+    result = experiment._run_pipeline(
+        7, compile_regex("a\\(b", SOD), DEFAULT_STATE_CAP)
+    experiment._spot_check([result], 0, DEFAULT_STATE_CAP)
+    corrupt(*result.mdfa[1:])
+    with pytest.raises(AssertionError,
+                       match=re.escape(f"on key 7: the minimal DFA and the "
+                                       f"NFA differ on '{word}'") + "$"):
+        experiment._spot_check([result], 0, DEFAULT_STATE_CAP)
 
 
 def test_minimizer_disagreement_fails_the_report(monkeypatch):
@@ -45,6 +78,59 @@ def test_minimizer_disagreement_fails_the_report(monkeypatch):
                        match="minimizer disagreement on key 7: brzozowski 3 "
                              "vs hopcroft 4$"):
         per_pattern_experiment([Pattern(7, RegexSource("ab"))], seed=0)
+
+
+def assert_counts_from_the_table(raw):
+    """The row's minimal-DFA cells, read off Brzozowski's table, equal the
+    stats of the minimal DFA as an Automaton."""
+    row = experiment._run_pipeline(0, raw, DEFAULT_STATE_CAP).row
+    mdfa = stats(minimize_brzozowski(trim(remove_epsilon(raw))))
+    assert (row.mdfa_states, row.mdfa_max_fanout) == (mdfa.state_count,
+                                                      mdfa.max_fanout)
+
+
+@pytest.mark.parametrize("mode", START_MODES)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_table_counts_match_the_automaton(mode, data):
+    assert_counts_from_the_table(data.draw(nfas(mode)))
+
+
+@pytest.mark.parametrize("accepts", [frozenset(), frozenset([0])])
+@pytest.mark.parametrize("kind", [SOD, StartKind.ALL_INPUT])
+def test_table_counts_of_an_automaton_without_edges(accepts, kind):
+    # No edges: no atoms, so every table row is empty.
+    raw = Automaton(state_count=1, starts={0: kind}, accepts=accepts)
+    assert_counts_from_the_table(raw)
+    assert experiment._max_fanout(0, array("i")) == 0
+
+
+def seed_one_report_automata():
+    """The 98 automata the benchmark's report workloads run the pipeline
+    on at seed 1: 8 dot-star sets merged k = 1..7, and 42 mesh patterns."""
+    spec = importlib.util.spec_from_file_location("bench_workloads",
+                                                  BENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    for name, command in (("dotstar-merge", "report-merge"),
+                          ("mesh-per-pattern", "report-per-pattern")):
+        workload = workloads.ReportWorkload(name, command, workloads.FULL)
+        for ps in workload._pattern_sets(1):
+            compiled = [compile_pattern(p, ps.start_kind)
+                        for p in sorted(ps.patterns, key=lambda p: p.id)]
+            if workload.merge:
+                for k in range(1, len(compiled) + 1):
+                    yield merge_patterns(compiled[:k])
+            else:
+                yield from compiled
+
+
+def test_table_counts_on_the_seed_one_report_automata():
+    automata = list(seed_one_report_automata())
+    assert len(automata) == 98
+    for raw in automata:
+        assert_counts_from_the_table(raw)
 
 
 def pipeline_dfa(pattern: Pattern):

@@ -594,6 +594,44 @@ def ints(*items):
 N, NCLS, OFF, SUCC, REPORT = 2, 1, ints(0, 1, 3), ints(1, 0, 1), ints(-1, -1)
 
 
+# Malformed (natoms, labels, table) arguments, which refine and flip
+# check alike.
+MALFORMED_TABLES = [
+    pytest.param((1, [0, 0], ints(1, 0)), TypeError,
+                 "labels must be a buffer, not 'list'",
+                 id="labels-not-a-buffer"),
+    pytest.param((1, ints(0, 0), (1, 0)), TypeError,
+                 "table must be a buffer, not 'tuple'",
+                 id="table-not-a-buffer"),
+    pytest.param((1, array("q", [0, 0]), ints(1, 0)), TypeError,
+                 "labels must hold 'i' items, not 'q'",
+                 id="labels-item-format"),
+    pytest.param((1, ints(0, 0), b"\x01\x00"), TypeError,
+                 "table must hold 'i' items, not 'B'",
+                 id="table-item-format"),
+    pytest.param((1, ints(0, 0), ints(1)), ValueError,
+                 r"table must have len\(labels\) \* natoms = 2 items, "
+                 r"not 1", id="table-short"),
+    pytest.param((2, ints(0, 0), ints(1, 0)), ValueError,
+                 r"table must have len\(labels\) \* natoms = 4 items, "
+                 r"not 2", id="table-for-fewer-atoms"),
+    pytest.param((1, ints(0, 0), ints(1, -2)), ValueError,
+                 r"table\[1\] is -2, outside -1\.\.1",
+                 id="target-below-minus-one"),
+    pytest.param((1, ints(0, 0), ints(2, 0)), ValueError,
+                 r"table\[0\] is 2, outside -1\.\.1", id="target-n"),
+    pytest.param((-1, ints(0, 0), ints()), ValueError,
+                 r"natoms is -1; it must be an int in 0\.\.256",
+                 id="natoms-negative"),
+    pytest.param((257, ints(), ints()), ValueError, "natoms is 257",
+                 id="natoms-above-256"),
+    pytest.param((2**70, ints(), ints()), ValueError,
+                 "natoms is 1180591620717411303424", id="natoms-overflow"),
+    pytest.param(("1", ints(), ints()), ValueError, "natoms is '1'",
+                 id="natoms-not-an-int"),
+]
+
+
 class TestCompiledKernelErrors:
     """Bad arguments raise before the scan and release every view."""
 
@@ -692,51 +730,24 @@ class TestCompiledKernelErrors:
             c_kernel.step_stream((N, NCLS, OFF, SUCC, ints(), ints(), REPORT),
                                  b"\x00", rules)
 
-    @pytest.mark.parametrize("args, error, match", [
-        pytest.param((1, [0, 0], ints(1, 0)), TypeError,
-                     "labels must be a buffer, not 'list'",
-                     id="labels-not-a-buffer"),
-        pytest.param((1, ints(0, 0), (1, 0)), TypeError,
-                     "table must be a buffer, not 'tuple'",
-                     id="table-not-a-buffer"),
-        pytest.param((1, array("q", [0, 0]), ints(1, 0)), TypeError,
-                     "labels must hold 'i' items, not 'q'",
-                     id="labels-item-format"),
-        pytest.param((1, ints(0, 0), b"\x01\x00"), TypeError,
-                     "table must hold 'i' items, not 'B'",
-                     id="table-item-format"),
-        pytest.param((1, ints(0, 0), ints(1)), ValueError,
-                     r"table must have len\(labels\) \* natoms = 2 items, "
-                     r"not 1", id="table-short"),
-        pytest.param((2, ints(0, 0), ints(1, 0)), ValueError,
-                     r"table must have len\(labels\) \* natoms = 4 items, "
-                     r"not 2", id="table-for-fewer-atoms"),
-        pytest.param((1, ints(0, 0), ints(1, -2)), ValueError,
-                     r"table\[1\] is -2, outside -1\.\.1",
-                     id="target-below-minus-one"),
-        pytest.param((1, ints(0, 0), ints(2, 0)), ValueError,
-                     r"table\[0\] is 2, outside -1\.\.1", id="target-n"),
-        pytest.param((-1, ints(0, 0), ints()), ValueError,
-                     r"natoms is -1; it must be an int in 0\.\.256",
-                     id="natoms-negative"),
-        pytest.param((257, ints(), ints()), ValueError, "natoms is 257",
-                     id="natoms-above-256"),
-        pytest.param((2**70, ints(), ints()), ValueError,
-                     "natoms is 1180591620717411303424", id="natoms-overflow"),
-        pytest.param(("1", ints(), ints()), ValueError, "natoms is '1'",
-                     id="natoms-not-an-int"),
-    ])
+    @pytest.mark.parametrize("args, error, match", MALFORMED_TABLES)
     def test_malformed_refine(self, c_kernel, args, error, match):
         with pytest.raises(error, match=match):
             c_kernel.refine(*args)
 
+    @pytest.mark.parametrize("args, error, match", MALFORMED_TABLES)
+    def test_malformed_flip(self, c_kernel, args, error, match):
+        with pytest.raises(error, match=match):
+            c_kernel.flip(*args)
+
     def test_error_paths_free_their_buffers(self, c_kernel):
         # Each call fails after its 1 MB off and succ arrays (1000 states x
         # 256 classes) are viewed, or, for the last subset walk, stops past
-        # the cap after half the walk; the refinements fail after viewing
-        # a 1 MB table, or refine it.  A view left unreleased would keep
-        # them alive, so memory would grow, and would forbid resizing them;
-        # so would scratch memory that the walk or refinement did not free.
+        # the cap after half the walk; the refinements and flips fail after
+        # viewing a 1 MB table, or refine or flip it.  A view left
+        # unreleased would keep them alive, so memory would grow, and would
+        # forbid resizing them; so would scratch memory that the walk,
+        # refinement or flip did not free.
         n, ncls = 1000, 256
         # every state moves to the next on every class: n subsets
         to_next = array("i", [(k // ncls + 1) % n for k in range(n * ncls)])
@@ -784,6 +795,13 @@ class TestCompiledKernelErrors:
             with pytest.raises(ValueError, match="natoms = 255000 items"):
                 c_kernel.refine(ncls - 1, labels, table)
             assert max(c_kernel.refine(ncls, labels, to_next)) == n
+            with pytest.raises(ValueError, match=r"table\[255999\] is 1000"):
+                c_kernel.flip(ncls, labels, table)
+            with pytest.raises(ValueError, match="natoms = 255000 items"):
+                c_kernel.flip(ncls - 1, labels, table)
+            # each state is reached from the one before it on every class
+            assert c_kernel.flip(ncls, labels, to_next)[3][:2] == ints(n - 1,
+                                                                       n - 1)
             labels.append(0)  # raises BufferError while a view is held
             table.append(0)
 

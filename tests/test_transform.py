@@ -22,8 +22,8 @@ from falab.transform import (ORACLE_STATE_LIMIT, CapExceededError, accepts,
                              epsilon_closures, equivalent, lower_all_input,
                              merge_patterns, minimize_brzozowski,
                              minimize_hopcroft, optimize_nfa,
-                             partition_masks, remove_epsilon, trim,
-                             _program, _subsets)
+                             partition_masks, remove_epsilon, reverse, trim,
+                             _program, _subsets, _witness)
 
 from corpus import (BYTES, START_MODES, alternating_chain, nfas,
                     random_regex)
@@ -353,6 +353,59 @@ class TestRefine:
             range(2_002))
 
 
+class TestFlip:
+    """The compiled flip against its specification, _simkernel_py.flip:
+    equal programs, and the programs Brzozowski's second walk ran on."""
+
+    @staticmethod
+    def flipped(c_kernel, natoms, labels, table):
+        program = c_kernel.flip(natoms, labels, table)
+        assert all(isinstance(x, array) and x.typecode == "i"
+                   for x in program[2:])
+        assert program == _simkernel_py.flip(natoms, labels, table)
+        return program
+
+    @pytest.mark.parametrize("mode", START_MODES)
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_walked_tables_match_python(self, c_kernel, mode, data):
+        nfa = data.draw(nfas(mode))
+        for a in (nfa, reverse(nfa)):
+            atoms, labels, table = _subsets(a, CAP)
+            self.flipped(c_kernel, len(atoms), labels, table)
+
+    @pytest.mark.parametrize("kind", [SOD, ALL],
+                             ids=["start-of-data", "all-input"])
+    def test_multiword_tables_match_python(self, c_kernel, kind):
+        merged = multiword_merge(kind)
+        for a in (merged, reverse(merged)):
+            atoms, labels, table = _subsets(a, CAP)
+            assert len(labels) > 64
+            self.flipped(c_kernel, len(atoms), labels, table)
+
+    # (natoms, labels, table) and the program that the reversal built for
+    # Brzozowski's second walk before it moved into the kernels.
+    @pytest.mark.parametrize("natoms, labels, table, program", [
+        (2, (0, 1, 1), (1, 2, -1, 2, 2, -1),
+         (3, 2, (0, 0, 0, 1, 1, 2, 4), (0, 2, 0, 1), (1, 2), (), (0, -1, -1))),
+        (0, (1,), (), (1, 0, (0,), (), (0,), (), (0,))),
+        (2, (0,), (-1, -1), (1, 2, (0, 0, 0), (), (), (), (0,))),
+        (1, (1,), (0,), (1, 1, (0, 1), (0,), (0,), (), (0,))),
+        (1, (0, 1, 0), (1, -1, 1),
+         (3, 1, (0, 0, 2, 2), (0, 2), (1,), (), (0, -1, -1))),
+    ], ids=["two-atoms", "no-atoms", "no-moves", "self-loop", "two-into-one"])
+    def test_fixed_tables(self, c_kernel, natoms, labels, table, program):
+        n, ncls, *arrays = program
+        assert self.flipped(c_kernel, natoms, ints(*labels),
+                            ints(*table)) == (n, ncls,
+                                              *(ints(*x) for x in arrays))
+
+    def test_empty_table_has_no_start(self, c_kernel):
+        for module in (_simkernel_py, c_kernel):
+            with pytest.raises(IndexError):
+                module.flip(1, ints(), ints())
+
+
 class TestMinimizers:
     @settings(max_examples=200, deadline=None)
     @given(nfas())
@@ -419,19 +472,20 @@ class TestOptimizeNfa:
                                                    for w in WORDS]
 
 
-def product_equivalent(da: Automaton, db: Automaton) -> bool:
-    """Reference equivalence of two DFAs: search their product for a pair
-    of states that differ in acceptance.  A missing transition is the
-    dead side of the pair."""
+def product_witness_length(da: Automaton, db: Automaton) -> int | None:
+    """Reference equivalence of two DFAs: search their product, breadth
+    first, for a pair of states that differ in acceptance, and return the
+    length of the shortest word that reaches one, or None when there is
+    none.  A missing transition is the dead side of the pair."""
     adj_a, adj_b = da.adjacency(), db.adjacency()
     dead = -1
     start = (0, 0)
     seen = {start}
-    queue = deque([start])
+    queue = deque([(start, 0)])
     while queue:
-        p, q = queue.popleft()
+        (p, q), depth = queue.popleft()
         if (p != dead and p in da.accepts) != (q != dead and q in db.accepts):
-            return False
+            return depth
         pairs = []
         if p != dead:
             pairs += [(c.mask, d, 0) for c, d in adj_a[p]]
@@ -445,8 +499,12 @@ def product_equivalent(da: Automaton, db: Automaton) -> bool:
             pair = tuple(target)
             if pair != (dead, dead) and pair not in seen:
                 seen.add(pair)
-                queue.append(pair)
-    return True
+                queue.append((pair, depth + 1))
+    return None
+
+
+def product_equivalent(da: Automaton, db: Automaton) -> bool:
+    return product_witness_length(da, db) is None
 
 
 @st.composite
@@ -522,6 +580,31 @@ class TestEquivalent:
         labeled = [replace(x, component_labels={
             s: s % 3 for s in range(x.state_count)}) for x in (a, b)]
         assert equivalent(*labeled) == equivalent(a, b)
+
+    @pytest.mark.parametrize("mode", START_MODES)
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_witness_is_a_shortest_separating_word(self, mode, data):
+        a, b = data.draw(equivalence_pairs(mode))
+        word = _witness(a, b, CAP)
+        shortest = product_witness_length(frozenset_determinize(a, CAP),
+                                          frozenset_determinize(b, CAP))
+        assert (word is None) == (shortest is None) == equivalent(a, b)
+        if word is not None:
+            assert accepts(a, word) != accepts(b, word)
+            assert len(word) <= shortest
+
+    # Atoms are spelled by their lowest byte: {0, 2} by 0.
+    @pytest.mark.parametrize("first, second, word", [
+        ("ab", "ac", b"ab"),
+        ("a*", "a+", b""),
+        ("a[\\x00-\\x02]b", "a\\x01b", b"a\x00b"),
+        ("ab|cd", "cd", b"ab"),
+        ("ab", "ab", None)])
+    def test_witness_of_regexes(self, kernel, first, second, word):
+        a, b = (compile_regex(x, SOD) for x in (first, second))
+        assert _witness(a, b, CAP) == word
+        assert _witness(b, a, CAP) == word
 
     def test_cap_can_fail_where_each_side_fits(self):
         a, b = compile_regex("a", SOD), compile_regex("b", SOD)
