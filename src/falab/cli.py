@@ -27,8 +27,9 @@ from .documents import (DocumentError, PatternSet, load_automaton,
 from .experiment import (GrowthThresholds, classify_growth, emit_report,
                          experiment_x_axis, incremental_merge_experiment,
                          per_pattern_experiment)
-from .generators import gen_dotstar, gen_mesh_patterns, Pattern, RandomRecipe
-from .regex import escape_literal
+from .generators import (Pattern, RandomRecipe, compile_pattern, gen_dotstar,
+                         gen_mesh_patterns)
+from .regex import compile_regex, escape_literal
 from .simulate import active_rule_frequency, run
 from .transform import (CapExceededError, DEFAULT_STATE_CAP,
                         _witness, connected_components, determinize,
@@ -83,11 +84,9 @@ def _read_input_bytes(path: str) -> bytes:
 
 
 def _cmd_compile(args) -> int:
-    from .generators import compile_pattern
     if args.regex is not None:
         if args.start_kind is None:
             raise UsageError("--start-kind is required with --regex")
-        from .regex import compile_regex
         automaton = compile_regex(args.regex, _start_kind(args.start_kind))
     else:
         ps = load_pattern_set(args.patterns)

@@ -9,6 +9,9 @@ byte, ``[...]`` with ranges and ``\\xHH`` escapes, or ``[^...]`` when the
 complement is smaller); a 64-hex-digit bitset literal is accepted on load
 for exactness.
 
+A pattern-set entry is ``{"id", "kind", <the fields of the kind's source
+dataclass, in order>}``, each field read by its declared type.
+
 An automaton document may claim ``"deterministic": true``.  The writer
 never emits the key, as an automaton is a DFA by its structure alone;
 the loader accepts a boolean there and rejects a true claim on an
@@ -20,7 +23,8 @@ from __future__ import annotations
 import contextlib
 import json
 import os
-from dataclasses import dataclass
+import typing
+from dataclasses import dataclass, fields
 
 from .core import (ALPHABET_SIZE, Automaton, StartKind, SymbolClass,
                    is_deterministic)
@@ -69,18 +73,36 @@ def _choice(value, table: dict, path: str, what: str):
     return table[value]
 
 
-def _int_field(obj: dict, path: str, key: str) -> int:
-    value = obj[key]
-    _expect(isinstance(value, int) and not isinstance(value, bool),
-            f"{path}/{key}", "expected an integer")
-    return value
+def _field(obj: dict, path: str, key: str, hint: type):
+    """``obj[key]`` as a value of type ``hint``: ``int``, ``float`` (any
+    number), ``str``, or ``bytes`` (a string of latin-1 characters)."""
+    value, path = obj[key], f"{path}/{key}"
+    if hint is int:
+        _expect(isinstance(value, int) and not isinstance(value, bool), path,
+                "expected an integer")
+        return value
+    if hint is float:
+        _expect(isinstance(value, (int, float))
+                and not isinstance(value, bool), path, "expected a number")
+        return float(value)
+    _expect(isinstance(value, str), path, "expected a string")
+    try:
+        return value if hint is str else value.encode("latin-1")
+    except UnicodeEncodeError:
+        raise DocumentError(path, "characters above U+00FF are not bytes")
 
 
-def _number_field(obj: dict, path: str, key: str) -> float:
-    value = obj[key]
-    _expect(isinstance(value, (int, float)) and not isinstance(value, bool),
-            f"{path}/{key}", "expected a number")
-    return float(value)
+def _objects(doc: dict, key: str, names: tuple[str, ...] | None = None):
+    """Yield ``(path, entry)`` per object of the list ``doc[key]`` (absent
+    means empty), whose keys must be ``names`` unless that is None."""
+    entries = doc.get(key, [])
+    _expect(isinstance(entries, list), f"/{key}", "expected a list")
+    for i, entry in enumerate(entries):
+        path = f"/{key}/{i}"
+        _expect(isinstance(entry, dict), path, "expected an object")
+        if names is not None:
+            _require_keys(entry, path, names)
+        yield path, entry
 
 
 _HEX_DIGITS = set("0123456789abcdefABCDEF")
@@ -132,19 +154,14 @@ def automaton_from_document(doc: dict) -> Automaton:
     _expect(isinstance(doc, dict), "", "expected an object")
     _require_keys(doc, "", ("version", "states", "starts", "accepts", "edges"),
                   ("epsilon_edges", "deterministic", "labels"))
-    version = _int_field(doc, "", "version")
+    version = _field(doc, "", "version", int)
     _expect(version == AUTOMATON_VERSION, "/version",
             f"version mismatch: expected {AUTOMATON_VERSION}, got {version}")
-    states = _int_field(doc, "", "states")
+    states = _field(doc, "", "states", int)
 
-    starts: dict[int, StartKind] = {}
-    _expect(isinstance(doc["starts"], list), "/starts", "expected a list")
-    for i, entry in enumerate(doc["starts"]):
-        path = f"/starts/{i}"
-        _expect(isinstance(entry, dict), path, "expected an object")
-        _require_keys(entry, path, ("id", "kind"))
-        starts[_int_field(entry, path, "id")] = _choice(
-            entry["kind"], _START_KINDS, f"{path}/kind", "start kind")
+    starts = {_field(entry, path, "id", int): _choice(
+                  entry["kind"], _START_KINDS, f"{path}/kind", "start kind")
+              for path, entry in _objects(doc, "starts", ("id", "kind"))}
 
     _expect(isinstance(doc["accepts"], list), "/accepts", "expected a list")
     accepts = []
@@ -153,25 +170,12 @@ def automaton_from_document(doc: dict) -> Automaton:
                 f"/accepts/{i}", "expected an integer")
         accepts.append(entry)
 
-    edges = []
-    _expect(isinstance(doc["edges"], list), "/edges", "expected a list")
-    for i, entry in enumerate(doc["edges"]):
-        path = f"/edges/{i}"
-        _expect(isinstance(entry, dict), path, "expected an object")
-        _require_keys(entry, path, ("src", "dst", "class"))
-        edges.append((_int_field(entry, path, "src"),
-                      parse_class_field(entry["class"], f"{path}/class"),
-                      _int_field(entry, path, "dst")))
-
-    eps = []
-    eps_entries = doc.get("epsilon_edges", [])
-    _expect(isinstance(eps_entries, list), "/epsilon_edges", "expected a list")
-    for i, entry in enumerate(eps_entries):
-        path = f"/epsilon_edges/{i}"
-        _expect(isinstance(entry, dict), path, "expected an object")
-        _require_keys(entry, path, ("src", "dst"))
-        eps.append((_int_field(entry, path, "src"),
-                    _int_field(entry, path, "dst")))
+    edges = [(_field(entry, path, "src", int),
+              parse_class_field(entry["class"], f"{path}/class"),
+              _field(entry, path, "dst", int))
+             for path, entry in _objects(doc, "edges", ("src", "dst", "class"))]
+    eps = [(_field(entry, path, "src", int), _field(entry, path, "dst", int))
+           for path, entry in _objects(doc, "epsilon_edges", ("src", "dst"))]
 
     deterministic = doc.get("deterministic", False)
     _expect(isinstance(deterministic, bool), "/deterministic",
@@ -214,70 +218,31 @@ class PatternSet:
     seed: int | None = None
 
 
+# The format's name for each source dataclass, and each one's fields in
+# order with their declared types.
+_SOURCES = {"regex": RegexSource, "dotstar": DotStarSource,
+            "hamming": HammingSource, "levenshtein": LevenshteinSource,
+            "random": RandomRecipe}
+_KINDS = {cls: kind for kind, cls in _SOURCES.items()}
+_FIELDS = {cls: {f.name: typing.get_type_hints(cls)[f.name]
+                 for f in fields(cls)} for cls in _KINDS}
+
+
 def _pattern_to_entry(p: Pattern) -> dict:
-    s = p.source
-    if isinstance(s, RegexSource):
-        return {"id": p.id, "kind": "regex", "text": s.text}
-    if isinstance(s, DotStarSource):
-        return {"id": p.id, "kind": "dotstar",
-                "prefix": s.prefix.decode("latin-1"),
-                "suffix": s.suffix.decode("latin-1")}
-    if isinstance(s, HammingSource):
-        return {"id": p.id, "kind": "hamming",
-                "pattern": s.pattern.decode("latin-1"), "distance": s.distance}
-    if isinstance(s, LevenshteinSource):
-        return {"id": p.id, "kind": "levenshtein",
-                "pattern": s.pattern.decode("latin-1"), "distance": s.distance}
-    if isinstance(s, RandomRecipe):
-        return {"id": p.id, "kind": "random", "states": s.states,
-                "density": s.density, "accept_density": s.accept_density,
-                "alphabet_size": s.alphabet_size, "seed": s.seed}
-    raise TypeError(f"unknown pattern source {s!r}")
-
-
-_PATTERN_FIELDS = {
-    "regex": ("text",),
-    "dotstar": ("prefix", "suffix"),
-    "hamming": ("pattern", "distance"),
-    "levenshtein": ("pattern", "distance"),
-    "random": ("states", "density", "accept_density", "alphabet_size", "seed"),
-}
+    entry = {"id": p.id, "kind": _KINDS[type(p.source)]}
+    for key, hint in _FIELDS[type(p.source)].items():
+        value = getattr(p.source, key)
+        entry[key] = value.decode("latin-1") if hint is bytes else value
+    return entry
 
 
 def _entry_to_pattern(entry: dict, path: str) -> Pattern:
-    _expect(isinstance(entry, dict), path, "expected an object")
     _expect("kind" in entry, path, "missing field 'kind'")
-    kind = entry["kind"]
-    _choice(kind, _PATTERN_FIELDS, f"{path}/kind", "pattern kind")
-    _require_keys(entry, path, ("id", "kind") + _PATTERN_FIELDS[kind])
-    pid = _int_field(entry, path, "id")
-
-    def text(key: str) -> bytes:
-        value = entry[key]
-        _expect(isinstance(value, str), f"{path}/{key}", "expected a string")
-        try:
-            return value.encode("latin-1")
-        except UnicodeEncodeError:
-            raise DocumentError(f"{path}/{key}",
-                                "characters above U+00FF are not bytes")
-
-    if kind == "regex":
-        value = entry["text"]
-        _expect(isinstance(value, str), f"{path}/text", "expected a string")
-        return Pattern(pid, RegexSource(value))
-    if kind == "dotstar":
-        return Pattern(pid, DotStarSource(text("prefix"), text("suffix")))
-    if kind in ("hamming", "levenshtein"):
-        cls = HammingSource if kind == "hamming" else LevenshteinSource
-        return Pattern(pid, cls(text("pattern"),
-                                _int_field(entry, path, "distance")))
-    return Pattern(pid, RandomRecipe(
-        states=_int_field(entry, path, "states"),
-        density=_number_field(entry, path, "density"),
-        accept_density=_number_field(entry, path, "accept_density"),
-        alphabet_size=_int_field(entry, path, "alphabet_size"),
-        seed=_int_field(entry, path, "seed"),
-    ))
+    cls = _choice(entry["kind"], _SOURCES, f"{path}/kind", "pattern kind")
+    _require_keys(entry, path, ("id", "kind", *_FIELDS[cls]))
+    return Pattern(_field(entry, path, "id", int), cls(
+        *(_field(entry, path, key, hint)
+          for key, hint in _FIELDS[cls].items())))
 
 
 def pattern_set_to_document(ps: PatternSet) -> dict:
@@ -294,13 +259,12 @@ def pattern_set_to_document(ps: PatternSet) -> dict:
 def pattern_set_from_document(doc: dict) -> PatternSet:
     _expect(isinstance(doc, dict), "", "expected an object")
     _require_keys(doc, "", ("version", "start_kind", "patterns"), ("seed",))
-    version = _int_field(doc, "", "version")
+    version = _field(doc, "", "version", int)
     _expect(version == PATTERN_SET_VERSION, "/version",
             f"version mismatch: expected {PATTERN_SET_VERSION}, got {version}")
     kind = _choice(doc["start_kind"], _START_KINDS, "/start_kind", "start kind")
-    _expect(isinstance(doc["patterns"], list), "/patterns", "expected a list")
-    patterns = tuple(_entry_to_pattern(entry, f"/patterns/{i}")
-                     for i, entry in enumerate(doc["patterns"]))
+    patterns = tuple(_entry_to_pattern(entry, path)
+                     for path, entry in _objects(doc, "patterns"))
     ids = [p.id for p in patterns]
     _expect(len(set(ids)) == len(ids), "/patterns", "pattern ids must be unique")
     seed = doc.get("seed")

@@ -24,15 +24,15 @@ import time
 from dataclasses import dataclass, replace
 from statistics import correlation, linear_regression
 
+from . import transform
 from ._version import __version__
 from .core import Automaton, StartKind, stats
 from .documents import write_text_atomic
 from .generators import Pattern, SplitMix64, compile_pattern, pattern_size
 from .regex import escape_literal
-from .transform import (CapExceededError, DEFAULT_STATE_CAP, _dfa_sizes,
-                        _minimal_table, _table_automaton, _witness,
-                        equivalent, merge_patterns, optimize_nfa,
-                        remove_epsilon, trim)
+from .transform import (CapExceededError, DEFAULT_STATE_CAP, _minimal_table,
+                        _subsets, _table_automaton, _witness, equivalent,
+                        merge_patterns, optimize_nfa, remove_epsilon, trim)
 
 CAP_TOKEN = "CAP_EXCEEDED"
 SPOT_CHECK_ROWS = 4
@@ -190,11 +190,15 @@ def _run_pipeline(key: int, nfa_raw: Automaton,
     dfa_states = mdfa = mdfa_states = mdfa_max_fanout = None
     status = "ok"
     try:
-        sizes = _dfa_sizes(nfa, cap)
-        dfa_states = next(sizes)
+        atoms, labels, table = _subsets(nfa, cap)
+        dfa_states = len(labels)
         t3 = time.perf_counter()
         mdfa = _minimal_table(nfa, cap)
-        hop_states = next(sizes)  # Hopcroft's cross-check
+        # Hopcroft's cross-check refines the walk's table (``_refine`` is
+        # read off its module at each call).  The live blocks are all but
+        # the dead state's, as many as the highest block number, and 1 for
+        # the empty language.
+        hop_states = max(max(transform._refine(len(atoms), labels, table)), 1)
         t4 = time.perf_counter()
         atoms, labels, table = mdfa
         mdfa_states = len(labels)

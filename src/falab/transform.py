@@ -448,18 +448,6 @@ def minimize_hopcroft(a: Automaton) -> Automaton:
     return _table_automaton(atoms, [labels[rep] for rep in reps], quotient)
 
 
-def _dfa_sizes(a: Automaton, cap: int):
-    """Yield the state count of ``determinize(a, cap)``, then, once
-    resumed, that of its minimal DFA as :func:`minimize_hopcroft` counts
-    it: the live blocks of :func:`_refine` on the walk's own table, that
-    is all blocks but the dead state's, as many as the highest block
-    number, and 1 for the empty language.  The report pipeline times the
-    two steps apart and builds neither DFA."""
-    atoms, labels, table = _subsets(a, cap)
-    yield len(labels)
-    yield max(max(_refine(len(atoms), labels, table)), 1)
-
-
 # ---------------------------------------------------------------------------
 # Heuristic NFA optimization
 

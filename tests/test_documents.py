@@ -1,8 +1,10 @@
 import json
+import typing
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from falab import documents, generators
 from falab.core import FULL_MASK, Automaton, StartKind, SymbolClass
 from falab.documents import (DocumentError, PatternSet,
                              automaton_from_document, automaton_to_document,
@@ -140,6 +142,31 @@ class TestPatternSetRoundTrip:
             document_round_trip(pattern_set_to_document(ps))) == ps
         save_pattern_set(ps, str(tmp_path / "ps.json"))
         assert load_pattern_set(str(tmp_path / "ps.json")) == ps
+
+
+# A value of each field type that a pattern source dataclass declares.
+FIELD_VALUES = {str: st.text(), bytes: st.binary(), int: st.integers(),
+                float: st.floats(allow_nan=False)}
+
+
+class TestPatternKinds:
+    def test_every_source_class_has_a_kind(self):
+        assert (set(documents._SOURCES.values())
+                == set(typing.get_args(generators.PatternSource)))
+
+    @pytest.mark.parametrize("kind", sorted(documents._SOURCES))
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_round_trip(self, kind, data):
+        cls = documents._SOURCES[kind]
+        hints = typing.get_type_hints(cls)
+        source = cls(*(data.draw(FIELD_VALUES[hints[f]]) for f in hints))
+        ps = PatternSet((Pattern(data.draw(st.integers()), source),),
+                        data.draw(st.sampled_from([SOD, ALL])))
+        doc = pattern_set_to_document(ps)
+        assert list(doc["patterns"][0]) == ["id", "kind", *hints]
+        assert doc["patterns"][0]["kind"] == kind
+        assert pattern_set_from_document(document_round_trip(doc)) == ps
 
 
 AUTOMATON = {"version": 1, "states": 2,
