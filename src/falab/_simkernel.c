@@ -3,47 +3,47 @@
    falab.transform's determinization and minimization.
 
    step_stream(program, data, rules=None), active_sets(program, data),
-   subsets(program, cap), refine(natoms, labels, table) and flip(natoms,
-   labels, table) keep the contracts of falab._simkernel_py, which is
-   their specification: the same flat program (n, ncls, off, succ, init,
+   subsets(program, cap), flip(natoms, labels, table) and refine(program)
+   keep the contracts of falab._simkernel_py, which is their
+   specification: the same flat program (n, ncls, off, succ, init,
    always, report), the same ((per_cycle_count, activation, reports),
    work) summary or, with rules = (rule_of, raw_start), the same
    (active_rules, moving_rules) pairs, the same per-cycle frozensets from
    active_sets, the same operation count, the same (labels, table)
    numbering from subsets, or None where more than cap subsets would be
-   found, the same blocks from refine and the same program from flip.  The
-   module imports no part of falab, only the standard array module for its
-   results.  The arrays are read in place through the buffer protocol,
-   never copied.  One pass checks them all before the scan or walk: an
-   argument that is not a buffer, or whose items are not 'i' (raw_start:
-   'B'), raises TypeError; a wrong length, offsets that decrease or do not
-   end at len(succ), a state outside 0..n-1 or a report item outside
-   -1..n-1 raises ValueError naming the array and index.  The walk keeps
-   each subset as the span of its nonzero 64-bit words, found again
-   through an open-addressing hash of the spans, and counts each subset's
-   report labels with per-label stamps, as the scan does per cycle; the
-   spans never leave the module.
+   found, the same program from flip and the same blocks from refine.
+   The module imports no part of falab, only the standard array module
+   for its results.  The arrays are read in place through the buffer
+   protocol, never copied.  One pass checks a program's arrays before the
+   scan, walk or refinement: an argument that is not a buffer, or whose
+   items are not 'i' (raw_start: 'B'), raises TypeError; a wrong length,
+   offsets that decrease or do not end at len(succ), a state outside
+   0..n-1 or a report item outside -1..n-1 raises ValueError naming the
+   array and index.  The walk keeps each subset as the span of its
+   nonzero 64-bit words, found again through an open-addressing hash of
+   the spans, and counts each subset's report labels with per-label
+   stamps, as the scan does per cycle; the spans never leave the module.
 
-   refine(natoms, labels, table) refines the dense table of n =
-   len(labels) states over natoms atoms that subsets returns: table[s *
-   natoms + i] is the state s reaches on atom i, or -1 for no move, and s
-   accepts where labels[s] > 0.  The -1 targets reach a virtual dead
-   state, index n, which loops on every atom.  It returns an array('i')
-   with the block of each of the n + 1 states, dead state last, blocks
-   numbered in order of their smallest member, so it equals the Python
-   kernel's result item for item.  labels or table not a buffer of 'i'
-   items raises TypeError; natoms outside 0..256, len(table) other than
-   n * natoms, or a target outside -1..n-1 raises ValueError naming the
-   array and index.  It builds the inverse table once, by counting sort,
-   and refines Hopcroft's way (only the smaller half of a split waits) on
-   a partition refined in place, in O(m log n) for m table entries; its
-   scratch memory is freed on every path.
-
-   flip(natoms, labels, table) takes the same table, with the same checks
-   and errors (one helper makes them for both), and returns the program
-   of the table with every move reversed: the inverse table, by the same
-   counting sort without the dead state, as off and succ, the accepting
+   flip(natoms, labels, table) takes the dense table of n = len(labels)
+   states over natoms atoms that subsets returns: table[s * natoms + i]
+   is the state s reaches on atom i, or -1 for no move, and s accepts
+   where labels[s] > 0.  It completes the table with the dead state n,
+   which every -1 target reaches and which loops on every atom, and
+   returns the program of those n + 1 states with every move reversed:
+   the inverse table, by counting sort, as off and succ, the accepting
    states as init, no always states, and a report at state 0 alone.
+   labels or table not a buffer of 'i' items raises TypeError; natoms
+   outside 0..256, len(table) other than n * natoms, or a target outside
+   -1..n-1 raises ValueError naming the array and index.
+
+   refine(program) refines the complete DFA that a flipped program
+   reverses: the program's rows are its predecessors and init its
+   accepting states.  It returns an array('i') with the block of each
+   state, the dead state last, blocks numbered in order of their smallest
+   member, so it equals the Python kernel's result item for item.  It
+   refines Hopcroft's way (only the smaller half of a split waits) on a
+   partition refined in place, in O(m log n) for m moves; its scratch
+   memory is freed on every path.
 
    FORMAT numbers this program layout and contract; falab.transform uses
    the module only when it equals falab._simkernel_py.FORMAT. */
@@ -53,7 +53,7 @@
 #include <stdint.h>
 #include <stdlib.h>
 
-#define FORMAT 8
+#define FORMAT 9
 
 /* Buffer views, acquired in this order (DATA only for a scan, RULE_OF
    and RAW_START only with rules), with their names and item formats;
@@ -65,7 +65,8 @@ static const char *const names[NVIEWS] = {
 static const char *const formats[NVIEWS] = {
     "i", "i", "i", "i", "i", NULL, "i", "B"};
 
-/* What a scan records per cycle, or a subset walk. */
+/* What a scan records per cycle, or a subset walk (also the mode that
+   loads a program alone, for refine). */
 typedef enum { SETS, SUMMARY, RULES, WALK } Mode;
 
 typedef struct {
@@ -615,30 +616,24 @@ done:
     return result;
 }
 
-/* Hopcroft's refinement of a checked dense table of n states over natoms
-   atoms, completed with the dead state n, numbered as
-   falab._simkernel_py.refine numbers it.  The partition is refined in
-   place (Valmari & Lehtinen, STACS 2008): elems holds the states with
-   each block a span [first, end) of it, a sweep moves the states it
-   marks to the front of their block, up to mid, and a split makes the
-   smaller part a new block, so no split allocates. */
+/* Hopcroft's refinement of the complete DFA that a checked program
+   reverses, as flip returns it, numbered as falab._simkernel_py.refine
+   numbers it: the states that move to t on atom i are the program's
+   successors of t on i, and init holds the accepting states.  The
+   partition is refined in place (Valmari & Lehtinen, STACS 2008): elems
+   holds the states with each block a span [first, end) of it, a sweep
+   moves the states it marks to the front of their block, up to mid, and
+   a split makes the smaller part a new block, so no split allocates. */
 static PyObject *
-partition(Py_ssize_t natoms, const int32_t *labels, Py_ssize_t n,
-          const int32_t *table)
+partition(const Program *p)
 {
-    Py_ssize_t total = n + 1, cols = natoms * total;
-    /* The inverse table by counting sort: the states that move to t on
-       atom i are pred[head[i * total + t]..head[i * total + t + 1]),
-       ascending. */
-    Py_ssize_t *head = PyMem_Calloc(cols + 1, sizeof *head);
-    int32_t *pred = PyMem_Malloc((cols ? cols : 1) * sizeof *pred);
+    const int32_t *off = ITEMS(p, OFF), *succ = ITEMS(p, SUCC);
+    const int32_t *init = ITEMS(p, INIT);
+    Py_ssize_t total = p->n, natoms = p->ncls;
     int32_t *scratch = PyMem_Malloc(9 * total * sizeof *scratch);
-    PyObject *result = NULL;
 
-    if (!head || !pred || !scratch) {
-        PyErr_NoMemory();
-        goto done;
-    }
+    if (!scratch)
+        return PyErr_NoMemory();
     /* per state: its place in elems and its block; per block: its span
        and marked prefix; the worklist, the blocks a sweep marked, and the
        splitter's states */
@@ -647,54 +642,44 @@ partition(Py_ssize_t natoms, const int32_t *labels, Py_ssize_t n,
     int32_t *end = mid + total, *waiting = end + total;
     int32_t *touched = waiting + total, *splitter = touched + total;
 
-#define TARGET(s, i) ((s) == n || table[(s) * natoms + (i)] < 0 \
-                      ? n : table[(s) * natoms + (i)])
-    for (Py_ssize_t s = 0; s < total; s++)  /* the dead state loops */
-        for (Py_ssize_t i = 0; i < natoms; i++)
-            head[i * total + TARGET(s, i)]++;
-    for (Py_ssize_t k = 1; k < cols; k++)
-        head[k] += head[k - 1];
-    head[cols] = cols;
-    for (Py_ssize_t s = n; s >= 0; s--)
-        for (Py_ssize_t i = 0; i < natoms; i++)
-            pred[--head[i * total + TARGET(s, i)]] = (int32_t)s;
-#undef TARGET
-
     /* block 0 holds the accepting states, when there are any, and the
-       next block the rest, the dead state included */
-    Py_ssize_t nacc = 0, nblocks, nwaiting = 0;
-    for (Py_ssize_t s = 0; s < n; s++)
-        nacc += labels[s] > 0;
+       next block the rest, when there are any */
+    for (Py_ssize_t s = 0; s < total; s++)
+        block_of[s] = 1;
+    for (Py_ssize_t k = 0; k < p->len[INIT]; k++)
+        block_of[init[k]] = 0;
+    Py_ssize_t nacc = 0, nblocks = 0, nwaiting = 0;
+    for (Py_ssize_t s = 0; s < total; s++)
+        nacc += !block_of[s];
     for (Py_ssize_t s = 0, acc = 0, rest = nacc; s < total; s++) {
-        int accepts = s < n && labels[s] > 0;
-        Py_ssize_t at = accepts ? acc++ : rest++;
+        Py_ssize_t at = block_of[s] ? rest++ : acc++;
         elems[at] = (int32_t)s;
         loc[s] = (int32_t)at;
-        block_of[s] = !accepts && nacc > 0;
+        block_of[s] = block_of[s] && nacc > 0;
     }
-    first[0] = mid[0] = 0;
-    end[0] = (int32_t)(nacc > 0 ? nacc : total);
-    nblocks = 1;
     if (nacc > 0) {
-        first[1] = mid[1] = end[0];
-        end[1] = (int32_t)total;
-        nblocks = 2;
-        /* the dead state makes the DFA complete, so one part of the
-           first split suffices as a splitter; one block splits nothing */
-        waiting[nwaiting++] = nacc <= total - nacc ? 0 : 1;
+        first[0] = mid[0] = 0;
+        end[nblocks++] = (int32_t)nacc;
     }
+    if (nacc < total) {
+        first[nblocks] = mid[nblocks] = (int32_t)nacc;
+        end[nblocks++] = (int32_t)total;
+    }
+    /* the DFA is complete, so one part of the first split suffices as a
+       splitter; one block splits nothing */
+    if (nblocks == 2)
+        waiting[nwaiting++] = nacc <= total - nacc ? 0 : 1;
     while (nwaiting > 0) {
         int32_t b = waiting[--nwaiting];
         Py_ssize_t size = end[b] - first[b];
         /* sweeps reorder elems, the splitter's span included */
         memcpy(splitter, elems + first[b], size * sizeof *splitter);
         for (Py_ssize_t i = 0; i < natoms; i++) {
-            const Py_ssize_t *col = head + i * total;
             Py_ssize_t ntouched = 0;
-            for (Py_ssize_t k = 0; k < size; k++)
-                for (Py_ssize_t j = col[splitter[k]];
-                     j < col[splitter[k] + 1]; j++) {
-                    int32_t s = pred[j], c = block_of[s];
+            for (Py_ssize_t k = 0; k < size; k++) {
+                const int32_t *row = off + splitter[k] * natoms + i;
+                for (int32_t j = row[0]; j < row[1]; j++) {
+                    int32_t s = succ[j], c = block_of[s];
                     int32_t at = loc[s], m = mid[c];
                     if (at < m)
                         continue;  /* marked already */
@@ -706,6 +691,7 @@ partition(Py_ssize_t natoms, const int32_t *labels, Py_ssize_t n,
                     loc[s] = m;
                     mid[c] = m + 1;
                 }
+            }
             for (Py_ssize_t k = 0; k < ntouched; k++) {
                 int32_t c = touched[k], m = mid[c];
                 mid[c] = first[c];
@@ -740,10 +726,7 @@ partition(Py_ssize_t natoms, const int32_t *labels, Py_ssize_t n,
             canonical[block_of[s]] = next++;
         out[s] = canonical[block_of[s]];
     }
-    result = int_array(out, total);
-done:
-    PyMem_Free(head);
-    PyMem_Free(pred);
+    PyObject *result = int_array(out, total);
     PyMem_Free(scratch);
     return result;
 }
@@ -857,156 +840,136 @@ subsets(PyObject *self, PyObject *args, PyObject *kwargs)
     return result;
 }
 
-/* The checked arguments of refine and flip: a dense table of n =
-   len(labels) states over natoms atoms. */
-typedef struct {
-    Py_ssize_t natoms, n;
-    Py_buffer labels, table;
-} Table;
-
-/* Parse (natoms, labels, table) by format and check them: natoms an int
-   in 0..256, labels and table buffers of 'i' items, len(table) equal to
-   n * natoms, every target in -1..n-1.  On success both views are held;
-   on failure none is. */
-static int
-load_table(Table *t, PyObject *args, PyObject *kwargs, const char *format)
-{
-    static char *kwlist[] = {"natoms", "labels", "table", NULL};
-    PyObject *atoms, *labels, *table;
-
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, format, kwlist, &atoms,
-                                     &labels, &table))
-        return -1;
-    t->natoms = PyLong_AsSsize_t(atoms);
-    if (t->natoms < 0 || t->natoms > 256) {
-        PyErr_Clear();  /* a non-int or an overflow is reported as below */
-        PyErr_Format(PyExc_ValueError, "natoms is %R; it must be an int in "
-                     "0..256", atoms);
-        return -1;
-    }
-    if ((t->n = get_items(&t->labels, labels, "labels", "i")) < 0)
-        return -1;
-    Py_ssize_t len = get_items(&t->table, table, "table", "i");
-    if (len < 0) {
-        PyBuffer_Release(&t->labels);
-        return -1;
-    }
-    const int32_t *targets = t->table.buf;
-    Py_ssize_t k = 0;
-    if (t->n >= INT32_MAX)
-        PyErr_Format(PyExc_ValueError, "labels has %zd items; at most %d "
-                     "states fit", t->n, INT32_MAX - 1);
-    else if (len != t->n * t->natoms)
-        PyErr_Format(PyExc_ValueError, "table must have len(labels) * "
-                     "natoms = %zd items, not %zd", t->n * t->natoms, len);
-    else {
-        while (k < len && targets[k] >= -1 && targets[k] < t->n)
-            k++;
-        if (k == len)
-            return 0;
-        PyErr_Format(PyExc_ValueError, "table[%zd] is %d, outside -1..%zd",
-                     k, (int)targets[k], t->n - 1);
-    }
-    PyBuffer_Release(&t->table);
-    PyBuffer_Release(&t->labels);
-    return -1;
-}
-
-static void
-release_table(Table *t)
-{
-    PyBuffer_Release(&t->table);
-    PyBuffer_Release(&t->labels);
-}
-
 static PyObject *
 refine(PyObject *self, PyObject *args, PyObject *kwargs)
 {
-    Table t;
+    static char *kwlist[] = {"program", NULL};
+    PyObject *program, *result = NULL;
+    Program p = {0};
 
-    if (load_table(&t, args, kwargs, "OOO:refine") < 0)
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "O:refine", kwlist,
+                                     &program))
         return NULL;
-    PyObject *result = partition(t.natoms, t.labels.buf, t.n, t.table.buf);
-    release_table(&t);
+    if (load(&p, program, NULL, NULL, WALK) == 0)
+        result = partition(&p);
+    release(&p);
     return result;
 }
 
-/* The program of a checked table with every move reversed, as
-   falab._simkernel_py.flip builds it.  off and succ are the inverse
-   table by counting sort, as partition builds it but without the dead
-   state: the states that move to t on atom i are succ[off[t * natoms +
-   i]..off[t * natoms + i + 1]), ascending. */
+/* The program of a dense table of n states over natoms atoms, completed
+   with the dead state n, with every move reversed, as
+   falab._simkernel_py.flip builds it, after the checks that read the
+   table.  off and succ are the inverse table by counting sort: the states
+   that move to t on atom i are succ[off[t * natoms + i]..off[t * natoms +
+   i + 1]), ascending. */
 static PyObject *
-reversal(const Table *t)
+reversal(Py_ssize_t natoms, const int32_t *labels, Py_ssize_t n,
+         const int32_t *table, Py_ssize_t len)
 {
-    const int32_t *labels = t->labels.buf, *table = t->table.buf;
-    Py_ssize_t n = t->n, natoms = t->natoms, rows = n * natoms, m = 0;
+    Py_ssize_t total = n + 1, rows = total * natoms, k = 0;
     int32_t *off = NULL, *succ = NULL, *init = NULL;
     PyObject *arrays[5] = {NULL}, *result = NULL;
 
+    if (n >= INT32_MAX) {
+        PyErr_Format(PyExc_ValueError, "labels has %zd items; at most %d "
+                     "states fit", n, INT32_MAX - 1);
+        return NULL;
+    }
+    if (len != n * natoms) {
+        PyErr_Format(PyExc_ValueError, "table must have len(labels) * "
+                     "natoms = %zd items, not %zd", n * natoms, len);
+        return NULL;
+    }
+    while (k < len && table[k] >= -1 && table[k] < n)
+        k++;
+    if (k < len) {
+        PyErr_Format(PyExc_ValueError, "table[%zd] is %d, outside -1..%zd",
+                     k, (int)table[k], n - 1);
+        return NULL;
+    }
     if (n == 0) {
         PyErr_SetString(PyExc_IndexError, "labels is empty: the table has "
                         "no start state to report");
         return NULL;
     }
-    for (Py_ssize_t k = 0; k < rows; k++)
-        m += table[k] >= 0;
-    if (m >= INT32_MAX) {
-        PyErr_Format(PyExc_ValueError, "table has %zd moves; at most %d fit "
-                     "the program's offsets", m, INT32_MAX - 1);
+    if (rows >= INT32_MAX) {
+        PyErr_Format(PyExc_ValueError, "the completed table has %zd moves; "
+                     "at most %d fit the program's offsets", rows,
+                     INT32_MAX - 1);
         return NULL;
     }
     off = PyMem_Calloc(rows + 1, sizeof *off);
-    succ = PyMem_Malloc((m ? m : 1) * sizeof *succ);
-    init = PyMem_Malloc(2 * n * sizeof *init);  /* n items, then report */
+    succ = PyMem_Malloc((rows ? rows : 1) * sizeof *succ);
+    init = PyMem_Malloc((n + total) * sizeof *init);  /* then report */
     if (!off || !succ || !init) {
         PyErr_NoMemory();
         goto done;
     }
-    for (Py_ssize_t s = 0; s < n; s++)
+#define TARGET(s, i) ((s) == n || table[(s) * natoms + (i)] < 0 \
+                      ? n : table[(s) * natoms + (i)])
+    for (Py_ssize_t s = 0; s < total; s++)  /* the dead state loops */
         for (Py_ssize_t i = 0; i < natoms; i++)
-            if (table[s * natoms + i] >= 0)
-                off[table[s * natoms + i] * natoms + i]++;
-    for (Py_ssize_t k = 1; k < rows; k++)
-        off[k] += off[k - 1];
-    off[rows] = (int32_t)m;
-    for (Py_ssize_t s = n - 1; s >= 0; s--)
+            off[TARGET(s, i) * natoms + i]++;
+    for (Py_ssize_t r = 1; r < rows; r++)
+        off[r] += off[r - 1];
+    off[rows] = (int32_t)rows;
+    for (Py_ssize_t s = n; s >= 0; s--)
         for (Py_ssize_t i = 0; i < natoms; i++)
-            if (table[s * natoms + i] >= 0)
-                succ[--off[table[s * natoms + i] * natoms + i]] = (int32_t)s;
+            succ[--off[TARGET(s, i) * natoms + i]] = (int32_t)s;
+#undef TARGET
     Py_ssize_t ninit = 0;
     for (Py_ssize_t s = 0; s < n; s++)
         if (labels[s] > 0)
             init[ninit++] = (int32_t)s;
     int32_t *report = init + n;
     report[0] = 0;
-    for (Py_ssize_t s = 1; s < n; s++)
+    for (Py_ssize_t s = 1; s < total; s++)
         report[s] = -1;
     if ((arrays[0] = int_array(off, rows + 1)) != NULL
-        && (arrays[1] = int_array(succ, m)) != NULL
+        && (arrays[1] = int_array(succ, rows)) != NULL
         && (arrays[2] = int_array(init, ninit)) != NULL
         && (arrays[3] = int_array(init, 0)) != NULL
-        && (arrays[4] = int_array(report, n)) != NULL)
-        result = Py_BuildValue("(nnOOOOO)", n, natoms, arrays[0], arrays[1],
-                               arrays[2], arrays[3], arrays[4]);
+        && (arrays[4] = int_array(report, total)) != NULL)
+        result = Py_BuildValue("(nnOOOOO)", total, natoms, arrays[0],
+                               arrays[1], arrays[2], arrays[3], arrays[4]);
 done:
     PyMem_Free(off);
     PyMem_Free(succ);
     PyMem_Free(init);
-    for (int k = 0; k < 5; k++)
-        Py_XDECREF(arrays[k]);
+    for (int j = 0; j < 5; j++)
+        Py_XDECREF(arrays[j]);
     return result;
 }
 
+/* Parse (natoms, labels, table): natoms an int in 0..256, labels and
+   table buffers of 'i' items, viewed while reversal checks and reverses
+   them. */
 static PyObject *
 flip(PyObject *self, PyObject *args, PyObject *kwargs)
 {
-    Table t;
+    static char *kwlist[] = {"natoms", "labels", "table", NULL};
+    PyObject *atoms, *labels, *table, *result = NULL;
+    Py_buffer labels_view, table_view;
 
-    if (load_table(&t, args, kwargs, "OOO:flip") < 0)
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOO:flip", kwlist, &atoms,
+                                     &labels, &table))
         return NULL;
-    PyObject *result = reversal(&t);
-    release_table(&t);
+    Py_ssize_t natoms = PyLong_AsSsize_t(atoms);
+    if (natoms < 0 || natoms > 256) {
+        PyErr_Clear();  /* a non-int or an overflow is reported as below */
+        PyErr_Format(PyExc_ValueError, "natoms is %R; it must be an int in "
+                     "0..256", atoms);
+        return NULL;
+    }
+    Py_ssize_t n = get_items(&labels_view, labels, "labels", "i");
+    if (n < 0)
+        return NULL;
+    Py_ssize_t len = get_items(&table_view, table, "table", "i");
+    if (len >= 0) {
+        result = reversal(natoms, labels_view.buf, n, table_view.buf, len);
+        PyBuffer_Release(&table_view);
+    }
+    PyBuffer_Release(&labels_view);
     return result;
 }
 
@@ -1027,14 +990,15 @@ static PyMethodDef methods[] = {
      "None when it would find more than cap subsets."},
     {"refine", (PyCFunction)(void (*)(void))refine,
      METH_VARARGS | METH_KEYWORDS,
-     "refine(natoms, labels, table)\n--\n\n"
-     "Return the canonically numbered block of each state of the dense\n"
-     "table's Hopcroft refinement, dead state last."},
+     "refine(program)\n--\n\n"
+     "Return the canonically numbered block of each state of the\n"
+     "Hopcroft refinement of the DFA that the flipped program reverses."},
     {"flip", (PyCFunction)(void (*)(void))flip,
      METH_VARARGS | METH_KEYWORDS,
      "flip(natoms, labels, table)\n--\n\n"
-     "Return the program of the dense table with every move reversed,\n"
-     "started from its accepting states and reporting at state 0."},
+     "Return the program of the dense table, completed with a dead state,\n"
+     "with every move reversed, started from its accepting states and\n"
+     "reporting at state 0."},
     {NULL, NULL, 0, NULL},
 };
 

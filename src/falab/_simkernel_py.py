@@ -8,7 +8,8 @@ not.  Both take the same arguments and return the same values.
 
 The program is a flat tuple ``(n, ncls, off, succ, init, always,
 report)`` of ``array('i')`` buffers, built by ``falab.transform._program``
-(:class:`falab.Simulator` scans it, the subset walk determinizes it):
+or, from a walked table, by ``flip`` (:class:`falab.Simulator` scans it,
+the subset walk determinizes it, and ``refine`` refines a flipped one):
 
 - ``n`` states and ``ncls`` byte classes;
 - ``off`` holds ``n * ncls + 1`` nondecreasing offsets into ``succ``,
@@ -75,38 +76,42 @@ than ``cap`` subsets would be found (``falab.transform`` raises its
 ``CapExceededError`` then).  Neither kernel imports any part of
 ``falab``.
 
-``refine(natoms, labels, table)`` is Hopcroft's partition refinement
-(Hopcroft 1971) of a dense DFA table laid out as ``subsets`` returns it:
-``n = len(labels)`` states over ``natoms`` classes, ``table[s * natoms +
-i]`` the state that ``s`` reaches on class ``i`` or -1 for no move, and
-``s`` accepting where ``labels[s]`` is above 0.  The table is completed
-with a virtual dead state, index ``n``, which every -1 reaches and which
-loops on every class.  Refinement starts from the accepting/non-accepting
-split; a splitter block is taken off the worklist with all classes at
-once, and of the two halves of a split block only the smaller goes on
-(unless the block was waiting there already), so the work is O(m log n)
-for m table entries.  It returns an ``array('i')`` with the block of each
-of the ``n + 1`` states, dead state last, where two states share a block
-exactly when they accept the same words; blocks are numbered canonically,
-in order of their smallest member, so both kernels return equal arrays.
-States in the dead state's block cannot reach acceptance.  The compiled
-kernel raises TypeError when ``labels`` or ``table`` is not a buffer of
-``'i'`` items, and ValueError when ``natoms`` is outside 0..256, when
-``len(table)`` is not ``len(labels) * natoms``, or when a target is
-outside -1..n-1, naming the array and index.
+``flip(natoms, labels, table)`` reverses a dense DFA table laid out as
+``subsets`` returns it: ``n = len(labels)`` states over ``natoms``
+classes, ``table[s * natoms + i]`` the state that ``s`` reaches on class
+``i`` or -1 for no move, and ``s`` accepting where ``labels[s]`` is above
+0.  It completes the table with a dead state, index ``n``: every -1
+target goes to it, and it loops on every class.  It returns the program,
+laid out as above with ``n + 1`` states and ``ncls = natoms``, of those
+states with every move reversed: the successors of ``t`` on class ``i``
+are the states that reach ``t`` on ``i``, in ascending order; ``init``
+holds the accepting states, ascending; ``always`` is empty; and
+``report`` is 0 at state 0, the table's start, and -1 elsewhere.  Only
+the dead state moves to the dead state, so ``subsets`` of the result
+never holds it: it walks the reversed language, and a subset accepts
+exactly where it holds the start (the middle step of Brzozowski's
+minimization).  The compiled kernel raises TypeError when ``labels`` or
+``table`` is not a buffer of ``'i'`` items, and ValueError when
+``natoms`` is outside 0..256, when ``len(table)`` is not ``len(labels) *
+natoms``, or when a target is outside -1..n-1, naming the array and
+index; both kernels raise IndexError when ``labels`` is empty: a table
+with no state 0 has no start to report.
 
-``flip(natoms, labels, table)`` is the middle step of Brzozowski's
-minimization: it takes a dense table laid out as ``subsets`` returns it
-and returns the program, laid out as above with ``ncls = natoms``, of
-the same states with every move reversed.  The successors of ``t`` on
-class ``i`` are the states that reach ``t`` on ``i``, in ascending order
-(the -1 targets reach nothing); ``init`` holds the accepting states
-(``labels`` above 0), ascending, ``always`` is empty, and ``report`` is
-0 at state 0, the table's start, and -1 elsewhere.  So ``subsets`` of
-the result walks the reversed language, and a subset accepts exactly
-where it holds the start.  The compiled kernel checks its arguments as
-``refine`` does, with the same errors, and both raise IndexError when
-``labels`` is empty: a table with no state 0 has no start to report.
+``refine(program)`` is Hopcroft's partition refinement (Hopcroft 1971)
+of the complete DFA that ``program`` reverses, as ``flip`` returns it:
+the predecessors of ``t`` on class ``i`` are its successors in the
+program, and the accepting states are ``init``.  Refinement starts from
+the accepting/non-accepting split; a splitter block is taken off the
+worklist with all classes at once, and of the two halves of a split
+block only the smaller goes on (unless the block was waiting there
+already), so the work is O(m log n) for m moves.  It returns an
+``array('i')`` with the block of each of the program's states (for a
+flipped table, the dead state last), where two states share a block
+exactly when they accept the same words; blocks are numbered
+canonically, in order of their smallest member, so both kernels return
+equal arrays, and a program with no states gives an empty one.  States
+in the dead state's block cannot reach acceptance.  The compiled kernel
+checks the program as ``subsets`` does, with the same errors.
 
 ``FORMAT`` numbers this layout; ``falab.transform`` uses the compiled
 kernel only when its ``FORMAT`` is the same.
@@ -118,7 +123,7 @@ from array import array
 from collections import deque
 from itertools import accumulate, chain, compress
 
-FORMAT = 8
+FORMAT = 9
 
 
 def _steps(program, data: bytes):
@@ -230,29 +235,41 @@ def subsets(program, cap: int) -> tuple[array, array] | None:
     return labels, table
 
 
-def _predecessors(table, natoms: int, n: int) -> list[list[list[int]]]:
-    """``preds[i][t]``: the states of the ``n``-state dense table
-    ``table`` that move to ``t`` on class ``i``, in ascending order; the
-    -1 targets (no move) land in ``preds[i][n]``."""
-    preds = [[[] for _ in range(n + 1)] for _ in range(natoms)]
-    for i, col in enumerate(preds):
-        # col[t].append(s) for each state s and its target t, with the
-        # loop in map rather than in bytecode
+def flip(natoms: int, labels, table) -> tuple:
+    """The kernel program of a dense table, completed with the dead state,
+    with its edges flipped: the successors of ``t`` on atom ``i`` are the
+    states that reach ``t`` on ``i``.  The accepting states are the
+    initial set, and the start, state 0, is the one state with a report
+    label, so a walk of the program accepts where it holds it."""
+    n = len(labels)
+    if not n:
+        raise IndexError("labels is empty: the table has no start state to "
+                         "report")
+    # cols[i][t]: the states that move to t on atom i, ascending
+    cols = [[[] for _ in range(n + 1)] for _ in range(natoms)]
+    for i, col in enumerate(cols):
+        # col[t].append(s) for each state s and its target t, the -1
+        # targets landing in col[n], with the loop in map rather than in
+        # bytecode
         deque(map(list.append, map(col.__getitem__, table[i::natoms]),
                   range(n)), maxlen=0)
-    return preds
+        col[n].append(n)  # the dead state loops on every atom
+    # (t, i) order: state-major, as the program lays its rows out
+    rows = list(chain.from_iterable(zip(*cols)))
+    report = array("i", [-1]) * (n + 1)
+    report[0] = 0
+    return (n + 1, natoms, array("i", accumulate(map(len, rows), initial=0)),
+            array("i", chain.from_iterable(rows)),
+            array("i", compress(range(n), labels)), array("i"), report)
 
 
-def refine(natoms: int, labels, table) -> array:
-    """Return the canonically numbered block of each state of the table's
-    Hopcroft refinement, dead state last."""
-    n = len(labels)
-    total = n + 1
-    preds = _predecessors(table, natoms, n)
-    for col in preds:
-        col[n].append(n)  # the dead state loops on every class
-
-    accepting = set(compress(range(n), labels))
+def refine(program) -> array:
+    """Return the canonically numbered block of each state of the
+    refinement of the DFA that the flipped program reverses."""
+    total, ncls, off, succ, init = program[:5]
+    if not total:
+        return array("i")
+    accepting = set(init)
     blocks = [b for b in (accepting, set(range(total)) - accepting) if b]
     block_of = [0] * total
     for s in blocks[-1]:
@@ -262,10 +279,10 @@ def refine(natoms: int, labels, table) -> array:
     worklist = {min(range(len(blocks)), key=lambda b: len(blocks[b]))}
     while worklist:
         splitter = tuple(blocks[worklist.pop()])
-        for col in preds:
+        for i in range(ncls):
             moved: dict[int, list[int]] = {}
             for t in splitter:
-                for s in col[t]:
+                for s in succ[off[t * ncls + i]:off[t * ncls + i + 1]]:
                     moved.setdefault(block_of[s], []).append(s)
             for b, members in moved.items():
                 block = blocks[b]
@@ -286,20 +303,3 @@ def refine(natoms: int, labels, table) -> array:
     canonical: dict[int, int] = {}  # in order of each block's smallest state
     return array("i", [canonical.setdefault(b, len(canonical))
                        for b in block_of])
-
-
-def flip(natoms: int, labels, table) -> tuple:
-    """The kernel program of a dense table (as ``refine`` reads it) with
-    its edges flipped: the successors of ``t`` on atom ``i`` are the
-    states that reach ``t`` on ``i``.  The accepting states are the
-    initial set, and the start, state 0, is the one state with a report
-    label, so a walk of the program accepts where it holds it."""
-    n = len(labels)
-    # (t, i) order: state-major, as the program lays its rows out
-    rows = list(chain.from_iterable(zip(*(
-        col[:n] for col in _predecessors(table, natoms, n)))))
-    report = array("i", [-1]) * n
-    report[0] = 0
-    return (n, natoms, array("i", accumulate(map(len, rows), initial=0)),
-            array("i", chain.from_iterable(rows)),
-            array("i", compress(range(n), labels)), array("i"), report)

@@ -23,6 +23,7 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+import sys
 import typing
 from dataclasses import dataclass, fields
 
@@ -75,7 +76,8 @@ def _choice(value, table: dict, path: str, what: str):
 
 def _field(obj: dict, path: str, key: str, hint: type):
     """``obj[key]`` as a value of type ``hint``: ``int``, ``float`` (any
-    number), ``str``, or ``bytes`` (a string of latin-1 characters)."""
+    finite number: not NaN, not infinite, and no integer beyond the float
+    range), ``str``, or ``bytes`` (a string of latin-1 characters)."""
     value, path = obj[key], f"{path}/{key}"
     if hint is int:
         _expect(isinstance(value, int) and not isinstance(value, bool), path,
@@ -84,6 +86,9 @@ def _field(obj: dict, path: str, key: str, hint: type):
     if hint is float:
         _expect(isinstance(value, (int, float))
                 and not isinstance(value, bool), path, "expected a number")
+        # false for NaN, the infinities and integers beyond the floats
+        _expect(abs(value) <= sys.float_info.max, path,
+                "expected a finite number")
         return float(value)
     _expect(isinstance(value, str), path, "expected a string")
     try:
@@ -279,7 +284,8 @@ def pattern_set_from_document(doc: dict) -> PatternSet:
 
 
 def _dump(doc: dict) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+    # NaN and the infinities have no JSON form
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
 def write_text_atomic(path: str, text: str) -> None:

@@ -4,12 +4,15 @@ Pipeline per item, fixed and recorded in every report manifest:
 compile -> remove_epsilon -> trim -> optimize_nfa -> determinize ->
 minimize (Brzozowski, cross-checked against Hopcroft).  All state counts
 exclude unreachable states and the implicit dead state.  The determinize
-stage is the subset walk alone: ``dfa_states`` counts its subsets, and
-the Hopcroft cross-check refines the walk's own table.  Brzozowski's
-minimal DFA stays the table of its second walk: ``mdfa_states`` counts
+stage is the subset walk alone: ``dfa_states`` counts its subsets.  Both
+minimizers start from that walk's table, reversed once by the kernel's
+``flip``: the Hopcroft cross-check refines the reversal, and Brzozowski
+walks it, flips that walk and walks again.  No automaton is reversed.
+The minimal DFA stays the table of the last walk: ``mdfa_states`` counts
 its rows and ``mdfa_max_fanout`` their distinct targets.  So no DFA
 ``Automaton`` is built, except the minimal DFA of each row that the
-equivalence spot check samples.
+equivalence spot check samples; that check, run through an independent
+joint walk, is what ties the minimal DFA back to the NFA's language.
 
 Timings are measured per stage but written to the CSV only on request:
 wall-clock values would break the byte-identical rerun guarantee, so the
@@ -30,8 +33,8 @@ from .core import Automaton, StartKind, stats
 from .documents import write_text_atomic
 from .generators import Pattern, SplitMix64, compile_pattern, pattern_size
 from .regex import escape_literal
-from .transform import (CapExceededError, DEFAULT_STATE_CAP, _minimal_table,
-                        _subsets, _table_automaton, _witness, equivalent,
+from .transform import (CapExceededError, DEFAULT_STATE_CAP, _flip, _subsets,
+                        _table_automaton, _walk, _witness, equivalent,
                         merge_patterns, optimize_nfa, remove_epsilon, trim)
 
 CAP_TOKEN = "CAP_EXCEEDED"
@@ -193,16 +196,20 @@ def _run_pipeline(key: int, nfa_raw: Automaton,
         atoms, labels, table = _subsets(nfa, cap)
         dfa_states = len(labels)
         t3 = time.perf_counter()
-        mdfa = _minimal_table(nfa, cap)
-        # Hopcroft's cross-check refines the walk's table (``_refine`` is
-        # read off its module at each call).  The live blocks are all but
-        # the dead state's, as many as the highest block number, and 1 for
-        # the empty language.
-        hop_states = max(max(transform._refine(len(atoms), labels, table)), 1)
+        # One reversal of the walk serves both minimizers.  Brzozowski
+        # walks it: the walk is accessible, so that gives the minimal DFA
+        # of the reversed language, and flipping and walking that gives
+        # the minimal DFA.
+        flipped = _flip(atoms, labels, table)
+        mdfa = (atoms, *_walk(_flip(atoms, *_walk(flipped, cap)), cap))
+        # Hopcroft's cross-check refines it (``_refine`` is read off its
+        # module at each call).  The live blocks are all but the dead
+        # state's, as many as the highest block number, and 1 for the
+        # empty language.
+        hop_states = max(max(transform._refine(flipped)), 1)
         t4 = time.perf_counter()
-        atoms, labels, table = mdfa
-        mdfa_states = len(labels)
-        mdfa_max_fanout = _max_fanout(len(atoms), table)
+        mdfa_states = len(mdfa[1])
+        mdfa_max_fanout = _max_fanout(len(atoms), mdfa[2])
         if hop_states != mdfa_states:
             raise AssertionError(
                 f"minimizer disagreement on key {key}: brzozowski "

@@ -8,6 +8,7 @@ identical seeds give identical patterns on every platform.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .core import Automaton, StartKind, SymbolClass
@@ -272,8 +273,8 @@ def gen_random_automaton(recipe: RandomRecipe) -> Automaton:
     n = recipe.states
     if n < 1:
         raise ValueError("states must be >= 1")
-    if recipe.density <= 0:
-        raise ValueError("density must be positive")
+    if not 0 < recipe.density < math.inf:
+        raise ValueError("density must be positive and finite")
     if not 0 <= recipe.accept_density <= 1:
         raise ValueError("accept_density must be in 0..1")
     if not 1 <= recipe.alphabet_size <= 256:

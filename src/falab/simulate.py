@@ -50,7 +50,7 @@ def default_kernel() -> str:
 
 # Cycles per active_sets call when a trace replays its scan: memory stays
 # bounded by one window of sets, however long the input.
-WINDOW = 256
+WINDOW = 32
 
 
 @dataclass(frozen=True)

@@ -13,16 +13,17 @@ byte-class successors that ``_simkernel_py`` specifies:
 (``_subsets``) determinizes it into a dense DFA table, the NFA's byte
 classes and one target id per state and class, plus the number of report
 labels each DFA state accepts.  The walk is the only way into a DFA
-table: ``determinize`` builds its ``Automaton`` from it; Brzozowski's
-second walk runs on the first one's table flipped by the kernel's
-``flip`` (:func:`_minimal_table`, whose table the report pipeline reads
-without building the minimal DFA); ``equivalent`` reads a shortest
-separating word off its joint walk's table (:func:`_witness`); and the
-one Hopcroft refinement (``_refine``) runs on the walk's own table,
-whether the walk of an NFA (the report pipeline's cross-check) or of a
-DFA (``minimize_hopcroft``, to which that walk is the DFA trimmed and
-renumbered breadth-first).  The scan, the walk, the refinement and the
-flip all run in the kernel this module loads: the compiled
+table: ``determinize`` builds its ``Automaton`` from it, and ``equivalent``
+reads a shortest separating word off its joint walk's table
+(:func:`_witness`).  One reversal, the kernel's ``flip``
+(:func:`_flip`), turns a walked table into the program of its reversal,
+completed with a dead state, and serves both minimizers: Brzozowski's
+next walk runs on it, and the one Hopcroft refinement (``_refine``)
+refines it, whether it is the flipped walk of an NFA (the report
+pipeline's cross-check, on the same table that Brzozowski walks) or of
+a DFA (``minimize_hopcroft``, to which that walk is the DFA trimmed and
+renumbered breadth-first).  The scan, the walk, the flip and the
+refinement all run in the kernel this module loads: the compiled
 ``_simkernel`` when the extension was built (``python setup.py
 build_ext --inplace``) for the same program ``FORMAT``, and otherwise
 ``_simkernel_py``, whose plain-Python loops are the specification both
@@ -372,40 +373,40 @@ def reverse(a: Automaton) -> Automaton:
     )
 
 
-def _minimal_table(a: Automaton, cap: int) -> tuple[list[int], array, array]:
-    """Brzozowski's minimal DFA of ``a`` as a dense table: the
-    ``(atoms, labels, table)`` of the second walk, laid out as
-    :func:`_subsets` returns it.  The first walk's table is flipped in the
-    kernel's ``flip``, so the middle DFA is never built."""
-    atoms, labels, table = _subsets(reverse(a), cap)
-    return (atoms, *_walk(_kernel.flip(len(atoms), labels, table), cap))
+def _flip(atoms: list[int], labels, table: array) -> tuple:
+    """The kernel's ``flip`` of a walked table, laid out as
+    :func:`_subsets` returns it: the program of the table, completed with
+    its dead state (the last), with every move reversed.  Walking it
+    gives the minimal DFA of the reversed language (Brzozowski), and
+    :func:`_refine` refines it (Hopcroft)."""
+    return _kernel.flip(len(atoms), labels, table)
 
 
 def minimize_brzozowski(a: Automaton, cap: int = DEFAULT_STATE_CAP) -> Automaton:
     """Reverse, determinize, reverse, determinize: the minimal DFA.
 
     The middle DFA stays a table: the second walk runs on the first
-    walk's table with its edges flipped, started from its accepting
-    states, and accepts in the subsets that hold its start
-    (:func:`_minimal_table`).  Output is the unique minimal DFA modulo the
-    (never materialized) dead state; its state count excludes that dead
-    state by construction.  Raises :class:`CapExceededError` when either
-    walk passes ``cap``.
+    walk's table flipped (:func:`_flip`), started from its accepting
+    states, and accepts in the subsets that hold its start.  Output is
+    the unique minimal DFA modulo the (never materialized) dead state;
+    its state count excludes that dead state by construction.  Raises
+    :class:`CapExceededError` when either walk passes ``cap``.
     """
-    return _table_automaton(*_minimal_table(a, cap))
+    atoms, labels, table = _subsets(reverse(a), cap)
+    return _table_automaton(atoms, *_walk(_flip(atoms, labels, table), cap))
 
 
 # ---------------------------------------------------------------------------
 # Hopcroft minimization (partition refinement)
 
 
-def _refine(natoms: int, labels, table: array) -> list[int]:
-    """Hopcroft's partition refinement of a dense DFA table of ``len(labels)``
-    states, as :func:`_table_automaton` reads it, in the kernel's
-    ``refine``: a list of the block of each state, the virtual dead state
-    last, with blocks numbered in order of their smallest member; states
-    in the dead state's block cannot reach acceptance."""
-    return _kernel.refine(natoms, labels, table).tolist()
+def _refine(program: tuple) -> list[int]:
+    """Hopcroft's partition refinement of a walked table, given as its
+    :func:`_flip` program, in the kernel's ``refine``: a list of the
+    block of each state, the dead state last, with blocks numbered in
+    order of their smallest member; states in the dead state's block
+    cannot reach acceptance."""
+    return _kernel.refine(program).tolist()
 
 
 def minimize_hopcroft(a: Automaton) -> Automaton:
@@ -416,17 +417,18 @@ def minimize_hopcroft(a: Automaton) -> Automaton:
     its reachable states and renumbered breadth-first, as
     :func:`determinize` numbers its output, over the atoms of its edge
     classes (bytes no edge reads lead only to the dead state and split
-    nothing); :func:`_refine` refines that table.  So the output does not
-    depend on the input's numbering, and a :func:`determinize` output is
-    walked unchanged.  States indistinguishable from the dead state are
-    dropped, so counts match :func:`minimize_brzozowski`; output states
-    are the blocks, numbered in order of their smallest walked member.
+    nothing); :func:`_refine` refines that table, flipped.  So the output
+    does not depend on the input's numbering, and a :func:`determinize`
+    output is walked unchanged.  States indistinguishable from the dead
+    state are dropped, so counts match :func:`minimize_brzozowski`;
+    output states are the blocks, numbered in order of their smallest
+    walked member.
     """
     if not is_deterministic(a):
         raise ValueError("minimize_hopcroft requires a deterministic automaton")
     atoms, labels, table = _subsets(a, a.state_count)
     natoms = len(atoms)
-    block_of = _refine(natoms, labels, table)
+    block_of = _refine(_flip(atoms, labels, table))
     dead = block_of[-1]
     if block_of[0] == dead:
         # empty language: a lone start state, no edges, no accepts

@@ -187,6 +187,36 @@ def test_inverted_length_range_names_both_lengths(paths, capsys):
     assert capsys.readouterr().err == "falab: error: bad length range 5..3\n"
 
 
+@pytest.mark.parametrize("number", ["Infinity", "-Infinity", "NaN", "1e400",
+                                    "1" + "0" * 400])
+def test_report_refuses_a_number_beyond_the_floats(tmp_path, capsys, number):
+    # Python's json module reads all five; none is a density.
+    patterns = tmp_path / "random.json"
+    patterns.write_text(
+        '{"version": 1, "start_kind": "start-of-data", "patterns": [{"id": 0, '
+        '"kind": "random", "states": 4, "density": %s, "accept_density": '
+        '0.5, "alphabet_size": 2, "seed": 9}]}' % number)
+    assert main(["report-per-pattern", str(patterns), "--seed", "0",
+                 "--out", str(tmp_path / "r.csv")]) == 1
+    assert capsys.readouterr().err == (
+        f"falab: error: {patterns}: /patterns/0/density: expected a finite "
+        f"number\n")
+
+
+@pytest.mark.parametrize("option", ["--density", "--accept-density"])
+def test_generate_writes_no_infinite_density(tmp_path, capsys, option):
+    # JSON has no infinity, so no pattern-set file is written.
+    out = tmp_path / "random.json"
+    argv = ["generate", "random", "--seed", "1", "--count", "1", "--states",
+            "4", "--density", "1.5", "--accept-density", "0.5",
+            "--alphabet-size", "2", "--out", str(out)]
+    argv[argv.index(option) + 1] = "inf"
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith(
+        "falab: error: Out of range float values are not JSON compliant")
+    assert not out.exists()
+
+
 def test_report_spot_check_fits_where_the_rows_fit(tmp_path, capsys):
     # (ab|a)* determinizes into 3 states; the spot check's joint walk
     # also holds merge_patterns' shared start, so it needs 4.

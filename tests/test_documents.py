@@ -1,4 +1,5 @@
 import json
+import math
 import typing
 
 import pytest
@@ -144,9 +145,10 @@ class TestPatternSetRoundTrip:
         assert load_pattern_set(str(tmp_path / "ps.json")) == ps
 
 
-# A value of each field type that a pattern source dataclass declares.
+# A value of each field type that a pattern source dataclass declares;
+# documents hold finite numbers only.
 FIELD_VALUES = {str: st.text(), bytes: st.binary(), int: st.integers(),
-                float: st.floats(allow_nan=False)}
+                float: st.floats(allow_nan=False, allow_infinity=False)}
 
 
 class TestPatternKinds:
@@ -304,6 +306,14 @@ PATTERN_SET_ERRORS = [
      "/patterns/3/accept_density", "expected a number"),
     (edited(PATTERN_SET, "/patterns/3/alphabet_size", 2.5),
      "/patterns/3/alphabet_size", "expected an integer"),
+    (edited(PATTERN_SET, "/patterns/3/density", math.inf),
+     "/patterns/3/density", "expected a finite number"),
+    (edited(PATTERN_SET, "/patterns/3/density", 10 ** 400),
+     "/patterns/3/density", "expected a finite number"),
+    (edited(PATTERN_SET, "/patterns/3/accept_density", math.nan),
+     "/patterns/3/accept_density", "expected a finite number"),
+    (edited(PATTERN_SET, "/patterns/3/accept_density", -math.inf),
+     "/patterns/3/accept_density", "expected a finite number"),
     (edited(PATTERN_SET, "/patterns/3/id", 0), "/patterns",
      "pattern ids must be unique"),
     (edited(PATTERN_SET, "/seed", "3"), "/seed", "expected an integer"),

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from falab import experiment, transform
+from falab import _simkernel_py, experiment, transform
 from falab.cli import main
 from falab.core import Automaton, StartKind, stats
 from falab.documents import PatternSet, save_pattern_set
@@ -22,8 +22,9 @@ from falab.experiment import (CAP_TOKEN, GrowthLabel, ReportRow,
                               classify_growth, per_pattern_experiment)
 from falab.generators import Pattern, RegexSource, compile_pattern, gen_dotstar
 from falab.regex import compile_regex
-from falab.transform import (DEFAULT_STATE_CAP, brute_force_minimal_states,
-                             determinize, merge_patterns, minimize_brzozowski,
+from falab.transform import (DEFAULT_STATE_CAP, _table_automaton,
+                             brute_force_minimal_states, determinize,
+                             merge_patterns, minimize_brzozowski,
                              remove_epsilon, trim)
 
 from corpus import START_MODES, alternating_chain, nfas
@@ -131,6 +132,42 @@ def test_table_counts_on_the_seed_one_report_automata():
     assert len(automata) == 98
     for raw in automata:
         assert_counts_from_the_table(raw)
+
+
+def assert_pipeline_minimizes_like_brzozowski(raw, c_kernel):
+    """On both kernels, the pipeline's minimal table is
+    ``minimize_brzozowski``'s DFA of the NFA, and the pipeline's Hopcroft
+    refinement has one live block per row of that table (one for the
+    empty language)."""
+    refine, refined = transform._refine, []
+
+    def keep(program):
+        refined.append(refine(program))
+        return refined[-1]
+
+    for kernel in (_simkernel_py, c_kernel):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(transform, "_kernel", kernel)
+            patch.setattr(transform, "_refine", keep)
+            result = experiment._run_pipeline(0, raw, DEFAULT_STATE_CAP)
+            minimal = minimize_brzozowski(result.nfa)
+        atoms, labels, table = result.mdfa
+        assert _table_automaton(atoms, labels, table).structurally_equal(
+            minimal)
+        blocks = refined.pop()
+        assert max(len(set(blocks) - {blocks[-1]}), 1) == len(labels)
+
+
+@pytest.mark.parametrize("mode", START_MODES)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_pipeline_minimal_dfa_is_brzozowskis(c_kernel, mode, data):
+    assert_pipeline_minimizes_like_brzozowski(data.draw(nfas(mode)), c_kernel)
+
+
+def test_pipeline_minimal_dfa_on_the_seed_one_report_automata(c_kernel):
+    for raw in seed_one_report_automata():
+        assert_pipeline_minimizes_like_brzozowski(raw, c_kernel)
 
 
 def pipeline_dfa(pattern: Pattern):

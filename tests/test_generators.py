@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 
@@ -156,6 +157,18 @@ class TestRandomAutomaton:
     def test_rejects_impossible_density(self):
         with pytest.raises(ValueError):
             gen_random_automaton(RandomRecipe(3, 4.0, 0.0, 2, seed=0))
+
+    @pytest.mark.parametrize("density, accept_density, message", [
+        (math.inf, 0.5, "density must be positive and finite"),
+        (math.nan, 0.5, "density must be positive and finite"),
+        (1.5, math.inf, "accept_density must be in 0..1"),
+        (1.5, math.nan, "accept_density must be in 0..1"),
+    ])
+    def test_rejects_non_finite_densities(self, density, accept_density,
+                                          message):
+        with pytest.raises(ValueError, match=message):
+            gen_random_automaton(RandomRecipe(3, density, accept_density, 2,
+                                              seed=0))
 
     def test_edges_unique_per_symbol(self):
         a = gen_random_automaton(RandomRecipe(6, 2.0, 0.2, 3, seed=9))

@@ -3,7 +3,7 @@ import sys
 import sysconfig
 import tracemalloc
 from array import array
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import replace
 
 import pytest
@@ -423,11 +423,16 @@ def rule_index(draw, n: int):
     return array("i", rule_of), bytes(raw_start)
 
 
-@pytest.mark.parametrize("length", [0, 255, 256, 257, 3 * 256 + 1])
+WINDOW = simulate.WINDOW
+
+
+@pytest.mark.parametrize("length", [0, WINDOW - 1, 8 * WINDOW - 1,
+                                    8 * WINDOW, 8 * WINDOW + 1,
+                                    24 * WINDOW + 1])
 def test_windowed_sets_equal_one_scan(kernel, length):
-    # Lengths around the replay window: none, one short, one full, one
-    # over, and three full plus one.
-    assert simulate.WINDOW == 256
+    # Lengths around the replay window: none, one short of a full window,
+    # one short of eight windows, eight full, one over, and twenty-four
+    # full plus one.
     a = merge_patterns([gen_levenshtein(p, d, ALL)
                         for p, d in ((b"abc", 1), (b"ca", 1), (b"bcab", 2))])
     data = streams(length, count=1, length=length)[0]
@@ -454,6 +459,23 @@ def test_scan_memory_does_not_grow_with_the_sets(c_kernel, monkeypatch):
         tracemalloc.stop()
     assert trace.cycles == len(data)
     assert peak < 4_000_000, peak
+
+
+def test_replay_holds_one_window_of_sets(kernel):
+    # Four all-input Levenshtein d = 3 rules, about 66 of 145 states
+    # active per cycle: the replay holds one window of frozensets at a
+    # time, a peak of about 0.26 MB at 32 cycles a window (1.5 MB at 256).
+    sim = Simulator(merge_patterns([
+        gen_levenshtein(p, 3, ALL)
+        for p in (b"abcdabcd", b"dcbadcba", b"abcabcab", b"bcdabcda")]))
+    trace = sim.run(streams(512, count=1, length=512)[0])
+    tracemalloc.start()
+    try:
+        deque(trace.per_cycle_active, maxlen=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 600_000, peak
 
 
 class TestKernelParity:
@@ -594,8 +616,7 @@ def ints(*items):
 N, NCLS, OFF, SUCC, REPORT = 2, 1, ints(0, 1, 3), ints(1, 0, 1), ints(-1, -1)
 
 
-# Malformed (natoms, labels, table) arguments, which refine and flip
-# check alike.
+# Malformed (natoms, labels, table) arguments, which flip checks.
 MALFORMED_TABLES = [
     pytest.param((1, [0, 0], ints(1, 0)), TypeError,
                  "labels must be a buffer, not 'list'",
@@ -697,7 +718,8 @@ class TestCompiledKernelErrors:
     def test_malformed_program(self, c_kernel, program, error, match):
         calls = (lambda: c_kernel.step_stream(program, b"\x00"),
                  lambda: c_kernel.active_sets(program, b"\x00"),
-                 lambda: c_kernel.subsets(program, 1))
+                 lambda: c_kernel.subsets(program, 1),
+                 lambda: c_kernel.refine(program))
         for call in calls:
             with pytest.raises(error, match=match):
                 call()
@@ -711,6 +733,8 @@ class TestCompiledKernelErrors:
             c_kernel.step_stream(program, b"\x00\x00")
         with pytest.raises(ValueError, match=match):
             c_kernel.subsets(program, 1)
+        with pytest.raises(ValueError, match=match):
+            c_kernel.refine(program)
 
     @pytest.mark.parametrize("data", ["ab", 7, None, [0, 1]])
     def test_data_not_bytes_like(self, c_kernel, data):
@@ -731,11 +755,6 @@ class TestCompiledKernelErrors:
                                  b"\x00", rules)
 
     @pytest.mark.parametrize("args, error, match", MALFORMED_TABLES)
-    def test_malformed_refine(self, c_kernel, args, error, match):
-        with pytest.raises(error, match=match):
-            c_kernel.refine(*args)
-
-    @pytest.mark.parametrize("args, error, match", MALFORMED_TABLES)
     def test_malformed_flip(self, c_kernel, args, error, match):
         with pytest.raises(error, match=match):
             c_kernel.flip(*args)
@@ -743,11 +762,11 @@ class TestCompiledKernelErrors:
     def test_error_paths_free_their_buffers(self, c_kernel):
         # Each call fails after its 1 MB off and succ arrays (1000 states x
         # 256 classes) are viewed, or, for the last subset walk, stops past
-        # the cap after half the walk; the refinements and flips fail after
-        # viewing a 1 MB table, or refine or flip it.  A view left
-        # unreleased would keep them alive, so memory would grow, and would
-        # forbid resizing them; so would scratch memory that the walk,
-        # refinement or flip did not free.
+        # the cap after half the walk; the flips fail after viewing a 1 MB
+        # table, or flip it, and the refinement refines that flip.  A view
+        # left unreleased would keep them alive, so memory would grow, and
+        # would forbid resizing them; so would scratch memory that the
+        # walk, flip or refinement did not free.
         n, ncls = 1000, 256
         # every state moves to the next on every class: n subsets
         to_next = array("i", [(k // ncls + 1) % n for k in range(n * ncls)])
@@ -783,6 +802,8 @@ class TestCompiledKernelErrors:
                 if isinstance(walked, type):
                     with pytest.raises(walked):
                         c_kernel.subsets(program, n // 2)
+                    with pytest.raises(walked):
+                        c_kernel.refine(program)
                 else:
                     result = c_kernel.subsets(program, n // 2)
                     assert (None if result is None
@@ -791,17 +812,13 @@ class TestCompiledKernelErrors:
             labels = array("i", [0]) * (n - 1) + ints(1)
             table = to_next[:-1] + ints(n)
             with pytest.raises(ValueError, match=r"table\[255999\] is 1000"):
-                c_kernel.refine(ncls, labels, table)
-            with pytest.raises(ValueError, match="natoms = 255000 items"):
-                c_kernel.refine(ncls - 1, labels, table)
-            assert max(c_kernel.refine(ncls, labels, to_next)) == n
-            with pytest.raises(ValueError, match=r"table\[255999\] is 1000"):
                 c_kernel.flip(ncls, labels, table)
             with pytest.raises(ValueError, match="natoms = 255000 items"):
                 c_kernel.flip(ncls - 1, labels, table)
             # each state is reached from the one before it on every class
-            assert c_kernel.flip(ncls, labels, to_next)[3][:2] == ints(n - 1,
-                                                                       n - 1)
+            flipped = c_kernel.flip(ncls, labels, to_next)
+            assert flipped[3][:2] == ints(n - 1, n - 1)
+            assert max(c_kernel.refine(flipped)) == n
             labels.append(0)  # raises BufferError while a view is held
             table.append(0)
 

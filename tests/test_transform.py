@@ -288,13 +288,15 @@ class TestSubsetWalk:
 
 class TestRefine:
     """The compiled refinement against its specification,
-    _simkernel_py.refine: equal arrays, blocks numbered canonically."""
+    _simkernel_py.refine, each on its own kernel's flip of the table:
+    equal arrays, blocks numbered canonically."""
 
     @staticmethod
     def refined(c_kernel, natoms, labels, table):
-        blocks = c_kernel.refine(natoms, labels, table)
+        blocks = c_kernel.refine(c_kernel.flip(natoms, labels, table))
         assert isinstance(blocks, array) and blocks.typecode == "i"
-        assert blocks == _simkernel_py.refine(natoms, labels, table)
+        assert blocks == _simkernel_py.refine(
+            _simkernel_py.flip(natoms, labels, table))
         return list(blocks)
 
     @pytest.mark.parametrize("mode", START_MODES)
@@ -352,6 +354,13 @@ class TestRefine:
         assert self.refined(c_kernel, len(atoms), labels, table) == list(
             range(2_002))
 
+    @pytest.mark.parametrize("ncls", [0, 2])
+    def test_empty_program(self, c_kernel, ncls):
+        # No states: no blocks, in both kernels.
+        program = (0, ncls, ints(0), ints(), ints(), ints(), ints())
+        for module in (_simkernel_py, c_kernel):
+            assert module.refine(program) == ints()
+
 
 class TestFlip:
     """The compiled flip against its specification, _simkernel_py.flip:
@@ -383,16 +392,21 @@ class TestFlip:
             assert len(labels) > 64
             self.flipped(c_kernel, len(atoms), labels, table)
 
-    # (natoms, labels, table) and the program that the reversal built for
-    # Brzozowski's second walk before it moved into the kernels.
+    # (natoms, labels, table) and its flipped program: the program that
+    # the reversal built for Brzozowski's second walk before it moved
+    # into the kernels, with the dead state's rows and report appended.
+    # The dead state, last, is reached back from itself and from every
+    # state with no move on that atom.
     @pytest.mark.parametrize("natoms, labels, table, program", [
         (2, (0, 1, 1), (1, 2, -1, 2, 2, -1),
-         (3, 2, (0, 0, 0, 1, 1, 2, 4), (0, 2, 0, 1), (1, 2), (), (0, -1, -1))),
-        (0, (1,), (), (1, 0, (0,), (), (0,), (), (0,))),
-        (2, (0,), (-1, -1), (1, 2, (0, 0, 0), (), (), (), (0,))),
-        (1, (1,), (0,), (1, 1, (0, 1), (0,), (0,), (), (0,))),
+         (4, 2, (0, 0, 0, 1, 1, 2, 4, 6, 8), (0, 2, 0, 1, 1, 3, 2, 3), (1, 2),
+          (), (0, -1, -1, -1))),
+        (0, (1,), (), (2, 0, (0,), (), (0,), (), (0, -1))),
+        (2, (0,), (-1, -1), (2, 2, (0, 0, 0, 2, 4), (0, 1, 0, 1), (), (),
+                             (0, -1))),
+        (1, (1,), (0,), (2, 1, (0, 1, 2), (0, 1), (0,), (), (0, -1))),
         (1, (0, 1, 0), (1, -1, 1),
-         (3, 1, (0, 0, 2, 2), (0, 2), (1,), (), (0, -1, -1))),
+         (4, 1, (0, 0, 2, 2, 4), (0, 2, 1, 3), (1,), (), (0, -1, -1, -1))),
     ], ids=["two-atoms", "no-atoms", "no-moves", "self-loop", "two-into-one"])
     def test_fixed_tables(self, c_kernel, natoms, labels, table, program):
         n, ncls, *arrays = program
