@@ -10,6 +10,9 @@ pattern text (``regex.escape_literal``), on a ``witness:`` line.
 
 Randomized commands require an explicit --seed; there is never an
 implicit random seed.
+
+``stats`` and ``active-rules`` print their result dataclass as JSON, one
+key per field (``active-rules`` adds the rule count first).
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from ._version import __version__
 from .core import StartKind, stats, validate
@@ -24,9 +28,9 @@ from .documents import (DocumentError, PatternSet, load_automaton,
                         load_pattern_set, render_trace, save_automaton,
                         save_pattern_set, write_text_atomic,
                         automaton_to_document)
-from .experiment import (GrowthThresholds, classify_growth, emit_report,
-                         experiment_x_axis, incremental_merge_experiment,
-                         per_pattern_experiment)
+from .experiment import (emit_report, experiment_x_axis,
+                         incremental_merge_experiment, per_pattern_experiment,
+                         report_growth)
 from .generators import (Pattern, RandomRecipe, compile_pattern, gen_dotstar,
                          gen_mesh_patterns)
 from .regex import compile_regex, escape_literal
@@ -37,10 +41,6 @@ from .transform import (CapExceededError, DEFAULT_STATE_CAP,
                         minimize_hopcroft, optimize_nfa)
 
 _START_CHOICES = [k.value for k in StartKind]
-
-
-def _start_kind(value: str) -> StartKind:
-    return StartKind(value)
 
 
 def _positive_int(value: str) -> int:
@@ -87,7 +87,9 @@ def _cmd_compile(args) -> int:
     if args.regex is not None:
         if args.start_kind is None:
             raise UsageError("--start-kind is required with --regex")
-        automaton = compile_regex(args.regex, _start_kind(args.start_kind))
+        if args.id is not None:
+            raise UsageError("--id needs --patterns, not --regex")
+        automaton = compile_regex(args.regex, StartKind(args.start_kind))
     else:
         ps = load_pattern_set(args.patterns)
         by_id = {p.id: p for p in ps.patterns}
@@ -100,7 +102,7 @@ def _cmd_compile(args) -> int:
             pattern = by_id[args.id]
         else:
             raise ValueError(f"no pattern with id {args.id}")
-        kind = (_start_kind(args.start_kind) if args.start_kind
+        kind = (StartKind(args.start_kind) if args.start_kind
                 else ps.start_kind)
         automaton = compile_pattern(pattern, kind)
     _write_automaton(automaton, args.out)
@@ -108,7 +110,7 @@ def _cmd_compile(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    kind = _start_kind(args.start_kind)
+    kind = StartKind(args.start_kind)
     patterns: list[Pattern]
     if args.family == "dotstar":
         patterns = gen_dotstar(args.count, args.prefix_len, args.suffix_len,
@@ -182,15 +184,7 @@ def _cmd_equivalent(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    summary = stats(_load_valid(args.automaton))
-    print(json.dumps({
-        "state_count": summary.state_count,
-        "transition_count": summary.transition_count,
-        "max_fanout": summary.max_fanout,
-        "avg_fanout": summary.avg_fanout,
-        "accept_count": summary.accept_count,
-        "start_count": summary.start_count,
-    }, indent=2))
+    print(json.dumps(asdict(stats(_load_valid(args.automaton))), indent=2))
     return 0
 
 
@@ -203,24 +197,13 @@ def _cmd_simulate(args) -> int:
 def _cmd_active_rules(args) -> int:
     components = connected_components(_load_valid(args.automaton))
     result = active_rule_frequency(components, _read_input_bytes(args.input))
-    _emit(json.dumps({
-        "rules": len(components),
-        "per_cycle_rule_count": list(result.per_cycle_rule_count),
-        "min_active": result.min_active,
-        "max_active": result.max_active,
-        "start_only_fraction": result.start_only_fraction,
-    }, indent=2) + "\n", args.out)
+    _emit(json.dumps({"rules": len(components), **asdict(result)},
+                     indent=2) + "\n", args.out)
     return 0
-
-
-def _growth_thresholds(args) -> GrowthThresholds:
-    return GrowthThresholds(polynomial_slope=args.poly_slope,
-                            r2_margin=args.r2_margin)
 
 
 def _cmd_report(args) -> int:
     ps = load_pattern_set(args.patterns)
-    thresholds = _growth_thresholds(args)
     if args.merge:
         rows = incremental_merge_experiment(list(ps.patterns), args.seed,
                                             ps.start_kind, args.cap)
@@ -229,14 +212,8 @@ def _cmd_report(args) -> int:
         rows = per_pattern_experiment(list(ps.patterns), args.seed,
                                       ps.start_kind, args.cap)
         xs = experiment_x_axis(list(ps.patterns))
-    growth = {}
-    usable = (len(rows) >= 4
-              and all(x2 > x1 for x1, x2 in zip(xs, xs[1:]))
-              and all(r.status == "ok" for r in rows))
-    if usable:
-        growth["mdfa"] = classify_growth(rows, xs, "mdfa", thresholds)
-        growth["opt_nfa"] = classify_growth(rows, xs, "opt_nfa", thresholds)
-    emit_report(rows, xs, args.out, growth, args.seed, args.cap, args.timings)
+    emit_report(rows, xs, args.out, report_growth(rows, xs), args.seed,
+                args.cap, args.timings)
     return 0
 
 
@@ -351,8 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--timings", action="store_true",
                        help="write wall-clock cells (breaks byte-identical "
                             "reruns)")
-        p.add_argument("--poly-slope", type=float, default=1.2)
-        p.add_argument("--r2-margin", type=float, default=0.05)
         p.set_defaults(func=_cmd_report, merge=merge)
 
     return parser

@@ -10,7 +10,8 @@ complement is smaller); a 64-hex-digit bitset literal is accepted on load
 for exactness.
 
 A pattern-set entry is ``{"id", "kind", <the fields of the kind's source
-dataclass, in order>}``, each field read by its declared type.
+dataclass, in order>}``, each field read by its declared type; an entry
+the source dataclass refuses is an error at the entry's path.
 
 An automaton document may claim ``"deterministic": true``.  The writer
 never emits the key, as an automaton is a DFA by its structure alone;
@@ -245,9 +246,13 @@ def _entry_to_pattern(entry: dict, path: str) -> Pattern:
     _expect("kind" in entry, path, "missing field 'kind'")
     cls = _choice(entry["kind"], _SOURCES, f"{path}/kind", "pattern kind")
     _require_keys(entry, path, ("id", "kind", *_FIELDS[cls]))
-    return Pattern(_field(entry, path, "id", int), cls(
-        *(_field(entry, path, key, hint)
-          for key, hint in _FIELDS[cls].items())))
+    values = [_field(entry, path, key, hint)
+              for key, hint in _FIELDS[cls].items()]
+    try:
+        source = cls(*values)
+    except ValueError as exc:  # a recipe its generator would refuse
+        raise DocumentError(path, str(exc)) from None
+    return Pattern(_field(entry, path, "id", int), source)
 
 
 def pattern_set_to_document(ps: PatternSet) -> dict:

@@ -14,9 +14,9 @@ its rows and ``mdfa_max_fanout`` their distinct targets.  So no DFA
 equivalence spot check samples; that check, run through an independent
 joint walk, is what ties the minimal DFA back to the NFA's language.
 
-Timings are measured per stage but written to the CSV only on request:
-wall-clock values would break the byte-identical rerun guarantee, so the
-default leaves the timing cells empty.
+The CSV columns are :class:`ReportRow`'s fields.  Timings are measured
+per stage but written only on request: wall-clock values would break the
+byte-identical rerun guarantee, so the default leaves their cells empty.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from __future__ import annotations
 import enum
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
 from statistics import correlation, linear_regression
 
 from . import transform
@@ -43,17 +43,19 @@ SPOT_CHECK_ROWS = 4
 PIPELINE = ("compile", "remove_epsilon", "trim", "optimize_nfa",
             "determinize", "minimize_brzozowski(crosscheck=hopcroft)")
 
-CSV_HEADER = ("key,nfa_states,opt_nfa_states,dfa_states,mdfa_states,"
-              "nfa_max_fanout,mdfa_max_fanout,"
-              "t_compile_s,t_optimize_s,t_determinize_s,t_minimize_s,status")
+# falab's growth thresholds: a log-log slope above POLYNOMIAL_SLOPE is
+# polynomial, a semi-log R^2 over the log-log one by R2_MARGIN exponential.
+POLYNOMIAL_SLOPE = 1.2
+R2_MARGIN = 0.05
 
 
 @dataclass(frozen=True)
 class ReportRow:
     """One pipeline run: a pattern id or a merge step k.
 
-    Counts hit by the determinization cap are None and the status records
-    the failure; such rows stay in the report rather than vanishing.
+    Its fields are the report's columns, in order; a ``t_`` field is a
+    timing, in seconds.  Counts hit by the determinization cap are None
+    and the status records the failure; such rows stay in the report.
     """
 
     key: int
@@ -93,14 +95,6 @@ class GrowthClass:
                 f"semilog slope={self.semilog_slope:.3f} r2={self.semilog_r2:.3f})")
 
 
-@dataclass(frozen=True)
-class GrowthThresholds:
-    """Defaults for the fit-based classification; all overridable."""
-
-    polynomial_slope: float = 1.2
-    r2_margin: float = 0.05
-
-
 def fit_loglinear(xs: list[float], ys: list[float]) -> tuple[float, float]:
     """Least-squares slope and R^2 of ys against xs."""
     slope, _ = linear_regression(xs, ys)
@@ -109,16 +103,15 @@ def fit_loglinear(xs: list[float], ys: list[float]) -> tuple[float, float]:
     return slope, correlation(xs, ys) ** 2
 
 
-def classify_points(xs: list[float], ys: list[float],
-                    thresholds: GrowthThresholds = GrowthThresholds()) -> GrowthClass:
+def classify_points(xs: list[float], ys: list[float]) -> GrowthClass:
     """Fit-based growth class of a positive series over increasing x.
 
-    Exponential wins when the semi-log fit beats the log-log fit by the
-    R^2 margin with positive slope; otherwise the log-log slope picks
-    polynomial (above the threshold) or linear.  Sub-linear slopes fall
-    into the linear bucket: the classes describe growth *at most* that
-    fast, and the point of the classification is separating blowup from
-    benign growth.
+    Exponential wins when the semi-log fit beats the log-log fit by
+    R2_MARGIN in R^2 with positive slope; otherwise the log-log slope
+    picks polynomial (above POLYNOMIAL_SLOPE) or linear.  Sub-linear
+    slopes fall into the linear bucket: the classes describe growth *at
+    most* that fast, and the point of the classification is separating
+    blowup from benign growth.
     """
     if len(xs) < 4:
         raise ValueError("growth classification needs at least 4 points")
@@ -130,9 +123,9 @@ def classify_points(xs: list[float], ys: list[float],
     log_y = [math.log(y) for y in ys]
     ll_slope, ll_r2 = fit_loglinear(log_x, log_y)
     sl_slope, sl_r2 = fit_loglinear(list(map(float, xs)), log_y)
-    if sl_slope > 0 and sl_r2 - ll_r2 >= thresholds.r2_margin:
+    if sl_slope > 0 and sl_r2 - ll_r2 >= R2_MARGIN:
         label = GrowthLabel.EXPONENTIAL
-    elif ll_slope > thresholds.polynomial_slope:
+    elif ll_slope > POLYNOMIAL_SLOPE:
         label = GrowthLabel.POLYNOMIAL
     else:
         label = GrowthLabel.LINEAR
@@ -140,8 +133,7 @@ def classify_points(xs: list[float], ys: list[float],
 
 
 def classify_growth(rows: list[ReportRow], xs: list[int],
-                    series: str = "mdfa",
-                    thresholds: GrowthThresholds = GrowthThresholds()) -> GrowthClass:
+                    series: str = "mdfa") -> GrowthClass:
     """Growth class of one report column against the given x axis.
 
     The fit decides, except that the mdfa series is relabeled EQUAL when
@@ -156,11 +148,22 @@ def classify_growth(rows: list[ReportRow], xs: list[int],
     if any(v is None for v in values):
         raise ValueError(f"series {series!r} has rows without counts "
                          f"(status != ok)")
-    fit = classify_points(list(map(float, xs)), list(map(float, values)),
-                          thresholds)
+    fit = classify_points(list(map(float, xs)), list(map(float, values)))
     if series == "mdfa" and all(r.mdfa_states == r.opt_nfa_states for r in rows):
         return replace(fit, label=GrowthLabel.EQUAL)
     return fit
+
+
+def report_growth(rows: list[ReportRow],
+                  xs: list[int]) -> dict[str, GrowthClass]:
+    """The growth lines of a report: its mdfa and opt_nfa series against
+    ``xs``, or none when the report has fewer than 4 rows, x values that
+    do not increase, or a row without counts."""
+    if (len(rows) < 4 or any(x2 <= x1 for x1, x2 in zip(xs, xs[1:]))
+            or any(r.status != "ok" for r in rows)):
+        return {}
+    return {series: classify_growth(rows, xs, series)
+            for series in ("mdfa", "opt_nfa")}
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +299,9 @@ def incremental_merge_experiment(patterns: list[Pattern], seed: int,
 # Report emission
 
 
-def _cell(value) -> str:
+def _cell(column: str, value, include_timings: bool) -> str:
+    if column.startswith("t_"):  # a timing
+        return f"{value:.6f}" if include_timings else ""
     return CAP_TOKEN if value is None else str(value)
 
 
@@ -321,18 +326,11 @@ def render_report(rows: list[ReportRow],
     ]
     for name, g in sorted((growth or {}).items()):
         lines.append(f"# growth[{name}]: {g.describe()}")
-    lines.append(CSV_HEADER)
-    for r in rows:
-        timing_cells = ["", "", "", ""]
-        if include_timings:
-            timing_cells = [f"{t:.6f}" for t in
-                            (r.t_compile_s, r.t_optimize_s,
-                             r.t_determinize_s, r.t_minimize_s)]
-        lines.append(",".join([
-            str(r.key), _cell(r.nfa_states), _cell(r.opt_nfa_states),
-            _cell(r.dfa_states), _cell(r.mdfa_states),
-            _cell(r.nfa_max_fanout), _cell(r.mdfa_max_fanout),
-            *timing_cells, r.status]))
+    columns = [f.name for f in fields(ReportRow)]
+    lines.append(",".join(columns))
+    for row in rows:
+        lines.append(",".join(_cell(column, value, include_timings)
+                              for column, value in zip(columns, astuple(row))))
     return "\n".join(lines) + "\n"
 
 

@@ -2,8 +2,10 @@
 
 Patterns are self-contained recipes: a regex, a concrete dot-star pair, a
 mesh target (Hamming or Levenshtein ball), or a random-automaton recipe.
-All randomness flows through :class:`SplitMix64`, a fixed, named PRNG, so
-identical seeds give identical patterns on every platform.
+A recipe checks its fields when it is built: one that its generator could
+not compile raises ValueError.  All randomness flows through
+:class:`SplitMix64`, a fixed, named PRNG, so identical seeds give
+identical patterns on every platform.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .core import Automaton, StartKind, SymbolClass
-from .regex import compile_regex, escape_literal
+from .regex import compile_regex, escape_literal, parse_regex
 
 _MASK64 = (1 << 64) - 1
 
@@ -63,6 +65,9 @@ class SplitMix64:
 class RegexSource:
     text: str
 
+    def __post_init__(self):
+        parse_regex(self.text)  # a RegexParseError names the position
+
 
 @dataclass(frozen=True)
 class DotStarSource:
@@ -75,15 +80,27 @@ class DotStarSource:
 
 
 @dataclass(frozen=True)
-class HammingSource:
+class _MeshSource:
+    """A nonempty target and an edit distance of at most its length."""
+
     pattern: bytes
     distance: int
+
+    def __post_init__(self):
+        if not self.pattern:
+            raise ValueError("pattern must be nonempty")
+        if not 0 <= self.distance <= len(self.pattern):
+            raise ValueError("distance must be in 0..len(pattern)")
 
 
 @dataclass(frozen=True)
-class LevenshteinSource:
-    pattern: bytes
-    distance: int
+class HammingSource(_MeshSource):
+    pass
+
+
+@dataclass(frozen=True)
+class LevenshteinSource(_MeshSource):
+    pass
 
 
 @dataclass(frozen=True)
@@ -99,6 +116,26 @@ class RandomRecipe:
     accept_density: float
     alphabet_size: int
     seed: int
+
+    def __post_init__(self):
+        n = self.states
+        if n < 1:
+            raise ValueError("states must be >= 1")
+        if not 0 < self.density < math.inf:
+            raise ValueError("density must be positive and finite")
+        if not 0 <= self.accept_density <= 1:
+            raise ValueError("accept_density must be in 0..1")
+        if not 1 <= self.alphabet_size <= 256:
+            raise ValueError("alphabet_size must be in 1..256")
+        if self.per_symbol > n * n:
+            raise ValueError(
+                f"density {self.density} asks for {self.per_symbol} distinct "
+                f"transitions per symbol but only {n * n} exist")
+
+    @property
+    def per_symbol(self) -> int:
+        """Transitions per symbol: ``density * states``, rounded."""
+        return int(self.density * self.states + 0.5)
 
 
 PatternSource = (RegexSource | DotStarSource | HammingSource
@@ -196,11 +233,8 @@ def gen_hamming(pattern: bytes, d: int,
     with e > i is unreachable and never materialized.  Epsilon-free and
     acyclic; the construction is in fact deterministic.
     """
+    HammingSource(pattern, d)  # refuses an empty pattern, a bad distance
     n = len(pattern)
-    if n < 1:
-        raise ValueError("pattern must be nonempty")
-    if not 0 <= d <= n:
-        raise ValueError("distance must be in 0..len(pattern)")
     ids: dict[tuple[int, int], int] = {}
     for i in range(n + 1):
         for e in range(min(i, d) + 1):
@@ -230,11 +264,8 @@ def gen_levenshtein(pattern: bytes, d: int,
     an epsilon edge.  All epsilon edges point "down" the grid (e + 1), so
     there are no epsilon cycles.
     """
+    LevenshteinSource(pattern, d)  # refuses an empty pattern, a bad distance
     n = len(pattern)
-    if n < 1:
-        raise ValueError("pattern must be nonempty")
-    if not 0 <= d <= n:
-        raise ValueError("distance must be in 0..len(pattern)")
     any_byte = SymbolClass.full()
 
     def sid(i: int, e: int) -> int:
@@ -271,24 +302,11 @@ def gen_random_automaton(recipe: RandomRecipe) -> Automaton:
     (symbol, src, dst) so transition counts match the density model.
     """
     n = recipe.states
-    if n < 1:
-        raise ValueError("states must be >= 1")
-    if not 0 < recipe.density < math.inf:
-        raise ValueError("density must be positive and finite")
-    if not 0 <= recipe.accept_density <= 1:
-        raise ValueError("accept_density must be in 0..1")
-    if not 1 <= recipe.alphabet_size <= 256:
-        raise ValueError("alphabet_size must be in 1..256")
-    per_symbol = int(recipe.density * n + 0.5)
-    if per_symbol > n * n:
-        raise ValueError(
-            f"density {recipe.density} asks for {per_symbol} distinct "
-            f"transitions per symbol but only {n * n} exist")
     rng = SplitMix64(recipe.seed)
     edges = []
     for sym in range(recipe.alphabet_size):
         cls = SymbolClass.of([sym])
-        for pair in sorted(rng.sample(n * n, per_symbol)):
+        for pair in sorted(rng.sample(n * n, recipe.per_symbol)):
             edges.append((pair // n, cls, pair % n))
     accept_count = int(recipe.accept_density * n + 0.5)
     accepts = frozenset(rng.sample(n, accept_count))

@@ -12,7 +12,7 @@ import json
 import pytest
 
 from falab.cli import main
-from falab.core import StartKind
+from falab.core import Automaton, StartKind, SymbolClass
 from falab.documents import PatternSet, save_automaton, save_pattern_set
 from falab.generators import Pattern, RegexSource, gen_dotstar
 from falab.regex import compile_regex
@@ -96,6 +96,11 @@ CASES = [
     ("report-merge", ["{missing}"] + REPORT, 1),
     ("report-merge", ["{bad_patterns}"] + REPORT, 1),
     ("report-merge", ["{patterns}", "--seed", "0"], 2),
+    # --id picks from a pattern set; the growth thresholds are constants.
+    ("compile", ["--regex", "ab", "--start-kind", "all-input", "--id", "0"],
+     2),
+    ("report-per-pattern", ["{patterns}", "--r2-margin", "0.01"] + REPORT, 2),
+    ("report-merge", ["{patterns}", "--poly-slope", "3"] + REPORT, 2),
 ]
 
 
@@ -146,6 +151,10 @@ BAD_DOCUMENTS = {
                     "/patterns/0/kind: unknown pattern kind 'glob'"),
     "empty.json": ("{}", "missing field 'version'"),
     "truncated.json": ('{"version": 1', "not valid JSON: "),
+    "recipe.json": ('{"version": 1, "start_kind": "all-input", "patterns": '
+                    '[{"id": 0, "kind": "levenshtein", "pattern": "", '
+                    '"distance": 0}]}',
+                    "/patterns/0: pattern must be nonempty"),
 }
 
 
@@ -203,18 +212,58 @@ def test_report_refuses_a_number_beyond_the_floats(tmp_path, capsys, number):
         f"number\n")
 
 
-@pytest.mark.parametrize("option", ["--density", "--accept-density"])
-def test_generate_writes_no_infinite_density(tmp_path, capsys, option):
-    # JSON has no infinity, so no pattern-set file is written.
+def refused_recipe(tmp_path, capsys, option: str, value: str) -> str:
+    """The error of ``falab generate random`` on a valid recipe with one
+    option set to ``value``, which must exit 1 and write no file."""
     out = tmp_path / "random.json"
     argv = ["generate", "random", "--seed", "1", "--count", "1", "--states",
             "4", "--density", "1.5", "--accept-density", "0.5",
             "--alphabet-size", "2", "--out", str(out)]
-    argv[argv.index(option) + 1] = "inf"
+    argv[argv.index(option) + 1] = value
     assert main(argv) == 1
-    assert capsys.readouterr().err.startswith(
-        "falab: error: Out of range float values are not JSON compliant")
     assert not out.exists()
+    return capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option", ["--density", "--accept-density"])
+def test_generate_writes_no_infinite_density(tmp_path, capsys, option):
+    # The recipe refuses it before the document could (JSON has no infinity).
+    message = {"--density": "density must be positive and finite",
+               "--accept-density": "accept_density must be in 0..1"}[option]
+    assert refused_recipe(tmp_path, capsys, option, "inf") == (
+        f"falab: error: {message}\n")
+
+
+def test_stats_prints_every_field(tmp_path, capsys):
+    # Two starts, an epsilon edge that counts toward fan-out, and an
+    # average fan-out that is not a whole number.
+    a = Automaton(state_count=3,
+                  edges=((0, SymbolClass.of(b"a"), 1),
+                         (0, SymbolClass.of(b"b"), 2),
+                         (1, SymbolClass.of(b"a"), 2)),
+                  epsilon_edges=((2, 0),),
+                  starts={0: SOD, 1: StartKind.ALL_INPUT},
+                  accepts=frozenset({2}))
+    save_automaton(a, str(tmp_path / "a.json"))
+    assert main(["stats", str(tmp_path / "a.json")]) == 0
+    assert capsys.readouterr().out == (
+        '{\n  "state_count": 3,\n  "transition_count": 4,\n'
+        '  "max_fanout": 2,\n  "avg_fanout": 1.3333333333333333,\n'
+        '  "accept_count": 1,\n  "start_count": 2\n}\n')
+
+
+@pytest.mark.parametrize("option, value, message", [
+    ("--density", "-1", "density must be positive and finite"),
+    ("--states", "0", "states must be >= 1"),
+    ("--accept-density", "2", "accept_density must be in 0..1"),
+    ("--density", "5", "density 5.0 asks for 20 distinct transitions per "
+                       "symbol but only 16 exist"),
+])
+def test_generate_writes_no_recipe_the_generator_refuses(tmp_path, capsys,
+                                                         option, value,
+                                                         message):
+    assert refused_recipe(tmp_path, capsys, option, value) == (
+        f"falab: error: {message}\n")
 
 
 def test_report_spot_check_fits_where_the_rows_fit(tmp_path, capsys):

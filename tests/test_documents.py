@@ -17,6 +17,7 @@ from falab.experiment import emit_report
 from falab.generators import (DotStarSource, HammingSource,
                               LevenshteinSource, Pattern, RandomRecipe,
                               RegexSource)
+from falab.regex import escape_literal
 
 
 class TestWriteTextAtomic:
@@ -145,10 +146,28 @@ class TestPatternSetRoundTrip:
         assert load_pattern_set(str(tmp_path / "ps.json")) == ps
 
 
-# A value of each field type that a pattern source dataclass declares;
-# documents hold finite numbers only.
-FIELD_VALUES = {str: st.text(), bytes: st.binary(), int: st.integers(),
-                float: st.floats(allow_nan=False, allow_infinity=False)}
+def mesh_source(cls):
+    return st.binary(min_size=1).flatmap(
+        lambda target: st.builds(cls, st.just(target),
+                                 st.integers(0, len(target))))
+
+
+def random_recipe(states: int):
+    # A density up to ``states`` asks for at most states**2 transitions
+    # per symbol, as many as exist.
+    return st.builds(RandomRecipe, st.just(states),
+                     st.floats(0, states, exclude_min=True),
+                     st.floats(0, 1), st.integers(1, 256), st.integers())
+
+
+# A source of each kind, drawn from the values its dataclass accepts.
+SOURCES = {
+    "regex": st.builds(RegexSource, st.binary().map(escape_literal)),
+    "dotstar": st.builds(DotStarSource, st.binary(), st.binary()),
+    "hamming": mesh_source(HammingSource),
+    "levenshtein": mesh_source(LevenshteinSource),
+    "random": st.integers(1, 10 ** 6).flatmap(random_recipe),
+}
 
 
 class TestPatternKinds:
@@ -160,9 +179,8 @@ class TestPatternKinds:
     @settings(max_examples=50, deadline=None)
     @given(data=st.data())
     def test_round_trip(self, kind, data):
-        cls = documents._SOURCES[kind]
-        hints = typing.get_type_hints(cls)
-        source = cls(*(data.draw(FIELD_VALUES[hints[f]]) for f in hints))
+        hints = typing.get_type_hints(documents._SOURCES[kind])
+        source = data.draw(SOURCES[kind])
         ps = PatternSet((Pattern(data.draw(st.integers()), source),),
                         data.draw(st.sampled_from([SOD, ALL])))
         doc = pattern_set_to_document(ps)
@@ -316,6 +334,26 @@ PATTERN_SET_ERRORS = [
      "/patterns/3/accept_density", "expected a finite number"),
     (edited(PATTERN_SET, "/patterns/3/id", 0), "/patterns",
      "pattern ids must be unique"),
+    # Values of the right type that the source dataclass refuses.
+    (edited(PATTERN_SET, "/patterns/0/text", "a("), "/patterns/0",
+     "unbalanced '(' at position 2"),
+    (edited(PATTERN_SET, "/patterns/2/pattern", ""), "/patterns/2",
+     "pattern must be nonempty"),
+    (edited(PATTERN_SET, "/patterns/2/distance", 3), "/patterns/2",
+     "distance must be in 0..len(pattern)"),
+    (edited(edited(PATTERN_SET, "/patterns/2/kind", "hamming"),
+            "/patterns/2/distance", 5), "/patterns/2",
+     "distance must be in 0..len(pattern)"),
+    (edited(PATTERN_SET, "/patterns/3/states", 0), "/patterns/3",
+     "states must be >= 1"),
+    (edited(PATTERN_SET, "/patterns/3/density", -1), "/patterns/3",
+     "density must be positive and finite"),
+    (edited(PATTERN_SET, "/patterns/3/accept_density", 1.5), "/patterns/3",
+     "accept_density must be in 0..1"),
+    (edited(PATTERN_SET, "/patterns/3/alphabet_size", 257), "/patterns/3",
+     "alphabet_size must be in 1..256"),
+    (edited(PATTERN_SET, "/patterns/3/density", 5), "/patterns/3",
+     "density 5.0 asks for 20 distinct transitions per symbol but only 16"),
     (edited(PATTERN_SET, "/seed", "3"), "/seed", "expected an integer"),
 ]
 
@@ -360,6 +398,8 @@ class TestDocumentErrors:
          "/edges/0/class"),
         (load_pattern_set, edited(PATTERN_SET, "/patterns/1/kind", "glob"),
          "/patterns/1/kind"),
+        (load_pattern_set, edited(PATTERN_SET, "/patterns/3/density", -1),
+         "/patterns/3"),
     ])
     def test_a_file_load_names_the_file_first(self, tmp_path, load, doc,
                                               path):

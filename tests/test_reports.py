@@ -6,7 +6,7 @@ Each golden CSV was written by ``falab report-merge`` or
 byte, except the ``# tool_version`` line, and so must a run on the
 Python kernel, whose subset walk is the specification of the compiled
 one.  Runs on the same pattern sets pin the companion plot file and the
-growth lines that ``--poly-slope`` and ``--r2-margin`` decide.
+growth line that ``experiment``'s fixed thresholds decide.
 """
 
 from pathlib import Path
@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from falab.cli import main
+from falab.experiment import POLYNOMIAL_SLOPE, R2_MARGIN
 
 from conftest import cli_with_python_kernel
 
@@ -81,13 +82,11 @@ MDFA_GROWTH = ("# growth[mdfa]: {} (loglog slope=2.344 r2=0.973, "
                "semilog slope=0.953 r2=0.995)\n")
 
 
-@pytest.mark.parametrize("flags, label", [
-    ([], "polynomial"),
-    (["--poly-slope", "1.2", "--r2-margin", "0.05"], "polynomial"),
-    (["--poly-slope", "3"], "linear"),
-    (["--r2-margin", "0.01"], "exponential"),
-])
+# The report subcommands take no threshold flags: the one case runs with
+# none, so experiment's constants decide the label.
+@pytest.mark.parametrize("flags, label", [([], "polynomial")])
 def test_growth_threshold_flags(tmp_path, flags, label):
+    assert 0.995 - 0.973 < R2_MARGIN and 2.344 > POLYNOMIAL_SLOPE
     name = "dotstar_all_input_k5"
     golden = (GOLDEN / f"{name}.report-merge.csv").read_text()
     assert MDFA_GROWTH.format("polynomial") in golden
