@@ -54,11 +54,11 @@ where another stopped when ``init`` is that scan's last set.
 ``subsets(program, cap)`` is the subset construction of the program,
 breadth-first.  The first subset of states is ``init``, and the subset
 that one reaches on class ``c`` is the union of its states' successors on
-``c``, plus ``always`` (empty for the walks of ``falab.transform``, which
-lower ALL_INPUT starts first).  It returns ``(labels, table)``, two
-``array('i')`` with one DFA state per subset found, each once, in
-breadth-first order (the empty subset is only ever the first, when
-``init`` is empty):
+``c``, plus ``always`` (the closure of the ALL_INPUT starts in the walks
+of ``falab.transform``, whose classes then cover every byte).  It
+returns ``(labels, table)``, two ``array('i')`` with one DFA state per
+subset found, each once, in breadth-first order (the empty subset is
+only ever the first, when ``init`` is empty):
 
 - ``labels[s]`` is the number of distinct report labels (the ``report``
   items other than -1) among the states of subset ``s``, so 0 where it

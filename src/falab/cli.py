@@ -144,9 +144,12 @@ def _cmd_determinize(args) -> int:
 
 
 def _cmd_minimize(args) -> int:
+    if args.minimizer == "hopcroft" and args.cap is not None:
+        raise UsageError("--cap needs --minimizer brzozowski: Hopcroft "
+                         "walks the DFA it is given")
     a = _load_valid(args.automaton)
     if args.minimizer == "brzozowski":
-        b = minimize_brzozowski(a, args.cap)
+        b = minimize_brzozowski(a, args.cap or DEFAULT_STATE_CAP)
     else:
         b = minimize_hopcroft(a)
     _write_automaton(b, args.out)
@@ -246,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     fam = p.add_subparsers(dest="family", required=True)
     for name in ("dotstar", "hamming", "levenshtein", "random"):
         f = fam.add_parser(name)
-        f.add_argument("--count", type=int, required=True)
+        f.add_argument("--count", type=_positive_int, required=True)
         f.add_argument("--seed", type=int, required=True)
         f.add_argument("--alphabet-size", type=int, default=8)
         f.add_argument("--start-kind", choices=_START_CHOICES,
@@ -282,7 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("automaton")
     p.add_argument("--minimizer", choices=["brzozowski", "hopcroft"],
                    default="brzozowski")
-    cap_flag(p)
+    p.add_argument("--cap", type=_positive_int,
+                   help="Brzozowski's determinization state cap")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_minimize)
 

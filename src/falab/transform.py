@@ -12,7 +12,9 @@ byte-class successors that ``_simkernel_py`` specifies:
 :class:`~falab.simulate.Simulator` scans it, and the subset walk
 (``_subsets``) determinizes it into a dense DFA table, the NFA's byte
 classes and one target id per state and class, plus the number of report
-labels each DFA state accepts.  The walk is the only way into a DFA
+labels each DFA state accepts.  An ALL_INPUT start has one encoding in
+that program, for the scan as for the walk: the closed ``always`` set,
+which joins every step.  The walk is the only way into a DFA
 table: ``determinize`` builds its ``Automaton`` from it, and ``equivalent``
 reads a shortest separating word off its joint walk's table
 (:func:`_witness`).  One reversal, the kernel's ``flip``
@@ -41,8 +43,8 @@ from array import array
 from itertools import accumulate, chain, compress
 
 from . import _simkernel_py
-from .core import (Automaton, StartKind, SymbolClass, is_deterministic,
-                   merge_parallel_edges)
+from .core import (FULL_MASK, Automaton, StartKind, SymbolClass,
+                   is_deterministic, merge_parallel_edges)
 
 try:
     from . import _simkernel
@@ -165,31 +167,6 @@ def trim(a: Automaton) -> Automaton:
     )
 
 
-def lower_all_input(a: Automaton) -> Automaton:
-    """Replace ALL_INPUT markings by an explicit self-looping start.
-
-    A fresh START_OF_DATA state gets a full-alphabet self-loop and epsilon
-    edges to every ALL_INPUT state.  The language (acceptance after the
-    whole input) is unchanged; this makes unanchored semantics visible to
-    the purely language-based algorithms.  No-op when no ALL_INPUT start
-    exists.
-    """
-    all_input = [s for s, k in a.starts.items() if k is StartKind.ALL_INPUT]
-    if not all_input:
-        return a
-    fresh = a.state_count
-    starts = {s: k for s, k in a.starts.items() if k is not StartKind.ALL_INPUT}
-    starts[fresh] = StartKind.START_OF_DATA
-    return Automaton(
-        state_count=a.state_count + 1,
-        edges=a.edges + ((fresh, SymbolClass.full(), fresh),),
-        epsilon_edges=a.epsilon_edges + tuple((fresh, s) for s in sorted(all_input)),
-        starts=starts,
-        accepts=a.accepts,
-        component_labels=a.component_labels,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Epsilon removal
 
@@ -237,9 +214,16 @@ def _program(a: Automaton) -> tuple[list[int], list, tuple]:
     labels (the ``component_labels`` of the accepting states, sorted,
     unlabeled last); ``program`` is ``(n, ncls, off, succ, init, always,
     report)`` as ``_simkernel_py`` specifies it, over those classes.  Each
-    edge visits only the atoms inside its class.
+    edge visits only the atoms inside its class.  ALL_INPUT starts are
+    the closed ``always`` set, and with one the full alphabet is
+    partitioned too: the bytes that no edge reads are then a class of
+    their own, on which every subset steps to ``always`` alone.
     """
-    atoms = sorted(partition_masks([cls.mask for _, cls, _ in a.edges]))
+    unanchored = [s for s, k in a.starts.items() if k is StartKind.ALL_INPUT]
+    masks = [cls.mask for _, cls, _ in a.edges]
+    if unanchored:
+        masks.append(FULL_MASK)
+    atoms = sorted(partition_masks(masks))
     n, ncls = a.state_count, len(atoms)
     closures = epsilon_closures(a)
     inside: dict[int, list[int]] = {}  # class mask -> its atoms' indices
@@ -254,8 +238,7 @@ def _program(a: Automaton) -> tuple[list[int], list, tuple]:
         for i in where:
             k = src * ncls + i
             rows[k] = rows[k] | closure if rows[k] else closure
-    always = close_over(closures, (s for s, k in a.starts.items()
-                                   if k is StartKind.ALL_INPUT))
+    always = close_over(closures, unanchored)
     init = close_over(closures, a.starts) | always
     tags = a.component_labels or {}
     labels = sorted({tags.get(s) for s in a.accepts},
@@ -274,18 +257,18 @@ def _subsets(a: Automaton, cap: int) -> tuple[list[int], array, array]:
     """The subset walk behind :func:`determinize`, :func:`equivalent`,
     both minimizers and the report pipeline, run to the end.
 
-    Returns ``(atoms, labels, table)``: the lowered NFA's byte classes
-    (the atoms of :func:`partition_masks` over every edge class, in
-    ascending order), then two ``array('i')`` indexed by DFA state.
-    ``labels[s]`` counts the distinct report labels (the
+    Returns ``(atoms, labels, table)``: the byte classes of
+    :func:`_program`, in ascending order, then two ``array('i')`` indexed
+    by DFA state.  ``labels[s]`` counts the distinct report labels (the
     ``component_labels`` of the accepting states, unlabeled as one) among
     the NFA states of subset ``s``, so ``s`` accepts where it is above 0.
     ``table`` holds ``len(labels) * len(atoms)`` state ids:
     ``table[s * len(atoms) + i]`` is the state that ``s`` reaches on atom
     ``i``, or -1 for no move (the empty subset).  The kernel's
-    ``subsets`` walks :func:`_program` of the lowered NFA.
+    ``subsets`` walks :func:`_program` of the NFA, adding its ``always``
+    set, the ALL_INPUT starts' closure, to every step.
     """
-    atoms, _, program = _program(lower_all_input(a))
+    atoms, _, program = _program(a)
     return (atoms, *_walk(program, cap))
 
 
@@ -301,21 +284,21 @@ def _walk(program: tuple, cap: int) -> tuple[array, array]:
 def determinize(a: Automaton, cap: int = DEFAULT_STATE_CAP) -> Automaton:
     """Subset construction.  Only reachable subset states materialize.
 
-    ALL_INPUT starts are lowered first.  Subsets of NFA states are
-    stepped over the NFA's byte classes (the atoms of
-    :func:`partition_masks` over every edge class, computed once): each
-    state maps each class it reads to its epsilon-closed successors.  The
-    walk (:func:`_subsets`) fills a dense table of one target id per
-    subset and class, and a state accepts where its subset holds an
-    accepting NFA state; the empty subset (dead state) is never created:
-    missing transitions mean rejection.  Each output state
-    gets one edge per target, the union of the classes leading there, and
-    edges come out sorted by (src, class mask, dst).  States are numbered
-    breadth-first from the start-of-data closure, new targets in
-    ascending mask order, which is :func:`~falab.core.canonicalize`'s
-    order; compare DFAs from elsewhere with ``canonicalize`` or
-    ``isomorphic``.  Raises :class:`CapExceededError` when more than
-    ``cap`` states materialize, and ValueError when ``cap`` is below 1.
+    Subsets of NFA states are stepped over the NFA's byte classes (those
+    of :func:`_program`, computed once): each state maps each class it
+    reads to its epsilon-closed successors, and the closure of the
+    ALL_INPUT starts joins every step.  The walk (:func:`_subsets`) fills
+    a dense table of one target id per subset and class, and a state
+    accepts where its subset holds an accepting NFA state; the empty
+    subset (dead state) is never created: missing transitions mean
+    rejection.  Each output state gets one edge per target, the union of
+    the classes leading there, and edges come out sorted by (src, class
+    mask, dst).  States are numbered breadth-first from the closure of
+    every start, new targets in ascending mask order, which is
+    :func:`~falab.core.canonicalize`'s order; compare DFAs from elsewhere
+    with ``canonicalize`` or ``isomorphic``.  Raises
+    :class:`CapExceededError` when more than ``cap`` states materialize,
+    and ValueError when ``cap`` is below 1.
     """
     return _table_automaton(*_subsets(a, cap))
 
@@ -358,18 +341,29 @@ def _table_automaton(atoms: list[int], labels, table: array) -> Automaton:
 def reverse(a: Automaton) -> Automaton:
     """Mirror-language automaton: flipped edges, starts and accepts swapped.
 
-    ALL_INPUT starts are lowered first so the unanchored language is what
-    gets mirrored.  The result may momentarily violate the "has a start"
-    invariant when the input accepts nothing; determinization handles
-    that case.
+    An ALL_INPUT start matches after any prefix, so in the mirror it is
+    followed by any suffix: it moves by an epsilon edge to a fresh
+    accepting state, the last, that loops on every byte, and which
+    replaces it among the accepts.  The result may momentarily violate
+    the "has a start" invariant when the input accepts nothing;
+    determinization handles that case.
     """
-    a = lower_all_input(a)
+    unanchored = sorted(s for s, k in a.starts.items()
+                        if k is StartKind.ALL_INPUT)
+    edges = tuple((d, c, s) for s, c, d in a.edges)
+    eps = tuple((d, s) for s, d in a.epsilon_edges)
+    finals = frozenset(a.starts)
+    if unanchored:
+        fresh = a.state_count
+        edges += ((fresh, SymbolClass.full(), fresh),)
+        eps += tuple((s, fresh) for s in unanchored)
+        finals = finals.difference(unanchored) | {fresh}
     return Automaton(
-        state_count=a.state_count,
-        edges=tuple((d, c, s) for s, c, d in a.edges),
-        epsilon_edges=tuple((d, s) for s, d in a.epsilon_edges),
+        state_count=a.state_count + bool(unanchored),
+        edges=edges,
+        epsilon_edges=eps,
         starts={s: StartKind.START_OF_DATA for s in sorted(a.accepts)},
-        accepts=frozenset(a.starts),
+        accepts=finals,
     )
 
 

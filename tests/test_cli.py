@@ -16,7 +16,7 @@ from falab.core import Automaton, StartKind, SymbolClass
 from falab.documents import PatternSet, save_automaton, save_pattern_set
 from falab.generators import Pattern, RegexSource, gen_dotstar
 from falab.regex import compile_regex
-from falab.transform import accepts
+from falab.transform import accepts, determinize
 
 from conftest import cli_with_python_kernel
 
@@ -29,6 +29,8 @@ def paths(tmp_path):
     save_automaton(compile_regex("ab", SOD), str(tmp_path / "ab.json"))
     save_automaton(compile_regex("a(b|b)", SOD), str(tmp_path / "abb.json"))
     save_automaton(compile_regex("ac", SOD), str(tmp_path / "ac.json"))
+    save_automaton(determinize(compile_regex("ab", SOD)),
+                   str(tmp_path / "dfa.json"))
     # One state, but a start state 3: well-formed JSON, invalid automaton.
     (tmp_path / "bad.json").write_text(json.dumps({
         "version": 1, "states": 1, "accepts": [], "edges": [],
@@ -39,7 +41,7 @@ def paths(tmp_path):
     return {"dir": str(tmp_path), "out": str(tmp_path / "out"),
             "missing": str(tmp_path / "missing.json"),
             **{name: str(tmp_path / f"{name}.json")
-               for name in ("ab", "abb", "ac", "bad", "patterns",
+               for name in ("ab", "abb", "ac", "dfa", "bad", "patterns",
                             "bad_patterns")}}
 
 
@@ -101,6 +103,15 @@ CASES = [
      2),
     ("report-per-pattern", ["{patterns}", "--r2-margin", "0.01"] + REPORT, 2),
     ("report-merge", ["{patterns}", "--poly-slope", "3"] + REPORT, 2),
+    # A pattern set has at least one pattern.
+    ("generate", ["dotstar", "--seed", "1", "--count", "-3", "--out",
+                  "{out}"], 2),
+    ("generate", ["dotstar", "--seed", "1", "--count", "0", "--out",
+                  "{out}"], 2),
+    # --cap bounds Brzozowski's walks; Hopcroft's walk is one DFA's.
+    ("minimize", ["{dfa}", "--minimizer", "hopcroft", "--cap", "1"], 2),
+    ("minimize", ["{dfa}", "--minimizer", "hopcroft"], 0),
+    ("minimize", ["{dfa}", "--minimizer", "brzozowski", "--cap", "1"], 1),
 ]
 
 

@@ -527,11 +527,12 @@ class TestKernelParity:
         assert got == ([(2, 1), (1, 0)], 5)
 
     def test_simulator_program_layout(self):
-        # 0 -a-> 1 -b-> 2 with an ALL_INPUT start: classes a, b.
+        # 0 -a-> 1 -b-> 2 with an ALL_INPUT start: classes a, b and the
+        # bytes that no edge reads.
         n, ncls, off, succ, init, always, report = Simulator(
             chain(ALL))._program
-        assert (n, ncls) == (3, 2)
-        assert list(off) == [0, 1, 1, 1, 2, 2, 2]
+        assert (n, ncls) == (3, 3)
+        assert list(off) == [0, 1, 1, 1, 1, 2, 2, 2, 2, 2]
         assert list(succ) == [1, 2]
         assert (list(init), list(always)) == ([0], [0])
         assert list(report) == [-1, -1, 0]

@@ -19,11 +19,10 @@ from falab.regex import compile_regex
 from falab.transform import (ORACLE_STATE_LIMIT, CapExceededError, accepts,
                              brute_force_minimal_states, close_over,
                              connected_components, determinize,
-                             epsilon_closures, equivalent, lower_all_input,
-                             merge_patterns, minimize_brzozowski,
-                             minimize_hopcroft, optimize_nfa,
-                             partition_masks, remove_epsilon, reverse, trim,
-                             _program, _subsets, _witness)
+                             epsilon_closures, equivalent, merge_patterns,
+                             minimize_brzozowski, minimize_hopcroft,
+                             optimize_nfa, partition_masks, remove_epsilon,
+                             reverse, trim, _program, _subsets, _witness)
 
 from corpus import (BYTES, START_MODES, alternating_chain, nfas,
                     random_regex)
@@ -99,8 +98,29 @@ class TestMergeParallelEdges:
         assert edges == ((0, b, 0), (0, SymbolClass.of(b"ab"), 1), (1, c, 0))
 
 
+def lower_all_input(a: Automaton) -> Automaton:
+    """ALL_INPUT starts as a fresh START_OF_DATA state, the last, with a
+    full-alphabet self-loop and epsilon edges to each of them: the same
+    language, with no state active on every cycle."""
+    all_input = sorted(s for s, k in a.starts.items() if k is ALL)
+    if not all_input:
+        return a
+    fresh = a.state_count
+    starts = {s: k for s, k in a.starts.items() if k is not ALL}
+    starts[fresh] = SOD
+    return Automaton(
+        state_count=fresh + 1,
+        edges=a.edges + ((fresh, SymbolClass.full(), fresh),),
+        epsilon_edges=a.epsilon_edges + tuple((fresh, s) for s in all_input),
+        starts=starts,
+        accepts=a.accepts,
+        component_labels=a.component_labels,
+    )
+
+
 def frozenset_determinize(a: Automaton, cap: int) -> Automaton:
-    """Reference subset construction: frozenset subsets, atoms per subset."""
+    """Reference subset construction: frozenset subsets, atoms per subset,
+    with ALL_INPUT starts lowered to an explicit self-looping start."""
     a = lower_all_input(a)
     closures = epsilon_closures(a)
     out_masks = [[] for _ in range(a.state_count)]
@@ -159,6 +179,14 @@ class TestDeterminize:
                            match=rf"cap must be at least 1 \(got {cap}\)"):
             determinize(one_state, cap)
 
+    def test_all_input_start_moves_on_bytes_no_edge_reads(self, kernel):
+        # "ab" reads only a and b; on c its DFA's start moves back to
+        # itself, where the all-input start is still active.
+        dfa = determinize(compile_regex("ab", ALL))
+        assert any(src == dst == 0 and ord("c") in cls
+                   for src, cls, dst in dfa.edges)
+        assert accepts(dfa, b"cab")
+
     @pytest.mark.parametrize("cap", ["0", "-2", "many"])
     def test_cli_cap_below_one_is_a_usage_error(self, tmp_path, capsys, cap):
         path = tmp_path / "a.json"
@@ -205,10 +233,25 @@ class TestSubsetWalk:
         nfa = data.draw(nfas(mode))
         assert (walked_by(c_kernel, _subsets, nfa, CAP)
                 == walked_by(_simkernel_py, _subsets, nfa, CAP))
-        # Not lowered: the ALL_INPUT starts fill the program's `always`.
-        program = _program(nfa)[2]
-        assert (c_kernel.subsets(program, CAP)
-                == _simkernel_py.subsets(program, CAP))
+
+    @pytest.mark.parametrize("mode", START_MODES)
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_always_walks_as_the_lowered_start(self, c_kernel, mode, data):
+        # ALL_INPUT starts as the program's `always` set, and as an
+        # explicit self-looping start: the same classes, the same subsets
+        # numbered alike, and the same cap boundary.
+        nfa = data.draw(nfas(mode))
+        atoms, _, lowered = _program(lower_all_input(nfa))
+        for module in (_simkernel_py, c_kernel):
+            walked = walked_by(module, _subsets, nfa, CAP)
+            assert walked == (atoms, *module.subsets(lowered, CAP))
+            n = len(walked[1])
+            assert walked_by(module, _subsets, nfa, n) == walked
+            if n > 1:
+                assert module.subsets(lowered, n - 1) is None
+                with pytest.raises(CapExceededError):
+                    walked_by(module, _subsets, nfa, n - 1)
 
     @pytest.mark.parametrize("kind", [SOD, ALL],
                              ids=["start-of-data", "all-input"])
@@ -247,7 +290,7 @@ class TestSubsetWalk:
     @settings(max_examples=100, deadline=None)
     @given(nfas())
     def test_cap_boundary(self, c_kernel, nfa):
-        program = _program(lower_all_input(nfa))[2]
+        program = _program(nfa)[2]
         n = len(_simkernel_py.subsets(program, CAP)[0])
         for module in (_simkernel_py, c_kernel):
             assert len(module.subsets(program, n)[0]) == n
