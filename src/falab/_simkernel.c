@@ -23,6 +23,10 @@
    nonzero 64-bit words, found again through an open-addressing hash of
    the spans, and counts each subset's report labels with per-label
    stamps, as the scan does per cycle; the spans never leave the module.
+   The scan's step takes no branch on the data: it writes each successor
+   into the next active set and counts it there only when its stamp shows
+   it new to the cycle, so the set's buffer holds n + 1 items, room for
+   one write past the n states a cycle can hold.
 
    flip(natoms, labels, table) takes the dense table of n = len(labels)
    states over natoms atoms that subsets returns: table[s * natoms + i]
@@ -199,16 +203,15 @@ record(const Program *p, Mode mode, Scratch *w, const int32_t *active,
         const int32_t *rule = ITEMS(p, RULE_OF);
         const unsigned char *raw_start = p->views[RAW_START].buf;
         Py_ssize_t rules = 0, moved = 0;
+        /* Without branches, as in the step: moves is 1 for a state that is
+           not a raw start, and only such a state stamps its rule moving. */
         for (Py_ssize_t i = 0; i < count; i++) {
             int32_t s = active[i], r = rule[s];
-            if (w->seen[r] != stamp) {
-                w->seen[r] = stamp;
-                rules++;
-            }
-            if (!raw_start[s] && w->moving[r] != stamp) {
-                w->moving[r] = stamp;
-                moved++;
-            }
+            Py_ssize_t moves = !raw_start[s], last = w->moving[r];
+            rules += w->seen[r] != stamp;
+            w->seen[r] = stamp;
+            moved += moves & (last != stamp);
+            w->moving[r] = last + (stamp - last) * moves;
         }
         return Py_BuildValue("(nn)", rules, moved);
     }
@@ -288,6 +291,11 @@ scan(const Program *p, Mode mode)
         goto done;
     }
     memcpy(cur, ITEMS(p, INIT), ninit * sizeof *cur);
+    /* The step has no branch on the data: each target is written at
+       next[nnext], and nnext moves past it only when the target is new to
+       the cycle.  A cycle holds at most n distinct states, so a write
+       lands at index n at most: next and cur need cap >= n + 1 items
+       (cur also holds init, duplicates and all). */
     for (Py_ssize_t t = 0; t < len; t++) {
         Py_ssize_t stamp = t + 1, nnext = 0;
         unsigned char c = data[t];
@@ -297,20 +305,18 @@ scan(const Program *p, Mode mode)
                 work += row[1] - row[0];
                 for (int32_t j = row[0]; j < row[1]; j++) {
                     int32_t d = succ[j];
-                    if (w.mark[d] != stamp) {
-                        w.mark[d] = stamp;
-                        next[nnext++] = d;
-                    }
+                    next[nnext] = d;
+                    nnext += w.mark[d] != stamp;
+                    w.mark[d] = stamp;
                 }
             }
         }
         work += nalways;
         for (Py_ssize_t i = 0; i < nalways; i++) {
             int32_t d = always[i];
-            if (w.mark[d] != stamp) {
-                w.mark[d] = stamp;
-                next[nnext++] = d;
-            }
+            next[nnext] = d;
+            nnext += w.mark[d] != stamp;
+            w.mark[d] = stamp;
         }
         PyObject *item = record(p, mode, &w, next, nnext, t, stamp);
         if (item == NULL)
@@ -775,10 +781,12 @@ release(Program *p)
 }
 
 /* Check the arguments, scan in the given mode and release every view.
-   The scan's step loop is inlined here, and its speed depends on where
-   it falls against 64-byte lines: at 48 bytes past one, levenshtein-scan's
-   kernel calls took 9 % longer.  Aligning the function keeps edits
-   elsewhere in this file from moving it. */
+   The scan's step loop is inlined here.  With the step's old branch on
+   each successor, its speed depended on where it fell against 64-byte
+   lines: at 48 bytes past one, levenshtein-scan's kernel calls took 9 %
+   longer.  The branch-free step has not been timed off a line.  Aligning
+   the function keeps edits elsewhere in this file from moving it; gcc 12
+   at -O3 puts it at 0x4bc0 in the module. */
 __attribute__((aligned(64))) static PyObject *
 run(PyObject *program, PyObject *data, PyObject *rules, Mode mode)
 {
@@ -791,7 +799,7 @@ run(PyObject *program, PyObject *data, PyObject *rules, Mode mode)
 }
 
 static PyObject *
-step_stream(PyObject *self, PyObject *args, PyObject *kwargs)
+step_stream(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwargs)
 {
     static char *kwlist[] = {"program", "data", "rules", NULL};
     PyObject *program, *data, *rules = Py_None;
@@ -803,7 +811,7 @@ step_stream(PyObject *self, PyObject *args, PyObject *kwargs)
 }
 
 static PyObject *
-active_sets(PyObject *self, PyObject *args, PyObject *kwargs)
+active_sets(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwargs)
 {
     static char *kwlist[] = {"program", "data", NULL};
     PyObject *program, *data;
@@ -815,7 +823,7 @@ active_sets(PyObject *self, PyObject *args, PyObject *kwargs)
 }
 
 static PyObject *
-subsets(PyObject *self, PyObject *args, PyObject *kwargs)
+subsets(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwargs)
 {
     static char *kwlist[] = {"program", "cap", NULL};
     PyObject *program, *cap, *result = NULL;
@@ -841,7 +849,7 @@ subsets(PyObject *self, PyObject *args, PyObject *kwargs)
 }
 
 static PyObject *
-refine(PyObject *self, PyObject *args, PyObject *kwargs)
+refine(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwargs)
 {
     static char *kwlist[] = {"program", NULL};
     PyObject *program, *result = NULL;
@@ -945,7 +953,7 @@ done:
    table buffers of 'i' items, viewed while reversal checks and reverses
    them. */
 static PyObject *
-flip(PyObject *self, PyObject *args, PyObject *kwargs)
+flip(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwargs)
 {
     static char *kwlist[] = {"natoms", "labels", "table", NULL};
     PyObject *atoms, *labels, *table, *result = NULL;
@@ -1003,10 +1011,12 @@ static PyMethodDef methods[] = {
 };
 
 static struct PyModuleDef module = {
-    PyModuleDef_HEAD_INIT, "falab._simkernel",
-    "Compiled scan kernel, subset walk, refinement and flip; see "
-    "falab._simkernel_py.", -1,
-    methods,
+    .m_base = PyModuleDef_HEAD_INIT,
+    .m_name = "falab._simkernel",
+    .m_doc = "Compiled scan kernel, subset walk, refinement and flip; see "
+             "falab._simkernel_py.",
+    .m_size = -1,
+    .m_methods = methods,
 };
 
 PyMODINIT_FUNC

@@ -518,6 +518,34 @@ class TestKernelParity:
         assert c_kernel.active_sets(program, data) == sets
         assert _simkernel_py.active_sets(program, data) == sets
 
+    @pytest.mark.parametrize("init", [[1], [1, 1, 3, 3, 3, 1, 3]],
+                             ids=["one", "longer-than-n"])
+    @pytest.mark.parametrize("always", [[], [4, 2, 4], [3, 1, 0, 4, 2] * 2],
+                             ids=["none", "outside-init", "every-state"])
+    def test_dense_step_fills_the_active_buffer(self, kernel, init, always):
+        # Class 0 steps every state to every state, each row naming some
+        # successors twice, so a cycle holds all n states and the C step's
+        # unconditional write lands at index n, one past them.  init
+        # either holds one state or repeats states past n items; class 1
+        # steps each state to itself and class 2 nowhere; bytes 3 and 255
+        # are past ncls.
+        n = 5
+        step = [{0: [(s + k) % n for k in range(n)] + [s, (s + 1) % n],
+                 1: (s,), 2: ()} for s in range(n)]
+        program = flat_program(step, init, always, [0, -1, 1, 0, -1])
+        rules = (array("i", [0, 0, 0, 1, 1]), b"\x01\x00\x00\x01\x00")
+        data = bytes([0, 0, 1, 3, 0, 2, 255, 1, 0, 0])
+        active, sets = set(init), []
+        for c in data:
+            active = set(always).union(*(step[s].get(c, ()) for s in active))
+            sets.append(active)
+        assert sets[0] == set(range(n))
+        assert kernel.active_sets(program, data) == sets
+        assert _simkernel_py.active_sets(program, data) == sets
+        for mode in (None, rules):
+            assert (kernel.step_stream(program, data, mode)
+                    == _simkernel_py.step_stream(program, data, mode))
+
     def test_counting_mode_counts_rules(self, kernel):
         # States 0 and 1 belong to rule 0, state 2 to rule 1; states 0 and
         # 2 are raw starts.
@@ -596,8 +624,7 @@ def test_compiled_kernel_of_another_format_is_refused(format):
 
 
 def test_kernel_source_compiles_without_warnings():
-    flags = ["-Wall", "-Wextra", "-Wno-unused-parameter",
-             "-Wno-missing-field-initializers", "-Werror", "-fsyntax-only"]
+    flags = ["-Wall", "-Wextra", "-Werror", "-fsyntax-only"]
     proc = subprocess.run(
         [*c_compiler(), *flags, "-I", sysconfig.get_paths()["include"],
          str(SOURCE)], capture_output=True, text=True)
