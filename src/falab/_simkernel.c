@@ -23,10 +23,22 @@
    nonzero 64-bit words, found again through an open-addressing hash of
    the spans, and counts each subset's report labels with per-label
    stamps, as the scan does per cycle; the spans never leave the module.
-   The scan's step takes no branch on the data: it writes each successor
-   into the next active set and counts it there only when its stamp shows
-   it new to the cycle, so the set's buffer holds n + 1 items, room for
-   one write past the n states a cycle can hold.
+
+   The scan steps the whole active set at once, as a bitset of W =
+   ceil(n / 64) words (as Hyperscan's LimEx NFA does, Wang et al., NSDI
+   2019).  Each call first groups the program's moves, in O(n * ncls +
+   len(succ)), by class and offset k = d - s: an offset that at least W
+   moves of a class share becomes a shift mask, the states that move by
+   k, and the states with any other move are the class's rare states.  A
+   step starts the next set from the always states, ORs into it each of
+   the byte's class's masks, ANDed with the active set and shifted by k,
+   then sets the successors in the rows of the active rare states.  Only
+   the span between the first and the last nonzero word of a set is
+   walked, so a cycle with few active states costs little whatever n is.
+   The per-cycle records read the active states off the set's bits in
+   ascending order.  The operation count stays the specification's: the
+   lengths of the rows of the states active before each byte, on its
+   class, plus the always states.
 
    flip(natoms, labels, table) takes the dense table of n = len(labels)
    states over natoms atoms that subsets returns: table[s * natoms + i]
@@ -166,14 +178,101 @@ check(const Program *p)
     return 0;
 }
 
+/* The program's moves on each class, as the scan steps them.  A move
+   s -> d that shares its offset k = d - s with at least W = ceil(n / 64)
+   moves of its class belongs to the class's mask for k: the states with
+   that move, as a bitset of W words, so one masked shift of the active
+   set's words makes all of them.  A state with any other move on the
+   class is in the class's rare bitset, and steps through its own row of
+   the program.  The lengths of the rows, class by class, give the scan's
+   operation count. */
+typedef struct {
+    Py_ssize_t words;    /* W */
+    Py_ssize_t *first;   /* per class c: its masks are first[c]..first[c+1]-1 */
+    int32_t *shift;      /* per mask: its offset k */
+    uint64_t *mask;      /* per mask: W words, between two spare words */
+    uint64_t *rare;      /* per class: W words */
+    int32_t *lens;       /* per class, then for none: n row lengths */
+} Shifts;
+
+/* Build x from a checked program, in two passes over its rows (one to
+   count each class's offsets, one to set the bits) and O(n * ncls +
+   len(succ)) time. */
+static int
+shifts(const Program *p, Shifts *x)
+{
+    const int32_t *off = ITEMS(p, OFF), *succ = ITEMS(p, SUCC);
+    Py_ssize_t n = p->n, ncls = p->ncls, words = x->words;
+    /* a class has at most moves / W masks */
+    Py_ssize_t most = p->len[SUCC] / (words ? words : 1) + 1, nmasks = 0;
+    /* per offset k, at k + n: its moves in this class, then its mask + 1 */
+    int32_t *count = PyMem_Calloc(2 * n + 1, sizeof *count);
+    int32_t *seen = PyMem_Malloc((2 * n + 1) * sizeof *seen);
+    int ok = -1;
+
+    x->first = PyMem_Malloc((ncls + 1) * sizeof *x->first);
+    x->lens = PyMem_Calloc((ncls + 1) * n + 1, sizeof *x->lens);
+    x->shift = PyMem_Malloc(most * sizeof *x->shift);
+    if (!count || !seen || !x->first || !x->shift || !x->lens)
+        goto done;
+    x->first[0] = 0;
+    for (Py_ssize_t c = 0; c < ncls; c++) {
+        Py_ssize_t nseen = 0;
+        for (Py_ssize_t s = 0; s < n; s++) {
+            const int32_t *row = off + s * ncls + c;
+            x->lens[c * n + s] = row[1] - row[0];
+            for (int32_t j = row[0]; j < row[1]; j++) {
+                Py_ssize_t k = succ[j] - s;
+                if (count[k + n]++ == 0)
+                    seen[nseen++] = (int32_t)k;
+            }
+        }
+        for (Py_ssize_t i = 0; i < nseen; i++) {
+            if (count[seen[i] + n] >= words)
+                x->shift[nmasks++] = seen[i];
+            count[seen[i] + n] = 0;
+        }
+        x->first[c + 1] = nmasks;
+    }
+    x->mask = PyMem_Calloc(nmasks * words + 2, sizeof *x->mask);
+    x->rare = PyMem_Calloc(ncls * words + 1, sizeof *x->rare);
+    if (!x->mask || !x->rare)
+        goto done;
+    for (Py_ssize_t c = 0; c < ncls; c++) {
+        for (Py_ssize_t m = x->first[c]; m < x->first[c + 1]; m++)
+            count[x->shift[m] + n] = (int32_t)m + 1;
+        for (Py_ssize_t s = 0; s < n; s++) {
+            const int32_t *row = off + s * ncls + c;
+            uint64_t bit = (uint64_t)1 << (s & 63);
+            for (int32_t j = row[0]; j < row[1]; j++) {
+                int32_t m = count[succ[j] - s + n];
+                if (m)
+                    x->mask[1 + (m - 1) * words + (s >> 6)] |= bit;
+                else
+                    x->rare[c * words + (s >> 6)] |= bit;
+            }
+        }
+        for (Py_ssize_t m = x->first[c]; m < x->first[c + 1]; m++)
+            count[x->shift[m] + n] = 0;
+    }
+    ok = 0;
+done:
+    PyMem_Free(count);
+    PyMem_Free(seen);
+    if (ok < 0)
+        PyErr_NoMemory();
+    return ok;
+}
+
 /* Per-scan scratch: per-state or per-rule arrays of n + 1 items. */
 typedef struct {
-    Py_ssize_t *mark;        /* successor stamps */
     Py_ssize_t *seen;        /* per-rule or per-label stamps */
     Py_ssize_t *moving;      /* per-rule stamps of moving rules */
     Py_ssize_t *activation;  /* SUMMARY: cycles each state is active */
     int32_t *best;           /* SUMMARY: smallest active state per label */
     int32_t *hits;           /* SUMMARY: labels hit in this cycle */
+    uint64_t *reporting;     /* SUMMARY: W words, the states with a label */
+    unsigned long long work; /* the operation count so far */
     PyObject *ints;          /* SETS: the state ids as Python ints */
     PyObject *reports;       /* SUMMARY: the (cycle, state) list */
 } Scratch;
@@ -185,51 +284,86 @@ compare_labels(const void *a, const void *b)
     return (x > y) - (x < y);
 }
 
-/* One cycle's record: the active set, its (active, moving) rule counts,
-   or its active count, after adding its reports and activations to w.
-   stamp is unique to the cycle t. */
+/* One cycle's record of the active set, the bits of words lo..hi, in
+   each mode: the set; its (active, moving) rule counts; or its active
+   count, after adding its reports and activations to w.  The counting
+   modes add to w->work the lens[s] of each active state s, its row
+   length on the next byte's class.  stamp is unique to the cycle t.
+   Each mode has its own loop over the states, so none tests the mode per
+   state. */
+
 static PyObject *
-record(const Program *p, Mode mode, Scratch *w, const int32_t *active,
-       Py_ssize_t count, Py_ssize_t t, Py_ssize_t stamp)
+record_set(Scratch *w, const uint64_t *bits, Py_ssize_t lo, Py_ssize_t hi)
 {
-    if (mode == SETS) {
-        PyObject *set = PyFrozenSet_New(NULL);
-        for (Py_ssize_t i = 0; set != NULL && i < count; i++)
-            if (PySet_Add(set, PyList_GET_ITEM(w->ints, active[i])) < 0)
-                Py_CLEAR(set);
-        return set;
-    }
-    if (mode == RULES) {
-        const int32_t *rule = ITEMS(p, RULE_OF);
-        const unsigned char *raw_start = p->views[RAW_START].buf;
-        Py_ssize_t rules = 0, moved = 0;
-        /* Without branches, as in the step: moves is 1 for a state that is
-           not a raw start, and only such a state stamps its rule moving. */
-        for (Py_ssize_t i = 0; i < count; i++) {
-            int32_t s = active[i], r = rule[s];
+    PyObject *set = PyFrozenSet_New(NULL);
+
+    for (Py_ssize_t i = lo; set != NULL && i <= hi; i++)
+        for (uint64_t word = bits[i]; word; word &= word - 1) {
+            Py_ssize_t s = i * 64 + __builtin_ctzll(word);
+            if (PySet_Add(set, PyList_GET_ITEM(w->ints, s)) < 0) {
+                Py_DECREF(set);
+                return NULL;
+            }
+        }
+    return set;
+}
+
+static PyObject *
+record_rules(const Program *p, Scratch *w, const uint64_t *bits,
+             Py_ssize_t lo, Py_ssize_t hi, const int32_t *lens,
+             Py_ssize_t stamp)
+{
+    const int32_t *rule = ITEMS(p, RULE_OF);
+    const unsigned char *raw_start = p->views[RAW_START].buf;
+    Py_ssize_t rules = 0, moved = 0;
+    unsigned long long work = 0;
+
+    /* Without branches: moves is 1 for a state that is not a raw start,
+       and only such a state stamps its rule moving. */
+    for (Py_ssize_t i = lo; i <= hi; i++)
+        for (uint64_t word = bits[i]; word; word &= word - 1) {
+            Py_ssize_t s = i * 64 + __builtin_ctzll(word);
+            int32_t r = rule[s];
             Py_ssize_t moves = !raw_start[s], last = w->moving[r];
+            work += lens[s];
             rules += w->seen[r] != stamp;
             w->seen[r] = stamp;
             moved += moves & (last != stamp);
             w->moving[r] = last + (stamp - last) * moves;
         }
-        return Py_BuildValue("(nn)", rules, moved);
-    }
+    w->work += work;
+    return Py_BuildValue("(nn)", rules, moved);
+}
+
+static PyObject *
+record_summary(const Program *p, Scratch *w, const uint64_t *bits,
+               Py_ssize_t lo, Py_ssize_t hi, const int32_t *lens,
+               Py_ssize_t t, Py_ssize_t stamp)
+{
     const int32_t *report = ITEMS(p, REPORT);
-    Py_ssize_t nhits = 0;
-    for (Py_ssize_t i = 0; i < count; i++) {
-        int32_t s = active[i], k = report[s];
-        w->activation[s]++;
-        if (k < 0)
-            continue;
-        if (w->seen[k] != stamp) {
-            w->seen[k] = stamp;
-            w->best[k] = s;
-            w->hits[nhits++] = k;
+    Py_ssize_t count = 0, nhits = 0;
+    unsigned long long work = 0;
+
+    for (Py_ssize_t i = lo; i <= hi; i++) {
+        for (uint64_t word = bits[i]; word; word &= word - 1) {
+            Py_ssize_t s = i * 64 + __builtin_ctzll(word);
+            count++;
+            work += lens[s];
+            w->activation[s]++;
         }
-        else if (s < w->best[k])
-            w->best[k] = s;
+        /* in ascending order, a label's first state is its smallest */
+        for (uint64_t word = bits[i] & w->reporting[i]; word;
+             word &= word - 1) {
+            Py_ssize_t s = i * 64 + __builtin_ctzll(word);
+            int32_t k = report[s];
+            if (w->seen[k] != stamp) {
+                w->seen[k] = stamp;
+                w->best[k] = (int32_t)s;
+                w->hits[nhits++] = k;
+            }
+        }
     }
+    w->work += work;
     qsort(w->hits, nhits, sizeof *w->hits, compare_labels);
     for (Py_ssize_t i = 0; i < nhits; i++) {
         PyObject *pair = Py_BuildValue("(ni)", t, (int)w->best[w->hits[i]]);
@@ -258,90 +392,169 @@ int_list(const Py_ssize_t *values, Py_ssize_t count)
     return list;
 }
 
+/* Narrow lo..hi to the span of the nonzero words of bits in it; lo > hi
+   when there are none. */
+static void
+trim(const uint64_t *bits, Py_ssize_t *lo, Py_ssize_t *hi)
+{
+    while (*lo <= *hi && bits[*lo] == 0)
+        ++*lo;
+    while (*hi >= *lo && bits[*hi] == 0)
+        --*hi;
+}
+
+/* Set the bits of items[0..count-1] in bits, widening the nonzero span
+   [*lo, *hi]. */
+static void
+set_bits(uint64_t *bits, const int32_t *items, Py_ssize_t count,
+         Py_ssize_t *lo, Py_ssize_t *hi)
+{
+    for (Py_ssize_t j = 0; j < count; j++) {
+        Py_ssize_t w = items[j] >> 6;
+        bits[w] |= (uint64_t)1 << (items[j] & 63);
+        if (w < *lo)
+            *lo = w;
+        if (w > *hi)
+            *hi = w;
+    }
+}
+
 static PyObject *
 scan(const Program *p, Mode mode)
 {
     const unsigned char *data = p->views[DATA].buf;
     const int32_t *off = ITEMS(p, OFF), *succ = ITEMS(p, SUCC);
-    const int32_t *always = ITEMS(p, ALWAYS);
+    const int32_t *init = ITEMS(p, INIT), *report = ITEMS(p, REPORT);
     Py_ssize_t len = p->len[DATA], ninit = p->len[INIT];
     Py_ssize_t nalways = p->len[ALWAYS], n = p->n, ncls = p->ncls;
-    Py_ssize_t cap = (ninit > n ? ninit : n) + 1, ncur = ninit;
-    int32_t *cur = PyMem_Malloc(cap * sizeof *cur);
-    int32_t *next = PyMem_Malloc(cap * sizeof *next);
+    Py_ssize_t words = (n + 63) / 64;
+    Shifts x = {.words = words};
+    /* The active sets, this cycle's and the next's, as bitsets with W
+       spare words on each side: a masked shift of word i by k lands in
+       word i + floor(k / 64) and the one after, and with |k| < n both
+       stay within the spares.  The spares stay zero, as every move lands
+       on a state. */
+    uint64_t *sets = PyMem_Calloc(6 * words + 1, sizeof *sets);
+    uint64_t *every = PyMem_Calloc(words + 1, sizeof *every);
     Scratch w = {
-        .mark = PyMem_Calloc(n + 1, sizeof *w.mark),
         .seen = PyMem_Calloc(n + 1, sizeof *w.seen),
         .moving = PyMem_Calloc(n + 1, sizeof *w.moving),
         .activation = PyMem_Calloc(n + 1, sizeof *w.activation),
         .best = PyMem_Calloc(n + 1, sizeof *w.best),
         .hits = PyMem_Calloc(n + 1, sizeof *w.hits),
+        .reporting = PyMem_Calloc(words + 1, sizeof *w.reporting),
         .ints = mode == SETS ? int_list(NULL, n) : NULL,
         .reports = mode == SUMMARY ? PyList_New(0) : NULL,
     };
     PyObject *out = PyList_New(len), *activation = NULL, *result = NULL;
-    unsigned long long work = 0;
 
     if (out == NULL || (mode == SETS && w.ints == NULL)
         || (mode == SUMMARY && w.reports == NULL))
         goto done;
-    if (!cur || !next || !w.mark || !w.seen || !w.moving || !w.activation
-        || !w.best || !w.hits) {
+    if (!sets || !every || !w.seen || !w.moving || !w.activation || !w.best
+        || !w.hits || !w.reporting) {
         PyErr_NoMemory();
         goto done;
     }
-    memcpy(cur, ITEMS(p, INIT), ninit * sizeof *cur);
-    /* The step has no branch on the data: each target is written at
-       next[nnext], and nnext moves past it only when the target is new to
-       the cycle.  A cycle holds at most n distinct states, so a write
-       lands at index n at most: next and cur need cap >= n + 1 items
-       (cur also holds init, duplicates and all). */
+    if (shifts(p, &x) < 0)
+        goto done;
+    uint64_t *cur = sets + words, *next = sets + 4 * words;
+    /* the nonzero spans of always and of cur */
+    Py_ssize_t alo = words, ahi = -1, a = words, b = -1;
+    set_bits(every, ITEMS(p, ALWAYS), nalways, &alo, &ahi);
+    set_bits(cur, init, ninit, &a, &b);
+    for (Py_ssize_t s = 0; s < n; s++)
+        w.reporting[s >> 6] |= (uint64_t)(report[s] >= 0) << (s & 63);
+    /* A cycle's work is nalways plus the lengths of the rows of the states
+       active before it, on its byte's class.  record adds the rows for
+       the next byte, so the first cycle's are added here, over init as it
+       is, duplicates and all. */
+    w.work = (unsigned long long)nalways * len;
+    if (len > 0 && data[0] < ncls)
+        for (Py_ssize_t i = 0; i < ninit; i++)
+            w.work += x.lens[data[0] * n + init[i]];
     for (Py_ssize_t t = 0; t < len; t++) {
-        Py_ssize_t stamp = t + 1, nnext = 0;
         unsigned char c = data[t];
-        if (c < ncls) {
-            for (Py_ssize_t i = 0; i < ncur; i++) {
-                const int32_t *row = off + cur[i] * ncls + c;
-                work += row[1] - row[0];
-                for (int32_t j = row[0]; j < row[1]; j++) {
-                    int32_t d = succ[j];
-                    next[nnext] = d;
-                    nnext += w.mark[d] != stamp;
-                    w.mark[d] = stamp;
-                }
+        /* next is zero here; lo..hi bounds its nonzero words */
+        Py_ssize_t lo = alo, hi = ahi;
+        for (Py_ssize_t i = alo; i <= ahi; i++)
+            next[i] = every[i];
+        if (c < ncls && a <= b) {
+            for (Py_ssize_t m = x.first[c]; m < x.first[c + 1]; m++) {
+                int32_t k = x.shift[m], r = k & 63;
+                Py_ssize_t q = (k - r) / 64;
+                const uint64_t *mask = x.mask + 1 + m * words;
+                uint64_t *to = next + q;
+                lo = a + q < lo ? a + q : lo;
+                hi = b + q + 1 > hi ? b + q + 1 : hi;
+                /* word i of to takes the bits of cur's words i and i - 1
+                   that move into it; a shift by 64 bits is undefined */
+                if (r == 0)
+                    for (Py_ssize_t i = a; i <= b; i++)
+                        to[i] |= cur[i] & mask[i];
+                else
+                    for (Py_ssize_t i = a; i <= b + 1; i++)
+                        to[i] |= (cur[i] & mask[i]) << r
+                                 | (cur[i - 1] & mask[i - 1]) >> (64 - r);
             }
+            /* the active rare states step through their rows, masked
+               moves and all */
+            const uint64_t *rare = x.rare + c * words;
+            for (Py_ssize_t i = a; i <= b; i++)
+                for (uint64_t e = cur[i] & rare[i]; e; e &= e - 1) {
+                    const int32_t *row = off + (i * 64 + __builtin_ctzll(e))
+                                               * ncls + c;
+                    for (int32_t j = row[0]; j < row[1]; j++) {
+                        int32_t d = succ[j];
+                        next[d >> 6] |= (uint64_t)1 << (d & 63);
+                        lo = d >> 6 < lo ? d >> 6 : lo;
+                        hi = d >> 6 > hi ? d >> 6 : hi;
+                    }
+                }
         }
-        work += nalways;
-        for (Py_ssize_t i = 0; i < nalways; i++) {
-            int32_t d = always[i];
-            next[nnext] = d;
-            nnext += w.mark[d] != stamp;
-            w.mark[d] = stamp;
-        }
-        PyObject *item = record(p, mode, &w, next, nnext, t, stamp);
+        lo = lo < 0 ? 0 : lo;
+        hi = hi >= words ? words - 1 : hi;
+        trim(next, &lo, &hi);
+        /* the next byte's class, or the spare class of no moves */
+        Py_ssize_t after = t + 1 < len && data[t + 1] < ncls ? data[t + 1]
+                                                              : ncls;
+        const int32_t *lens = x.lens + after * n;
+        PyObject *item = mode == SETS ? record_set(&w, next, lo, hi)
+                         : mode == RULES ? record_rules(p, &w, next, lo, hi,
+                                                        lens, t + 1)
+                         : record_summary(p, &w, next, lo, hi, lens, t,
+                                          t + 1);
         if (item == NULL)
             goto done;
         PyList_SET_ITEM(out, t, item);
-        int32_t *swap = cur;
+        if (a <= b)
+            memset(cur + a, 0, (b - a + 1) * sizeof *cur);
+        uint64_t *swap = cur;
         cur = next;
         next = swap;
-        ncur = nnext;
+        a = lo;
+        b = hi;
     }
     if (mode == SETS)
         result = Py_NewRef(out);
     else if (mode == RULES)
-        result = Py_BuildValue("(OK)", out, work);
+        result = Py_BuildValue("(OK)", out, w.work);
     else if ((activation = int_list(w.activation, n)) != NULL)
-        result = Py_BuildValue("((OOO)K)", out, activation, w.reports, work);
+        result = Py_BuildValue("((OOO)K)", out, activation, w.reports, w.work);
 done:
-    PyMem_Free(cur);
-    PyMem_Free(next);
-    PyMem_Free(w.mark);
+    PyMem_Free(sets);
+    PyMem_Free(every);
+    PyMem_Free(x.first);
+    PyMem_Free(x.shift);
+    PyMem_Free(x.mask);
+    PyMem_Free(x.rare);
+    PyMem_Free(x.lens);
     PyMem_Free(w.seen);
     PyMem_Free(w.moving);
     PyMem_Free(w.activation);
     PyMem_Free(w.best);
     PyMem_Free(w.hits);
+    PyMem_Free(w.reporting);
     Py_XDECREF(w.ints);
     Py_XDECREF(w.reports);
     Py_XDECREF(activation);
@@ -452,22 +665,6 @@ add(Found *f, Py_ssize_t lo, const uint64_t *words, Py_ssize_t len,
     memcpy(f->pool + f->used, words, len * sizeof *words);
     f->used += len;
     return (int32_t)id;
-}
-
-/* Set the bits of items[0..count-1] in bits, widening the nonzero span
-   [*lo, *hi]. */
-static void
-set_bits(uint64_t *bits, const int32_t *items, Py_ssize_t count,
-         Py_ssize_t *lo, Py_ssize_t *hi)
-{
-    for (Py_ssize_t j = 0; j < count; j++) {
-        Py_ssize_t w = items[j] >> 6;
-        bits[w] |= (uint64_t)1 << (items[j] & 63);
-        if (w < *lo)
-            *lo = w;
-        if (w > *hi)
-            *hi = w;
-    }
 }
 
 /* The first count items as an array('i'). */
@@ -781,12 +978,11 @@ release(Program *p)
 }
 
 /* Check the arguments, scan in the given mode and release every view.
-   The scan's step loop is inlined here.  With the step's old branch on
-   each successor, its speed depended on where it fell against 64-byte
-   lines: at 48 bytes past one, levenshtein-scan's kernel calls took 9 %
-   longer.  The branch-free step has not been timed off a line.  Aligning
-   the function keeps edits elsewhere in this file from moving it; gcc 12
-   at -O3 puts it at 0x4bc0 in the module. */
+   The scan's loops are inlined here.  An earlier step, with a branch on
+   each successor, ran 9 % slower on levenshtein-scan at 48 bytes past a
+   64-byte line; the bit-parallel step has not been timed off a line.
+   Aligning the function keeps edits elsewhere in this file from moving
+   it; gcc 12 at -O3 puts it at 0x4bc0 in the module. */
 __attribute__((aligned(64))) static PyObject *
 run(PyObject *program, PyObject *data, PyObject *rules, Mode mode)
 {

@@ -24,8 +24,14 @@ the subset walk determinizes it, and ``refine`` refines a flipped one):
 
 Every state is in ``0..n-1`` and every ``report`` item in ``-1..n-1``.
 The input is a string of class indices, one per input byte; an index at
-or above ``ncls`` has no successors.  The operation count adds one per
-successor visited and one per every-cycle state per input byte.
+or above ``ncls`` has no successors.  The operation count is the number
+of successors this module's step visits: per input byte, the length of
+each active state's row on the byte's class (the first byte's active
+states are ``init`` as it is, duplicates included), plus one per
+every-cycle state.  The compiled kernel steps whole 64-bit words of the
+active set by masked shifts and visits no successor on its own, but it
+returns the same count, summed from the row lengths, so the count
+measures the scan's work however it is stepped.
 
 ``step_stream(program, data)`` returns ``((per_cycle_count, activation,
 reports), work)`` and builds no sets:

@@ -13,7 +13,10 @@ buffers of byte-class successors (the layout is specified in
 with the input translated to class indices, to the stepping kernel that
 ``transform`` loads: the compiled ``_simkernel`` when it was built for the
 same program ``FORMAT``, and otherwise ``_simkernel_py``, whose
-plain-Python loop is the specification both follow.
+plain-Python loop is the specification both follow.  The compiled kernel
+steps the active set as a bitset: per byte, a few masked shifts of its
+words (built from the program on each call) plus the rows of the states
+whose moves fit no shift, rather than one write per successor reached.
 
 The kernel returns the per-cycle active counts, the per-state activation
 counts and the reports, and keeps no per-cycle sets.  A trace's

@@ -7,11 +7,12 @@ from collections import Counter, deque
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from falab import _simkernel_py, simulate, transform
 from falab.core import Automaton, StartKind, SymbolClass
-from falab.generators import SplitMix64, gen_levenshtein
+from falab.generators import (SplitMix64, compile_pattern, gen_levenshtein,
+                              gen_mesh_patterns)
 from falab.regex import compile_regex
 from falab.simulate import (Simulator, active_rule_frequency,
                             available_kernels, default_kernel, run)
@@ -423,6 +424,73 @@ def rule_index(draw, n: int):
     return array("i", rule_of), bytes(raw_start)
 
 
+@st.composite
+def word_programs(draw, max_states: int = 300):
+    """A scan of a program of up to ``max_states`` states, as ``(program,
+    data, rules)``, sized around the compiled step's 64-bit words.
+
+    That step moves the states of each class's common offsets (``d - s``
+    shared by at least ceil(n / 64) of its moves) by masked shifts of whole
+    words, and the rest through their own rows.  Here a family of moves by
+    one offset over the states it keeps in range makes a mask; a move at a
+    random offset makes a rare row once n passes 64.  Offsets include 0,
+    +-1, +-64 and +-(n - 1); rows may name a successor twice, init may
+    repeat states, and the data holds classes at and above ``ncls``.
+    """
+    sizes = [size for size in (1, 63, 64, 65, 128, 300) if size <= max_states]
+    n = draw(st.one_of(st.sampled_from(sizes), st.integers(1, max_states)))
+    ncls = draw(st.integers(1, 3))
+    rng = SplitMix64(draw(st.integers(0, 2**64 - 1)))
+    rows = [[[] for _ in range(ncls)] for _ in range(n)]
+    offset = st.one_of(st.sampled_from([0, 1, -1, 64, -64, n - 1, 1 - n]),
+                       st.integers(1 - n, n - 1))
+    for c in range(ncls):
+        for k, keep in draw(st.lists(st.tuples(offset, st.integers(1, 4)),
+                                     max_size=4)):
+            for s in range(max(0, -k), min(n, n - k)):
+                if rng.below(4) < keep:  # each state, with chance keep / 4
+                    rows[s][c].append(s + k)
+    for _ in range(draw(st.integers(0, 20))):
+        rows[rng.below(n)][rng.below(ncls)].append(rng.below(n))
+    for _ in range(draw(st.integers(0, 5))):
+        row = rows[rng.below(n)][rng.below(ncls)]
+        if row:
+            row.append(row[rng.below(len(row))])
+    off, succ = [0], []
+    for row in rows:
+        for moves in row:
+            succ.extend(moves)
+            off.append(len(succ))
+    density = draw(st.integers(0, 4))
+    init = [s for s in range(n) if rng.below(4) < density]
+    init += [rng.below(n) for _ in range(draw(st.integers(0, 8)))]
+    always = rng.sample(n, draw(st.integers(0, min(n, 8))))
+    report = [rng.below(min(n, 3) + 1) - 1 for _ in range(n)]
+    program = (n, ncls, array("i", off), array("i", succ), array("i", init),
+               array("i", always), array("i", report))
+    # mostly classes with moves; ncls and 255 have none
+    byte = st.sampled_from([*range(ncls)] * 4 + [ncls, 255])
+    data = bytes(draw(st.lists(byte, min_size=1, max_size=24)))
+    rules = (array("i", [rng.below(n) for _ in range(n)]),
+             bytes(rng.below(2) for _ in range(n)))
+    return program, data, rules
+
+
+def levenshtein_scan(kind: StartKind):
+    """The benchmark's tiny ``levenshtein-scan`` rules, merged with ``kind``
+    starts, as ``(Simulator, rules)``: five Levenshtein d = 3 patterns of 4
+    to 6 letters over an 8-letter alphabet, 117 states."""
+    patterns = gen_mesh_patterns("levenshtein", 5, 4, 6, (3,), 8, 1)
+    merged = merge_patterns([compile_pattern(p, kind) for p in patterns],
+                            [p.id for p in patterns])
+    labels = [merged.component_labels.get(s)
+              for s in range(merged.state_count)]
+    index = {label: i for i, label in enumerate(dict.fromkeys(labels))}
+    rules = (array("i", [index[label] for label in labels]),
+             bytes(s in merged.starts for s in range(merged.state_count)))
+    return Simulator(merged), rules
+
+
 WINDOW = simulate.WINDOW
 
 
@@ -498,6 +566,31 @@ class TestKernelParity:
                                                          mode))
                 assert (c_kernel.active_sets(program, classes)
                         == _simkernel_py.active_sets(program, classes))
+
+    @settings(max_examples=200, deadline=None)
+    @given(word_programs())
+    def test_word_scale_programs_match_python(self, c_kernel, case):
+        program, data, rules = case
+        for mode in (None, rules):
+            assert (c_kernel.step_stream(program, data, mode)
+                    == _simkernel_py.step_stream(program, data, mode))
+        assert (c_kernel.active_sets(program, data)
+                == _simkernel_py.active_sets(program, data))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_levenshtein_scan_matches_python(self, c_kernel, kind):
+        # All-input, about 60 of the 117 states are active per cycle,
+        # across both words; from the start of data, none are after the
+        # fifth byte.
+        sim, rules = levenshtein_scan(kind)
+        rng = SplitMix64(3)
+        data = bytes(b"abcdefgh\x00"[rng.below(9)] for _ in range(128))
+        classes = data.translate(sim._table)
+        for mode in (None, rules):
+            assert (c_kernel.step_stream(sim._program, classes, mode)
+                    == _simkernel_py.step_stream(sim._program, classes, mode))
+        assert (c_kernel.active_sets(sim._program, classes)
+                == _simkernel_py.active_sets(sim._program, classes))
 
     def test_every_byte_as_a_class(self, c_kernel):
         # Classes 0 and 255 with successors; data holds both.  Both
@@ -681,6 +774,86 @@ MALFORMED_TABLES = [
 ]
 
 
+# The arrays of a scan's program and rules, in order.
+SCAN_ARRAYS = ("off", "succ", "init", "always", "report", "rule_of",
+               "raw_start")
+
+
+@st.composite
+def malformed_scans(draw):
+    """A small scan from ``word_programs``, as ``(program, data, rules)``,
+    with one fault planted: an array of the wrong length, an id out of
+    range, decreasing offsets, an array of other items, a wrong n or ncls,
+    or a program or rules tuple of the wrong size."""
+    (n, ncls, *items), data, rules = draw(word_programs(max_states=70))
+    arrays = dict(zip(SCAN_ARRAYS, [*items, *rules]))
+    fault = draw(st.sampled_from(["length", "id", "off", "items", "size",
+                                  "arity"]))
+    name = draw(st.sampled_from(SCAN_ARRAYS))
+    values = list(arrays[name])
+    where = draw(st.integers(0, len(values)))
+    if fault == "length":
+        if values and draw(st.booleans()):
+            del values[min(where, len(values) - 1)]
+        else:
+            values.insert(where, draw(st.integers(-1, n)))
+    elif fault == "id" and values:
+        values[min(where, len(values) - 1)] = draw(st.sampled_from(
+            [-2**31, -2, -1, n, n + 1, 2**31 - 1]))
+    elif fault == "off" and len(arrays["off"]) > 1:
+        name, values = "off", list(arrays["off"])
+        k = draw(st.integers(1, len(values) - 1))
+        values[k] = values[k - 1] - draw(st.integers(1, 3))
+    if name == "raw_start":
+        arrays[name] = bytes(v % 256 for v in values)
+    else:
+        arrays[name] = array("i", values)
+    if fault == "items":
+        kind = draw(st.sampled_from(["q", "h", "list", "bytes"]))
+        values = list(arrays[name])
+        arrays[name] = (values if kind == "list"
+                        else bytes(v % 256 for v in values) if kind == "bytes"
+                        else array(kind, values))
+    elif fault == "size":
+        n, ncls = ((n + draw(st.sampled_from([-1, 1])), ncls)
+                   if draw(st.booleans())
+                   else (n, ncls + draw(st.sampled_from([-1, 1]))))
+    program = (n, ncls, *(arrays[name] for name in SCAN_ARRAYS[:5]))
+    rules = (arrays["rule_of"], arrays["raw_start"])
+    if fault == "arity":
+        if draw(st.booleans()):
+            program = program[:draw(st.integers(0, 6))]
+        else:
+            rules = draw(st.sampled_from([rules[:1], rules * 2, ()]))
+    return program, data, rules
+
+
+def scan_outcome(call):
+    """What a scan call returns, or the TypeError, ValueError or
+    IndexError it raises."""
+    try:
+        return call()
+    except (TypeError, ValueError, IndexError) as error:
+        return error
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(malformed_scans())
+def test_malformed_scans_raise_or_match_python(kernel, case):
+    # Each scan entry point either raises one of the three errors or
+    # returns what the Python kernel returns; the compiled kernel checks
+    # first, so it never reads past an array.
+    program, data, rules = case
+    calls = (lambda k: k.step_stream(program, data),
+             lambda k: k.step_stream(program, data, rules),
+             lambda k: k.active_sets(program, data))
+    for call in calls:
+        got = scan_outcome(lambda: call(kernel))
+        if not isinstance(got, Exception):
+            assert got == scan_outcome(lambda: call(_simkernel_py))
+
+
 class TestCompiledKernelErrors:
     """Bad arguments raise before the scan and release every view."""
 
@@ -791,13 +964,41 @@ class TestCompiledKernelErrors:
         # Each call fails after its 1 MB off and succ arrays (1000 states x
         # 256 classes) are viewed, or, for the last subset walk, stops past
         # the cap after half the walk; the flips fail after viewing a 1 MB
-        # table, or flip it, and the refinement refines that flip.  A view
-        # left unreleased would keep them alive, so memory would grow, and
-        # would forbid resizing them; so would scratch memory that the
-        # walk, flip or refinement did not free.
+        # table, or flip it, and the refinement refines that flip.  The
+        # scans of the last two programs fail at each memory allocation in
+        # turn, the ones after their shift masks and rare rows are built
+        # included, until one runs through.  A view left unreleased would
+        # keep the arrays alive, so memory would grow, and would forbid
+        # resizing them; so would scratch memory that the walk, flip,
+        # refinement or scan did not free.
+        testcapi = pytest.importorskip("_testcapi")
         n, ncls = 1000, 256
-        # every state moves to the next on every class: n subsets
+        # every state moves to the next on every class: n subsets, and for
+        # the scan a mask per class and one rare row, the last state's
         to_next = array("i", [(k // ncls + 1) % n for k in range(n * ncls)])
+
+        def out_of_memory_from(start: int, call):
+            """call() with every allocation from the start-th on failing."""
+            testcapi.set_nomemory(start, 0)
+            try:
+                return call()
+            finally:
+                testcapi.remove_mem_hooks()
+
+        def failing_scans(program):
+            for mode in (None, (array("i", [0]) * n, bytes(n))):
+                want = c_kernel.step_stream(program, b"\x00\x01\xff", mode)
+                for start in range(1, 1000):
+                    try:
+                        got = out_of_memory_from(start, lambda: (
+                            c_kernel.step_stream(program, b"\x00\x01\xff",
+                                                 mode)))
+                    except MemoryError:
+                        continue
+                    assert got == want
+                    break
+                else:
+                    pytest.fail("the scan failed 999 allocations in a row")
 
         def failing_calls():
             # (program, rules, and what the subset walk with cap n // 2
@@ -836,6 +1037,7 @@ class TestCompiledKernelErrors:
                     result = c_kernel.subsets(program, n // 2)
                     assert (None if result is None
                             else len(result[0])) == walked
+                    failing_scans(program)
             # one accepting state on the cycle: n blocks and the dead one
             labels = array("i", [0]) * (n - 1) + ints(1)
             table = to_next[:-1] + ints(n)
