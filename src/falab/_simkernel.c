@@ -26,16 +26,20 @@
 
    The scan steps the whole active set at once, as a bitset of W =
    ceil(n / 64) words (as Hyperscan's LimEx NFA does, Wang et al., NSDI
-   2019).  Each call first groups the program's moves, in O(n * ncls +
-   len(succ)), by class and offset k = d - s: an offset that at least W
-   moves of a class share becomes a shift mask, the states that move by
-   k, and the states with any other move are the class's rare states.  A
-   step starts the next set from the always states, ORs into it each of
-   the byte's class's masks, ANDed with the active set and shifted by k,
-   then sets the successors in the rows of the active rare states.  Only
-   the span between the first and the last nonzero word of a set is
-   walked, so a cycle with few active states costs little whatever n is.
-   The per-cycle records read the active states off the set's bits in
+   2019).  A class's moves are grouped by offset k = d - s: an offset
+   that at least W moves of the class share becomes a shift mask, the
+   states that move by k, and the states with any other move are the
+   class's rare states.  A step starts the next set from the always
+   states, ORs into it each of the byte's class's masks, ANDed with the
+   active set and shifted by k, then sets the successors in the rows of
+   the active rare states.  A call builds a class, in O(n + its moves),
+   only once the rows it has walked on the class cost about as much; until
+   then every state of the class is rare.  So a short scan, or one whose
+   activity dies, walks rows as the specification does and builds
+   nothing, and a long busy one builds each class once.  Only the span
+   between the first and the last nonzero word of a set is walked, so a
+   cycle with few active states costs little whatever n is.  The
+   per-cycle records read the active states off the set's bits in
    ascending order.  The operation count stays the specification's: the
    lengths of the rows of the states active before each byte, on its
    class, plus the always states.
@@ -178,83 +182,74 @@ check(const Program *p)
     return 0;
 }
 
-/* The program's moves on each class, as the scan steps them.  A move
-   s -> d that shares its offset k = d - s with at least W = ceil(n / 64)
-   moves of its class belongs to the class's mask for k: the states with
-   that move, as a bitset of W words, so one masked shift of the active
-   set's words makes all of them.  A state with any other move on the
-   class is in the class's rare bitset, and steps through its own row of
-   the program.  The lengths of the rows, class by class, give the scan's
-   operation count. */
+/* The moves of one class, as the scan steps them.  A move s -> d that
+   shares its offset k = d - s with at least W = ceil(n / 64) moves of the
+   class belongs to the class's mask for k: the states with that move, as
+   a bitset of W words, so one masked shift of the active set's words
+   makes all of them.  A state with any other move on the class is rare,
+   and steps through its own row of the program.  Until the class is
+   built, every state is rare. */
 typedef struct {
-    Py_ssize_t words;    /* W */
-    Py_ssize_t *first;   /* per class c: its masks are first[c]..first[c+1]-1 */
-    int32_t *shift;      /* per mask: its offset k */
-    uint64_t *mask;      /* per mask: W words, between two spare words */
-    uint64_t *rare;      /* per class: W words */
-    int32_t *lens;       /* per class, then for none: n row lengths */
-} Shifts;
+    Py_ssize_t nmasks;
+    int32_t *shift;        /* per mask: its offset k */
+    uint64_t *mask;        /* per mask: W words, between two spare words,
+                              then the rare states' W words; NULL until
+                              the class is built */
+    const uint64_t *rare;  /* W words */
+    Py_ssize_t walked;     /* the successors its rare rows have set */
+} Class;
 
-/* Build x from a checked program, in two passes over its rows (one to
-   count each class's offsets, one to set the bits) and O(n * ncls +
-   len(succ)) time. */
+/* Build class c of a checked program into x, in two passes over its n
+   rows (one to count each offset's moves, one to set the bits) and
+   O(n + the class's moves) time. */
 static int
-shifts(const Program *p, Shifts *x)
+build(const Program *p, Py_ssize_t c, Py_ssize_t words, Class *x)
 {
     const int32_t *off = ITEMS(p, OFF), *succ = ITEMS(p, SUCC);
-    Py_ssize_t n = p->n, ncls = p->ncls, words = x->words;
-    /* a class has at most moves / W masks */
-    Py_ssize_t most = p->len[SUCC] / (words ? words : 1) + 1, nmasks = 0;
-    /* per offset k, at k + n: its moves in this class, then its mask + 1 */
+    Py_ssize_t n = p->n, ncls = p->ncls, nseen = 0, nmasks = 0;
+    /* per offset k, at k + n: its moves, then its mask + 1 or 0 */
     int32_t *count = PyMem_Calloc(2 * n + 1, sizeof *count);
     int32_t *seen = PyMem_Malloc((2 * n + 1) * sizeof *seen);
     int ok = -1;
 
-    x->first = PyMem_Malloc((ncls + 1) * sizeof *x->first);
-    x->lens = PyMem_Calloc((ncls + 1) * n + 1, sizeof *x->lens);
-    x->shift = PyMem_Malloc(most * sizeof *x->shift);
-    if (!count || !seen || !x->first || !x->shift || !x->lens)
+    if (!count || !seen)
         goto done;
-    x->first[0] = 0;
-    for (Py_ssize_t c = 0; c < ncls; c++) {
-        Py_ssize_t nseen = 0;
-        for (Py_ssize_t s = 0; s < n; s++) {
-            const int32_t *row = off + s * ncls + c;
-            x->lens[c * n + s] = row[1] - row[0];
-            for (int32_t j = row[0]; j < row[1]; j++) {
-                Py_ssize_t k = succ[j] - s;
-                if (count[k + n]++ == 0)
-                    seen[nseen++] = (int32_t)k;
-            }
+    for (Py_ssize_t s = 0; s < n; s++) {
+        const int32_t *row = off + s * ncls + c;
+        for (int32_t j = row[0]; j < row[1]; j++) {
+            Py_ssize_t k = succ[j] - s;
+            if (count[k + n]++ == 0)
+                seen[nseen++] = (int32_t)k;
         }
-        for (Py_ssize_t i = 0; i < nseen; i++) {
-            if (count[seen[i] + n] >= words)
-                x->shift[nmasks++] = seen[i];
-            count[seen[i] + n] = 0;
-        }
-        x->first[c + 1] = nmasks;
     }
-    x->mask = PyMem_Calloc(nmasks * words + 2, sizeof *x->mask);
-    x->rare = PyMem_Calloc(ncls * words + 1, sizeof *x->rare);
-    if (!x->mask || !x->rare)
+    for (Py_ssize_t i = 0; i < nseen; i++)
+        nmasks += count[seen[i] + n] >= words;
+    x->shift = PyMem_Malloc((nmasks + 1) * sizeof *x->shift);
+    x->mask = PyMem_Calloc((nmasks + 1) * words + 2, sizeof *x->mask);
+    if (!x->shift || !x->mask)
         goto done;
-    for (Py_ssize_t c = 0; c < ncls; c++) {
-        for (Py_ssize_t m = x->first[c]; m < x->first[c + 1]; m++)
-            count[x->shift[m] + n] = (int32_t)m + 1;
-        for (Py_ssize_t s = 0; s < n; s++) {
-            const int32_t *row = off + s * ncls + c;
-            uint64_t bit = (uint64_t)1 << (s & 63);
-            for (int32_t j = row[0]; j < row[1]; j++) {
-                int32_t m = count[succ[j] - s + n];
-                if (m)
-                    x->mask[1 + (m - 1) * words + (s >> 6)] |= bit;
-                else
-                    x->rare[c * words + (s >> 6)] |= bit;
-            }
+    for (Py_ssize_t i = 0; i < nseen; i++) {
+        int32_t *k = &count[seen[i] + n];
+        if (*k >= words) {
+            x->shift[x->nmasks] = seen[i];
+            *k = (int32_t)++x->nmasks;
         }
-        for (Py_ssize_t m = x->first[c]; m < x->first[c + 1]; m++)
-            count[x->shift[m] + n] = 0;
+        else
+            *k = 0;
     }
+    uint64_t *rare = x->mask + 2 + nmasks * words;
+    for (Py_ssize_t s = 0; s < n; s++) {
+        const int32_t *row = off + s * ncls + c;
+        uint64_t bit = (uint64_t)1 << (s & 63);
+        for (int32_t j = row[0]; j < row[1]; j++) {
+            int32_t m = count[succ[j] - s + n];
+            if (m)
+                x->mask[1 + (m - 1) * words + (s >> 6)] |= bit;
+            else
+                rare[s >> 6] |= bit;
+        }
+    }
+    x->rare = rare;
     ok = 0;
 done:
     PyMem_Free(count);
@@ -287,8 +282,8 @@ compare_labels(const void *a, const void *b)
 /* One cycle's record of the active set, the bits of words lo..hi, in
    each mode: the set; its (active, moving) rule counts; or its active
    count, after adding its reports and activations to w.  The counting
-   modes add to w->work the lens[s] of each active state s, its row
-   length on the next byte's class.  stamp is unique to the cycle t.
+   modes add to w->work the length of each active state s's row on the
+   next byte's class, rows[s * stride].  stamp is unique to the cycle t.
    Each mode has its own loop over the states, so none tests the mode per
    state. */
 
@@ -310,8 +305,8 @@ record_set(Scratch *w, const uint64_t *bits, Py_ssize_t lo, Py_ssize_t hi)
 
 static PyObject *
 record_rules(const Program *p, Scratch *w, const uint64_t *bits,
-             Py_ssize_t lo, Py_ssize_t hi, const int32_t *lens,
-             Py_ssize_t stamp)
+             Py_ssize_t lo, Py_ssize_t hi, const int32_t *rows,
+             Py_ssize_t stride, Py_ssize_t stamp)
 {
     const int32_t *rule = ITEMS(p, RULE_OF);
     const unsigned char *raw_start = p->views[RAW_START].buf;
@@ -325,7 +320,8 @@ record_rules(const Program *p, Scratch *w, const uint64_t *bits,
             Py_ssize_t s = i * 64 + __builtin_ctzll(word);
             int32_t r = rule[s];
             Py_ssize_t moves = !raw_start[s], last = w->moving[r];
-            work += lens[s];
+            const int32_t *row = rows + s * stride;
+            work += row[1] - row[0];
             rules += w->seen[r] != stamp;
             w->seen[r] = stamp;
             moved += moves & (last != stamp);
@@ -337,8 +333,8 @@ record_rules(const Program *p, Scratch *w, const uint64_t *bits,
 
 static PyObject *
 record_summary(const Program *p, Scratch *w, const uint64_t *bits,
-               Py_ssize_t lo, Py_ssize_t hi, const int32_t *lens,
-               Py_ssize_t t, Py_ssize_t stamp)
+               Py_ssize_t lo, Py_ssize_t hi, const int32_t *rows,
+               Py_ssize_t stride, Py_ssize_t t, Py_ssize_t stamp)
 {
     const int32_t *report = ITEMS(p, REPORT);
     Py_ssize_t count = 0, nhits = 0;
@@ -347,8 +343,9 @@ record_summary(const Program *p, Scratch *w, const uint64_t *bits,
     for (Py_ssize_t i = lo; i <= hi; i++) {
         for (uint64_t word = bits[i]; word; word &= word - 1) {
             Py_ssize_t s = i * 64 + __builtin_ctzll(word);
+            const int32_t *row = rows + s * stride;
             count++;
-            work += lens[s];
+            work += row[1] - row[0];
             w->activation[s]++;
         }
         /* in ascending order, a label's first state is its smallest */
@@ -422,13 +419,19 @@ set_bits(uint64_t *bits, const int32_t *items, Py_ssize_t count,
 static PyObject *
 scan(const Program *p, Mode mode)
 {
+    static const int32_t no_row[2];  /* the row of a byte with no class */
     const unsigned char *data = p->views[DATA].buf;
     const int32_t *off = ITEMS(p, OFF), *succ = ITEMS(p, SUCC);
     const int32_t *init = ITEMS(p, INIT), *report = ITEMS(p, REPORT);
     Py_ssize_t len = p->len[DATA], ninit = p->len[INIT];
     Py_ssize_t nalways = p->len[ALWAYS], n = p->n, ncls = p->ncls;
     Py_ssize_t words = (n + 63) / 64;
-    Shifts x = {.words = words};
+    /* About what building a class costs: its n rows and, on average,
+       len(succ) / ncls moves.  A class is built once its rows have set
+       that many successors in this call, so a scan pays at most about
+       twice what the better of walking rows and building would, and a
+       scan whose activity dies soon builds nothing. */
+    Py_ssize_t price = n + (ncls ? p->len[SUCC] / ncls : 0);
     /* The active sets, this cycle's and the next's, as bitsets with W
        spare words on each side: a masked shift of word i by k lands in
        word i + floor(k / 64) and the one after, and with |k| < n both
@@ -436,6 +439,8 @@ scan(const Program *p, Mode mode)
        on a state. */
     uint64_t *sets = PyMem_Calloc(6 * words + 1, sizeof *sets);
     uint64_t *every = PyMem_Calloc(words + 1, sizeof *every);
+    uint64_t *all = PyMem_Malloc((words + 1) * sizeof *all);
+    Class *cls = PyMem_Calloc(ncls + 1, sizeof *cls);
     Scratch w = {
         .seen = PyMem_Calloc(n + 1, sizeof *w.seen),
         .moving = PyMem_Calloc(n + 1, sizeof *w.moving),
@@ -451,13 +456,14 @@ scan(const Program *p, Mode mode)
     if (out == NULL || (mode == SETS && w.ints == NULL)
         || (mode == SUMMARY && w.reports == NULL))
         goto done;
-    if (!sets || !every || !w.seen || !w.moving || !w.activation || !w.best
-        || !w.hits || !w.reporting) {
+    if (!sets || !every || !all || !cls || !w.seen || !w.moving
+        || !w.activation || !w.best || !w.hits || !w.reporting) {
         PyErr_NoMemory();
         goto done;
     }
-    if (shifts(p, &x) < 0)
-        goto done;
+    memset(all, 0xff, (words + 1) * sizeof *all);
+    for (Py_ssize_t c = 0; c < ncls; c++)
+        cls[c].rare = all;
     uint64_t *cur = sets + words, *next = sets + 4 * words;
     /* the nonzero spans of always and of cur */
     Py_ssize_t alo = words, ahi = -1, a = words, b = -1;
@@ -471,8 +477,10 @@ scan(const Program *p, Mode mode)
        is, duplicates and all. */
     w.work = (unsigned long long)nalways * len;
     if (len > 0 && data[0] < ncls)
-        for (Py_ssize_t i = 0; i < ninit; i++)
-            w.work += x.lens[data[0] * n + init[i]];
+        for (Py_ssize_t i = 0; i < ninit; i++) {
+            const int32_t *row = off + init[i] * ncls + data[0];
+            w.work += row[1] - row[0];
+        }
     for (Py_ssize_t t = 0; t < len; t++) {
         unsigned char c = data[t];
         /* next is zero here; lo..hi bounds its nonzero words */
@@ -480,10 +488,11 @@ scan(const Program *p, Mode mode)
         for (Py_ssize_t i = alo; i <= ahi; i++)
             next[i] = every[i];
         if (c < ncls && a <= b) {
-            for (Py_ssize_t m = x.first[c]; m < x.first[c + 1]; m++) {
-                int32_t k = x.shift[m], r = k & 63;
+            Class *x = &cls[c];
+            for (Py_ssize_t m = 0; m < x->nmasks; m++) {
+                int32_t k = x->shift[m], r = k & 63;
                 Py_ssize_t q = (k - r) / 64;
-                const uint64_t *mask = x.mask + 1 + m * words;
+                const uint64_t *mask = x->mask + 1 + m * words;
                 uint64_t *to = next + q;
                 lo = a + q < lo ? a + q : lo;
                 hi = b + q + 1 > hi ? b + q + 1 : hi;
@@ -499,31 +508,30 @@ scan(const Program *p, Mode mode)
             }
             /* the active rare states step through their rows, masked
                moves and all */
-            const uint64_t *rare = x.rare + c * words;
             for (Py_ssize_t i = a; i <= b; i++)
-                for (uint64_t e = cur[i] & rare[i]; e; e &= e - 1) {
+                for (uint64_t e = cur[i] & x->rare[i]; e; e &= e - 1) {
                     const int32_t *row = off + (i * 64 + __builtin_ctzll(e))
                                                * ncls + c;
-                    for (int32_t j = row[0]; j < row[1]; j++) {
-                        int32_t d = succ[j];
-                        next[d >> 6] |= (uint64_t)1 << (d & 63);
-                        lo = d >> 6 < lo ? d >> 6 : lo;
-                        hi = d >> 6 > hi ? d >> 6 : hi;
-                    }
+                    set_bits(next, succ + row[0], row[1] - row[0], &lo, &hi);
+                    x->walked += row[1] - row[0];
                 }
+            if (x->mask == NULL && x->walked >= price
+                && build(p, c, words, x) < 0)
+                goto done;
         }
         lo = lo < 0 ? 0 : lo;
         hi = hi >= words ? words - 1 : hi;
         trim(next, &lo, &hi);
-        /* the next byte's class, or the spare class of no moves */
+        /* the rows of the next byte's class, or of none */
         Py_ssize_t after = t + 1 < len && data[t + 1] < ncls ? data[t + 1]
-                                                              : ncls;
-        const int32_t *lens = x.lens + after * n;
+                                                              : -1;
+        const int32_t *rows = after < 0 ? no_row : off + after;
+        Py_ssize_t stride = after < 0 ? 0 : ncls;
         PyObject *item = mode == SETS ? record_set(&w, next, lo, hi)
                          : mode == RULES ? record_rules(p, &w, next, lo, hi,
-                                                        lens, t + 1)
-                         : record_summary(p, &w, next, lo, hi, lens, t,
-                                          t + 1);
+                                                        rows, stride, t + 1)
+                         : record_summary(p, &w, next, lo, hi, rows, stride,
+                                          t, t + 1);
         if (item == NULL)
             goto done;
         PyList_SET_ITEM(out, t, item);
@@ -542,13 +550,14 @@ scan(const Program *p, Mode mode)
     else if ((activation = int_list(w.activation, n)) != NULL)
         result = Py_BuildValue("((OOO)K)", out, activation, w.reports, w.work);
 done:
+    for (Py_ssize_t c = 0; cls != NULL && c < ncls; c++) {
+        PyMem_Free(cls[c].shift);
+        PyMem_Free(cls[c].mask);
+    }
+    PyMem_Free(cls);
     PyMem_Free(sets);
     PyMem_Free(every);
-    PyMem_Free(x.first);
-    PyMem_Free(x.shift);
-    PyMem_Free(x.mask);
-    PyMem_Free(x.rare);
-    PyMem_Free(x.lens);
+    PyMem_Free(all);
     PyMem_Free(w.seen);
     PyMem_Free(w.moving);
     PyMem_Free(w.activation);

@@ -29,9 +29,10 @@ of successors this module's step visits: per input byte, the length of
 each active state's row on the byte's class (the first byte's active
 states are ``init`` as it is, duplicates included), plus one per
 every-cycle state.  The compiled kernel steps whole 64-bit words of the
-active set by masked shifts and visits no successor on its own, but it
-returns the same count, summed from the row lengths, so the count
-measures the scan's work however it is stepped.
+active set by masked shifts once it has built a class's masks, and then
+visits no successor on its own, but it returns the same count, summed
+from the row lengths, so the count measures the scan's work however it
+is stepped.
 
 ``step_stream(program, data)`` returns ``((per_cycle_count, activation,
 reports), work)`` and builds no sets:

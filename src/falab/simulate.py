@@ -15,8 +15,10 @@ with the input translated to class indices, to the stepping kernel that
 same program ``FORMAT``, and otherwise ``_simkernel_py``, whose
 plain-Python loop is the specification both follow.  The compiled kernel
 steps the active set as a bitset: per byte, a few masked shifts of its
-words (built from the program on each call) plus the rows of the states
-whose moves fit no shift, rather than one write per successor reached.
+words plus the rows of the states whose moves fit no shift, rather than
+one write per successor reached.  Each call builds the shifts of a class
+from the program once its activity on the class has cost about as much,
+so a short or dying scan builds none.
 
 The kernel returns the per-cycle active counts, the per-state activation
 counts and the reports, and keeps no per-cycle sets.  A trace's
