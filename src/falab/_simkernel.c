@@ -33,13 +33,13 @@
    states, ORs into it each of the byte's class's masks, ANDed with the
    active set and shifted by k, then sets the successors in the rows of
    the active rare states.  A call builds a class, in O(n + its moves),
-   only once the rows it has walked on the class cost about as much; until
-   then every state of the class is rare.  So a short scan, or one whose
-   activity dies, walks rows as the specification does and builds
-   nothing, and a long busy one builds each class once.  Only the span
-   between the first and the last nonzero word of a set is walked, so a
-   cycle with few active states costs little whatever n is.  The
-   per-cycle records read the active states off the set's bits in
+   only once the rows it has walked on the class cost about as much;
+   until then every state of the class is rare.  So a short scan, or one
+   whose activity dies, walks rows as the specification does and builds
+   nothing, and a long busy one builds each of its busy classes once.
+   Only the span between the first and the last nonzero word of a set is
+   walked, so a cycle with few active states costs little whatever n is.
+   The per-cycle records read the active states off the set's bits in
    ascending order.  The operation count stays the specification's: the
    lengths of the rows of the states active before each byte, on its
    class, plus the always states.

@@ -435,12 +435,11 @@ def word_programs(draw, max_states: int = 300):
     class until the rows it walked cost about as much as building the
     class's masks.  Here a family of moves by one offset over the states it
     keeps in range makes a mask; a move at a random offset makes a rare row
-    once n passes 64.  Streams of up to 64 bytes, states that loop on every
-    class and always sets of up to n states build the masks of some
-    classes in about half the scans.
-    Offsets include 0, +-1, +-64 and +-(n - 1); rows may name a successor
-    twice, init may repeat states, and the data holds classes at and above
-    ``ncls``.
+    once n passes 64.  Offsets include 0, +-1, +-64 and +-(n - 1); rows may
+    name a successor twice, init may repeat states, and the data holds
+    classes at and above ``ncls``.  Streams of up to 64 bytes, states that
+    loop on every class and always sets of up to n states make about half
+    the scans busy enough to build the masks of a class.
     """
     sizes = [size for size in (1, 63, 64, 65, 128, 300) if size <= max_states]
     n = draw(st.one_of(st.sampled_from(sizes), st.integers(1, max_states)))
