@@ -40,9 +40,10 @@
    Only the span between the first and the last nonzero word of a set is
    walked, so a cycle with few active states costs little whatever n is.
    The per-cycle records read the active states off the set's bits in
-   ascending order.  The operation count stays the specification's: the
-   lengths of the rows of the states active before each byte, on its
-   class, plus the always states.
+   ascending order, so a cycle's reports come out in state order, each
+   label's at its smallest state, with no sort.  The operation count
+   stays the specification's: the lengths of the rows of the states
+   active before each byte, on its class, plus the always states.
 
    flip(natoms, labels, table) takes the dense table of n = len(labels)
    states over natoms atoms that subsets returns: table[s * natoms + i]
@@ -71,9 +72,8 @@
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <stdint.h>
-#include <stdlib.h>
 
-#define FORMAT 9
+#define FORMAT 10
 
 /* Buffer views, acquired in this order (DATA only for a scan, RULE_OF
    and RAW_START only with rules), with their names and item formats;
@@ -264,20 +264,11 @@ typedef struct {
     Py_ssize_t *seen;        /* per-rule or per-label stamps */
     Py_ssize_t *moving;      /* per-rule stamps of moving rules */
     Py_ssize_t *activation;  /* SUMMARY: cycles each state is active */
-    int32_t *best;           /* SUMMARY: smallest active state per label */
-    int32_t *hits;           /* SUMMARY: labels hit in this cycle */
     uint64_t *reporting;     /* SUMMARY: W words, the states with a label */
     unsigned long long work; /* the operation count so far */
     PyObject *ints;          /* SETS: the state ids as Python ints */
     PyObject *reports;       /* SUMMARY: the (cycle, state) list */
 } Scratch;
-
-static int
-compare_labels(const void *a, const void *b)
-{
-    int32_t x = *(const int32_t *)a, y = *(const int32_t *)b;
-    return (x > y) - (x < y);
-}
 
 /* One cycle's record of the active set, the bits of words lo..hi, in
    each mode: the set; its (active, moving) rule counts; or its active
@@ -303,7 +294,9 @@ record_set(Scratch *w, const uint64_t *bits, Py_ssize_t lo, Py_ssize_t hi)
     return set;
 }
 
-static PyObject *
+/* Not inlined into run: there, its loop moved with each edit to the
+   summary record, and once ran 7 % slower for it (gcc 12 -O3). */
+static __attribute__((noinline)) PyObject *
 record_rules(const Program *p, Scratch *w, const uint64_t *bits,
              Py_ssize_t lo, Py_ssize_t hi, const int32_t *rows,
              Py_ssize_t stride, Py_ssize_t stamp)
@@ -337,7 +330,7 @@ record_summary(const Program *p, Scratch *w, const uint64_t *bits,
                Py_ssize_t stride, Py_ssize_t t, Py_ssize_t stamp)
 {
     const int32_t *report = ITEMS(p, REPORT);
-    Py_ssize_t count = 0, nhits = 0;
+    Py_ssize_t count = 0;
     unsigned long long work = 0;
 
     for (Py_ssize_t i = lo; i <= hi; i++) {
@@ -348,28 +341,24 @@ record_summary(const Program *p, Scratch *w, const uint64_t *bits,
             work += row[1] - row[0];
             w->activation[s]++;
         }
-        /* in ascending order, a label's first state is its smallest */
+        /* in ascending order, a label's first state is its smallest, and
+           the reports come out in state order */
         for (uint64_t word = bits[i] & w->reporting[i]; word;
              word &= word - 1) {
             Py_ssize_t s = i * 64 + __builtin_ctzll(word);
             int32_t k = report[s];
             if (w->seen[k] != stamp) {
                 w->seen[k] = stamp;
-                w->best[k] = (int32_t)s;
-                w->hits[nhits++] = k;
+                PyObject *pair = Py_BuildValue("(nn)", t, s);
+                if (pair == NULL || PyList_Append(w->reports, pair) < 0) {
+                    Py_XDECREF(pair);
+                    return NULL;
+                }
+                Py_DECREF(pair);
             }
         }
     }
     w->work += work;
-    qsort(w->hits, nhits, sizeof *w->hits, compare_labels);
-    for (Py_ssize_t i = 0; i < nhits; i++) {
-        PyObject *pair = Py_BuildValue("(ni)", t, (int)w->best[w->hits[i]]);
-        if (pair == NULL || PyList_Append(w->reports, pair) < 0) {
-            Py_XDECREF(pair);
-            return NULL;
-        }
-        Py_DECREF(pair);
-    }
     return PyLong_FromSsize_t(count);
 }
 
@@ -445,8 +434,6 @@ scan(const Program *p, Mode mode)
         .seen = PyMem_Calloc(n + 1, sizeof *w.seen),
         .moving = PyMem_Calloc(n + 1, sizeof *w.moving),
         .activation = PyMem_Calloc(n + 1, sizeof *w.activation),
-        .best = PyMem_Calloc(n + 1, sizeof *w.best),
-        .hits = PyMem_Calloc(n + 1, sizeof *w.hits),
         .reporting = PyMem_Calloc(words + 1, sizeof *w.reporting),
         .ints = mode == SETS ? int_list(NULL, n) : NULL,
         .reports = mode == SUMMARY ? PyList_New(0) : NULL,
@@ -457,7 +444,7 @@ scan(const Program *p, Mode mode)
         || (mode == SUMMARY && w.reports == NULL))
         goto done;
     if (!sets || !every || !all || !cls || !w.seen || !w.moving
-        || !w.activation || !w.best || !w.hits || !w.reporting) {
+        || !w.activation || !w.reporting) {
         PyErr_NoMemory();
         goto done;
     }
@@ -561,8 +548,6 @@ done:
     PyMem_Free(w.seen);
     PyMem_Free(w.moving);
     PyMem_Free(w.activation);
-    PyMem_Free(w.best);
-    PyMem_Free(w.hits);
     PyMem_Free(w.reporting);
     Py_XDECREF(w.ints);
     Py_XDECREF(w.reports);
@@ -987,11 +972,11 @@ release(Program *p)
 }
 
 /* Check the arguments, scan in the given mode and release every view.
-   The scan's loops are inlined here.  An earlier step, with a branch on
-   each successor, ran 9 % slower on levenshtein-scan at 48 bytes past a
-   64-byte line; the bit-parallel step has not been timed off a line.
-   Aligning the function keeps edits elsewhere in this file from moving
-   it; gcc 12 at -O3 puts it at 0x4bc0 in the module. */
+   The scan's loops are inlined here, but for record_rules'.  An earlier
+   step, with a branch on each successor, ran 9 % slower on
+   levenshtein-scan at 48 bytes past a 64-byte line; the bit-parallel
+   step has not been timed off a line.  Aligning the function keeps edits
+   elsewhere in this file from moving it off a line. */
 __attribute__((aligned(64))) static PyObject *
 run(PyObject *program, PyObject *data, PyObject *rules, Mode mode)
 {

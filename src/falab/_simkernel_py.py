@@ -23,16 +23,16 @@ the subset walk determinizes it, and ``refine`` refines a flipped one):
   unlabeled last).
 
 Every state is in ``0..n-1`` and every ``report`` item in ``-1..n-1``.
-The input is a string of class indices, one per input byte; an index at
-or above ``ncls`` has no successors.  The operation count is the number
-of successors this module's step visits: per input byte, the length of
-each active state's row on the byte's class (the first byte's active
-states are ``init`` as it is, duplicates included), plus one per
-every-cycle state.  The compiled kernel steps whole 64-bit words of the
-active set by masked shifts once it has built a class's masks, and then
-visits no successor on its own, but it returns the same count, summed
-from the row lengths, so the count measures the scan's work however it
-is stepped.
+The input is a string of class indices, one per byte of any bytes-like
+object (a str raises TypeError); an index at or above ``ncls`` has no
+successors.  The operation count is the number of successors this
+module's step visits: per input byte, the length of each active state's
+row on the byte's class (the first byte's active states are ``init`` as
+it is, duplicates included), plus one per every-cycle state.  The
+compiled kernel steps whole 64-bit words of the active set by masked
+shifts once it has built a class's masks, and then visits no successor
+on its own, but it returns the same count, summed from the row lengths,
+so the count measures the scan's work however it is stepped.
 
 ``step_stream(program, data)`` returns ``((per_cycle_count, activation,
 reports), work)`` and builds no sets:
@@ -42,7 +42,7 @@ reports), work)`` and builds no sets:
 - ``activation[s]`` counts the cycles in which state ``s`` is active;
 - ``reports`` lists ``(cycle, state)`` pairs: per cycle, for each report
   label with an active accepting state, the smallest such state, in
-  label-index order;
+  ascending state order;
 - ``work`` is the operation count.
 
 Counting mode, ``step_stream(program, data, rules)``: ``rules`` is a pair
@@ -128,15 +128,15 @@ from __future__ import annotations
 
 from array import array
 from collections import deque
-from itertools import accumulate, chain, compress
+from itertools import accumulate, chain
 
-FORMAT = 9
+FORMAT = 10
 
 
 def _steps(program, data: bytes):
     """Yield each cycle's active set and the operations spent on it."""
     n, ncls, off, succ, active, always, report = program
-    for cls in data:
+    for cls in memoryview(data).cast("B"):
         nxt: set[int] = set()
         work = len(always)
         if cls < ncls:
@@ -172,7 +172,7 @@ def step_stream(program, data: bytes, rules=None):
             k = report[s]
             if k >= 0 and (k not in best or s < best[k]):
                 best[k] = s
-        reports.extend((t, best[k]) for k in sorted(best))
+        reports.extend((t, s) for s in sorted(best.values()))
     return (counts, activation, reports), total
 
 
@@ -267,7 +267,8 @@ def flip(natoms: int, labels, table) -> tuple:
     report[0] = 0
     return (n + 1, natoms, array("i", accumulate(map(len, rows), initial=0)),
             array("i", chain.from_iterable(rows)),
-            array("i", compress(range(n), labels)), array("i"), report)
+            array("i", [s for s in range(n) if labels[s] > 0]), array("i"),
+            report)
 
 
 def refine(program) -> array:

@@ -348,7 +348,8 @@ def render_trace(trace: SimulationTrace) -> str:
     """Line-delimited records: cycle, active count, report list.
 
     Reports are comma-joined ``state:pattern`` pairs with ``-`` for
-    unlabeled states; the third field is empty on report-free cycles.
+    unlabeled states, in the trace's order, ascending by state; the third
+    field is empty on report-free cycles.
     """
     by_cycle: dict[int, list[tuple[int, int | None]]] = {}
     for cycle, state, pid in trace.reports:
@@ -357,6 +358,6 @@ def render_trace(trace: SimulationTrace) -> str:
     for t, count in enumerate(trace.per_cycle_count):
         reports = ",".join(
             f"{state}:{'-' if pid is None else pid}"
-            for state, pid in sorted(by_cycle.get(t, ()), key=lambda r: r[0]))
+            for state, pid in by_cycle.get(t, ()))
         lines.append(f"{t}\t{count}\t{reports}")
     return "\n".join(lines) + ("\n" if lines else "")

@@ -211,6 +211,8 @@ def gen_mesh_patterns(kind: str, k: int, min_len: int, max_len: int,
         raise ValueError(f"unknown mesh kind {kind!r}")
     if not 1 <= min_len <= max_len:
         raise ValueError(f"bad length range {min_len}..{max_len}")
+    if not distances:
+        raise ValueError("the distance list is empty")
     alphabet = _alphabet_bytes(alphabet_size)
     rng = SplitMix64(seed)
     source_cls = HammingSource if kind == "hamming" else LevenshteinSource

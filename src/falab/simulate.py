@@ -64,9 +64,10 @@ class SimulationTrace:
 
     ``per_cycle_count[t]`` is the number of states active at cycle ``t``.
     ``reports`` holds (cycle, state, pattern_id) triples, one per pattern
-    per cycle: when several accept states of the same pattern are active
-    in a cycle, only the smallest state id is reported.  ``pattern_id``
-    comes from ``component_labels`` (None for unlabeled states).
+    per cycle, each cycle's in ascending state order: when several accept
+    states of the same pattern are active in a cycle, only the smallest
+    state id is reported.  ``pattern_id`` comes from ``component_labels``
+    (None for unlabeled states).
     ``per_state_activation_count`` counts recorded cycles only; the
     pre-input activation lives in ``initial_active``.
 
@@ -118,7 +119,7 @@ class Simulator:
         self._init = frozenset(self._program[4])
 
     def run(self, data: bytes) -> SimulationTrace:
-        classes = data.translate(self._table)
+        classes = memoryview(data).tobytes().translate(self._table)
         (counts, activation, reports), _ = transform._kernel.step_stream(
             self._program, classes)
         report = self._program[6]
@@ -136,7 +137,8 @@ class Simulator:
 
 
 def run(a: Automaton, data: bytes) -> SimulationTrace:
-    """Simulate ``a`` over ``data``; empty input gives a zero-cycle trace."""
+    """Simulate ``a`` over ``data``, any bytes-like object (a str raises
+    TypeError); empty input gives a zero-cycle trace."""
     return Simulator(a).run(data)
 
 
@@ -190,13 +192,15 @@ def active_rule_frequency(components: list[Automaton],
     """Count rules with >= 1 active state per input cycle.
 
     Components must carry distinct pattern ids (their start states count
-    as active states).  One scan of the rules' union gives every count: a
-    rule is active in a cycle when one of its states is.
+    as active states), and ``data`` may be any bytes-like object.  One
+    scan of the rules' union gives every count: a rule is active in a
+    cycle when one of its states is.
     """
     ids = [next(iter(c.component_labels.values())) if c.component_labels
            else index for index, c in enumerate(components)]
     if len(set(ids)) != len(ids):
         raise ValueError("components must carry distinct pattern ids")
+    data = memoryview(data).tobytes()
     if not components:
         return ActiveRuleStats((0,) * len(data), 0, 0, 0.0)
     sim, rules = _rule_program(components)

@@ -199,6 +199,11 @@ class TestMeshPatternSets:
         with pytest.raises(ValueError):
             gen_mesh_patterns("manhattan", 1, 2, 3, (1,), 4, seed=0)
 
+    @pytest.mark.parametrize("k", [0, 2])
+    def test_empty_distance_list_rejected(self, k):
+        with pytest.raises(ValueError, match="the distance list is empty"):
+            gen_mesh_patterns("levenshtein", k, 3, 3, (), 8, 1)
+
     def test_every_generated_pattern_compiles_valid(self):
         for kind in ("hamming", "levenshtein"):
             for p in gen_mesh_patterns(kind, 6, 2, 6, (1, 2), 4, seed=5):

@@ -87,8 +87,8 @@ def reference_summary(a: Automaton, data: bytes):
 
     Work counts, per cycle, each previously active state's closed
     successors on the byte plus the every-cycle states.  Reports keep the
-    smallest active accepting state per label, labels in order with
-    unlabeled last.
+    smallest active accepting state per label, each cycle's in ascending
+    state order.
     """
     sets = reference_active_sets(a, data)
     labels = a.component_labels or {}
@@ -102,8 +102,7 @@ def reference_summary(a: Automaton, data: bytes):
         best = {}
         for s in sorted(active & a.accepts):
             best.setdefault(labels.get(s), s)
-        reports.extend((t, best[pid], pid)
-                       for pid in sorted(best, key=lambda x: (x is None, x)))
+        reports.extend(sorted((t, s, pid) for pid, s in best.items()))
     activation = Counter(s for active in sets for s in active)
     return tuple(map(len, sets)), dict(activation), tuple(reports), work
 
@@ -123,6 +122,12 @@ def streams(seed: int, count: int = 4, length: int = 12) -> list[bytes]:
     rng = SplitMix64(seed ^ 0xDA7A)
     return [bytes(b"abcd"[rng.below(4)] for _ in range(length))
             for _ in range(count)]
+
+
+# The bytes-like objects a scan takes besides bytes.
+BYTES_LIKE = [pytest.param(bytearray, id="bytearray"),
+              pytest.param(memoryview, id="memoryview"),
+              pytest.param(lambda b: array("B", b), id="array")]
 
 
 def chain(kind: StartKind) -> Automaton:
@@ -252,6 +257,21 @@ def run_tests(kernel: str):
                           starts={0: SOD}, accepts=frozenset([1, 2]))
             assert run(a, b"a").reports == ((0, 1, None),)
 
+        @pytest.mark.parametrize("wrap", [pytest.param(bytes, id="bytes"),
+                                          *BYTES_LIKE])
+        def test_reports_come_in_state_order(self, wrap):
+            # Pattern 5's accepting state, 3, numbers below pattern 2's,
+            # 5, so each cycle's reports in state order are not in order
+            # of pattern id, nor of report label index.
+            a = merge_patterns([compile_regex("ab", ALL),
+                                compile_regex("b", ALL)], [5, 2])
+            assert run(a, wrap(b"xabab")).reports == (
+                (2, 3, 5), (2, 5, 2), (4, 3, 5), (4, 5, 2))
+
+        def test_str_input_is_refused(self):
+            with pytest.raises(TypeError, match="'str'"):
+                run(chain(SOD), "ab")
+
     return TestRun
 
 
@@ -363,6 +383,20 @@ def active_rule_tests(kernel: str):
             assert stats.per_cycle_rule_count == ()
             assert (stats.min_active, stats.max_active) == (0, 0)
             assert stats.start_only_fraction == 0.0
+
+        @pytest.mark.parametrize("wrap", BYTES_LIKE)
+        def test_any_bytes_like_input(self, wrap):
+            rules = connected_components(
+                merge_patterns(regex_rules(5, ALL), [7, 3, 5]))
+            data = streams(5)[0]
+            assert (active_rule_frequency(rules, wrap(data))
+                    == active_rule_frequency(rules, data))
+
+        @pytest.mark.parametrize("rules", [[], [chain(ALL)]],
+                                 ids=["no-rules", "one-rule"])
+        def test_str_input_is_refused(self, rules):
+            with pytest.raises(TypeError, match="'str'"):
+                active_rule_frequency(rules, "ab")
 
         def test_duplicate_pattern_ids_rejected(self):
             a = Automaton(state_count=1, starts={0: ALL},
@@ -604,12 +638,13 @@ class TestKernelParity:
 
     def test_every_byte_as_a_class(self, c_kernel):
         # Classes 0 and 255 with successors; data holds both.  Both
-        # states accept, state 1 with the lower label index.
+        # states accept, state 1 with the lower label index, and report in
+        # state order.
         program = flat_program([{0: (1,), 255: (0, 1)}, {255: (1,)}], [0], [],
                                [1, 0])
         assert program[1] == 256
         data = bytes([255, 255, 0, 7])
-        summary = (([2, 2, 1, 0], [2, 3], [(0, 1), (0, 0), (1, 1), (1, 0),
+        summary = (([2, 2, 1, 0], [2, 3], [(0, 0), (0, 1), (1, 0), (1, 1),
                                            (2, 1)]), 6)
         assert c_kernel.step_stream(program, data) == summary
         assert _simkernel_py.step_stream(program, data) == summary
@@ -620,6 +655,21 @@ class TestKernelParity:
         sets = [{0, 1}, {0, 1}, {1}, set()]
         assert c_kernel.active_sets(program, data) == sets
         assert _simkernel_py.active_sets(program, data) == sets
+
+    @pytest.mark.parametrize("n", [3, 64, 130])
+    def test_reports_in_state_order_as_labels_descend(self, c_kernel, n):
+        # Every state loops on class 0 and starts active; states 2j and
+        # 2j + 1 share label (n - 1) // 2 - j, so the labels descend as the
+        # states rise, across one, two or three 64-bit words.  Class 1
+        # empties the set.
+        report = [(n - 1 - s) // 2 for s in range(n)]
+        program = flat_program([{0: (s,)} for s in range(n)], range(n), [],
+                               report)
+        data = bytes([0, 0, 1, 0])
+        firsts = [s for s in range(n) if s == 0 or report[s] != report[s - 1]]
+        got = c_kernel.step_stream(program, data)
+        assert got == _simkernel_py.step_stream(program, data)
+        assert got[0][2] == [(t, s) for t in (0, 1) for s in firsts]
 
     @pytest.mark.parametrize("init", [[1], [1, 1, 3, 3, 3, 1, 3]],
                              ids=["one", "longer-than-n"])
@@ -676,7 +726,8 @@ class TestKernelParity:
                       component_labels={0: 9, 1: 4, 3: 9})
         sim = Simulator(a)
         assert list(sim._program[6]) == [1, 0, 2, 1]
-        assert sim.run(b"x").reports == ((0, 1, 4), (0, 0, 9), (0, 2, None))
+        # the reports come in state order, not label order
+        assert sim.run(b"x").reports == ((0, 0, 9), (0, 1, 4), (0, 2, None))
 
     def test_available_and_default_kernels(self):
         compiled = transform._simkernel is not None
@@ -739,6 +790,28 @@ def test_compiled_kernel_of_the_same_format_is_used():
         "('c', 'python') falab._simkernel"]
 
 
+@pytest.mark.parametrize("wrap", BYTES_LIKE)
+def test_kernels_take_any_bytes_like_data(kernel, wrap):
+    program = flat_program([{0: (1,), 1: (0, 1)}, {1: (1,)}], [0], [], [1, 0])
+    data = bytes([1, 1, 0, 7])
+    for mode in (None, (array("i", [0, 1]), b"\x01\x00")):
+        assert (kernel.step_stream(program, wrap(data), mode)
+                == _simkernel_py.step_stream(program, data, mode))
+    assert (kernel.active_sets(program, wrap(data))
+            == _simkernel_py.active_sets(program, data))
+
+
+@pytest.mark.parametrize("data", ["", "ab"], ids=["empty", "two"])
+def test_kernels_refuse_str_data(kernel, data):
+    program = flat_program([{0: (1,)}, {}], [0], [])
+    for call in (lambda: kernel.step_stream(program, data),
+                 lambda: kernel.step_stream(program, data,
+                                            (ints(0, 0), b"\x00\x00")),
+                 lambda: kernel.active_sets(program, data)):
+        with pytest.raises(TypeError, match="'str'"):
+            call()
+
+
 def ints(*items):
     return array("i", items)
 
@@ -789,17 +862,20 @@ SCAN_ARRAYS = ("off", "succ", "init", "always", "report", "rule_of",
                "raw_start")
 
 
-@st.composite
-def malformed_scans(draw):
-    """A small scan from ``word_programs``, as ``(program, data, rules)``,
-    with one fault planted: an array of the wrong length, an id out of
-    range, decreasing offsets, an array of other items, a wrong n or ncls,
-    or a program or rules tuple of the wrong size."""
-    (n, ncls, *items), data, rules = draw(word_programs(max_states=70))
-    arrays = dict(zip(SCAN_ARRAYS, [*items, *rules]))
-    fault = draw(st.sampled_from(["length", "id", "off", "items", "size",
-                                  "arity"]))
-    name = draw(st.sampled_from(SCAN_ARRAYS))
+# The faults that plant puts in a program's arrays, or in n and ncls;
+# "arity" is the caller's.
+FAULTS = ("length", "id", "off", "items", "size", "arity")
+
+
+def plant(draw, n: int, ncls: int, arrays: dict, ids, faults=FAULTS):
+    """Plant one of ``faults`` in ``arrays``, a dict of ``array('i')`` or
+    ``bytes`` by name, changed in place, or in ``n`` and ``ncls``: an array
+    of the wrong length, an item replaced by one of ``ids``, decreasing
+    ``off``, an array of other items, or n or ncls one off.  Return
+    ``(fault, n, ncls)``; a fault that this does not know is left to the
+    caller."""
+    fault = draw(st.sampled_from(faults))
+    name = draw(st.sampled_from(list(arrays)))
     values = list(arrays[name])
     where = draw(st.integers(0, len(values)))
     if fault == "length":
@@ -808,13 +884,12 @@ def malformed_scans(draw):
         else:
             values.insert(where, draw(st.integers(-1, n)))
     elif fault == "id" and values:
-        values[min(where, len(values) - 1)] = draw(st.sampled_from(
-            [-2**31, -2, -1, n, n + 1, 2**31 - 1]))
+        values[min(where, len(values) - 1)] = draw(st.sampled_from(ids))
     elif fault == "off" and len(arrays["off"]) > 1:
         name, values = "off", list(arrays["off"])
         k = draw(st.integers(1, len(values) - 1))
         values[k] = values[k - 1] - draw(st.integers(1, 3))
-    if name == "raw_start":
+    if isinstance(arrays[name], bytes):
         arrays[name] = bytes(v % 256 for v in values)
     else:
         arrays[name] = array("i", values)
@@ -828,6 +903,19 @@ def malformed_scans(draw):
         n, ncls = ((n + draw(st.sampled_from([-1, 1])), ncls)
                    if draw(st.booleans())
                    else (n, ncls + draw(st.sampled_from([-1, 1]))))
+    return fault, n, ncls
+
+
+@st.composite
+def malformed_scans(draw):
+    """A small scan from ``word_programs``, as ``(program, data, rules)``,
+    with one fault planted: an array of the wrong length, an id out of
+    range, decreasing offsets, an array of other items, a wrong n or ncls,
+    or a program or rules tuple of the wrong size."""
+    (n, ncls, *items), data, rules = draw(word_programs(max_states=70))
+    arrays = dict(zip(SCAN_ARRAYS, [*items, *rules]))
+    fault, n, ncls = plant(draw, n, ncls, arrays,
+                           [-2**31, -2, -1, n, n + 1, 2**31 - 1])
     program = (n, ncls, *(arrays[name] for name in SCAN_ARRAYS[:5]))
     rules = (arrays["rule_of"], arrays["raw_start"])
     if fault == "arity":
@@ -838,8 +926,67 @@ def malformed_scans(draw):
     return program, data, rules
 
 
-def scan_outcome(call):
-    """What a scan call returns, or the TypeError, ValueError or
+@st.composite
+def malformed_walks(draw):
+    """A call of ``subsets``, ``flip`` or ``refine``, as ``(name, args)``,
+    with one fault planted.
+
+    ``subsets`` walks a program from ``word_programs`` of up to 8 states
+    with a cap of 1 to 64, ``flip`` flips a table of up to 8 states over
+    up to 3 atoms, and ``refine`` refines that table's flipped program.
+    The faults are ``plant``'s in the programs, and a program of the wrong
+    size or type; a cap of 0, a negative cap, a cap that is not an int, or
+    one beyond Py_ssize_t (which lets the walk run to its end); and, for
+    ``flip``, a table of the wrong length, targets outside -1..n-1, labels
+    below 0, arrays of other items, a wrong natoms, and empty labels.  No
+    id is 2**31 - 1, for which the Python walk would build an int of 2**31
+    bits."""
+    name = draw(st.sampled_from(["subsets", "flip", "refine"]))
+    if name == "subsets":
+        program = draw(word_programs(max_states=8))[0]
+        n, ncls, *items = program
+        ids = [-2**31, -2, -1, n, n + 1, n + 64]
+        cap = draw(st.integers(1, 64))
+        fault = draw(st.sampled_from(["program", "cap"]))
+        if fault == "cap":
+            cap = draw(st.sampled_from([0, -1, -2**70, "3", 2.5, None, True,
+                                        2**63 - 1, 2**63, 2**70]))
+            return name, (program, cap)
+    else:
+        n = draw(st.integers(1, 8))
+        natoms = draw(st.integers(0, 3))
+        labels = array("i", draw(st.lists(st.integers(0, 2), min_size=n,
+                                          max_size=n)))
+        table = array("i", draw(st.lists(st.integers(-1, n - 1),
+                                         min_size=n * natoms,
+                                         max_size=n * natoms)))
+        ids = [-2**31, -2, n, n + 1, n + 64]
+        if name == "flip":
+            arrays = {"labels": labels, "table": table}
+            fault, _, natoms = plant(draw, n, natoms, arrays, ids,
+                                     ("length", "id", "items", "natoms",
+                                      "empty"))
+            if fault == "natoms":
+                # not 2**70: the Python flip would build that many columns
+                natoms = draw(st.sampled_from([natoms - 1, natoms + 1, -1,
+                                               257, "1", None]))
+            elif fault == "empty":
+                arrays["labels"] = ints()
+                arrays["table"] = draw(st.sampled_from([ints(), table]))
+            return name, (natoms, arrays["labels"], arrays["table"])
+        program = _simkernel_py.flip(natoms, labels, table)
+        n, ncls, *items = program
+    arrays = dict(zip(SCAN_ARRAYS[:5], items))
+    fault, n, ncls = plant(draw, n, ncls, arrays, ids)
+    program = (n, ncls, *arrays.values())
+    if fault == "arity":  # cut short, an item too many, or a list
+        program = draw(st.sampled_from([program[:draw(st.integers(0, 6))],
+                                        program + (ints(),), list(program)]))
+    return name, (program, cap) if name == "subsets" else (program,)
+
+
+def outcome(call):
+    """What a kernel call returns, or the TypeError, ValueError or
     IndexError it raises."""
     try:
         return call()
@@ -859,9 +1006,21 @@ def test_malformed_scans_raise_or_match_python(kernel, case):
              lambda k: k.step_stream(program, data, rules),
              lambda k: k.active_sets(program, data))
     for call in calls:
-        got = scan_outcome(lambda: call(kernel))
+        got = outcome(lambda: call(kernel))
         if not isinstance(got, Exception):
-            assert got == scan_outcome(lambda: call(_simkernel_py))
+            assert got == outcome(lambda: call(_simkernel_py))
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(malformed_walks())
+def test_malformed_walks_raise_or_match_python(kernel, case):
+    # As for the scans: subsets, flip and refine raise one of the three
+    # errors or return what the Python kernel returns.
+    name, args = case
+    got = outcome(lambda: getattr(kernel, name)(*args))
+    if not isinstance(got, Exception):
+        assert got == outcome(lambda: getattr(_simkernel_py, name)(*args))
 
 
 class TestCompiledKernelErrors:
