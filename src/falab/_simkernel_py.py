@@ -23,8 +23,9 @@ the subset walk determinizes it, and ``refine`` refines a flipped one):
   unlabeled last).
 
 Every state is in ``0..n-1`` and every ``report`` item in ``-1..n-1``.
-The input is a string of class indices, one per byte of any bytes-like
-object (a str raises TypeError); an index at or above ``ncls`` has no
+The input is a string of class indices, one per byte of any C-contiguous
+bytes-like object (a str raises TypeError, and a strided view such as
+``memoryview(b)[::2]`` BufferError); an index at or above ``ncls`` has no
 successors.  The operation count is the number of successors this
 module's step visits: per input byte, the length of each active state's
 row on the byte's class (the first byte's active states are ``init`` as
@@ -136,7 +137,10 @@ FORMAT = 10
 def _steps(program, data: bytes):
     """Yield each cycle's active set and the operations spent on it."""
     n, ncls, off, succ, active, always, report = program
-    for cls in memoryview(data).cast("B"):
+    view = memoryview(data)
+    if not view.c_contiguous:  # as PyObject_GetBuffer refuses it
+        raise BufferError("memoryview: underlying buffer is not C-contiguous")
+    for cls in view.cast("B"):
         nxt: set[int] = set()
         work = len(always)
         if cls < ncls:

@@ -144,15 +144,9 @@ def _cmd_determinize(args) -> int:
 
 
 def _cmd_minimize(args) -> int:
-    if args.minimizer == "hopcroft" and args.cap is not None:
-        raise UsageError("--cap needs --minimizer brzozowski: Hopcroft "
-                         "walks the DFA it is given")
-    a = _load_valid(args.automaton)
-    if args.minimizer == "brzozowski":
-        b = minimize_brzozowski(a, args.cap or DEFAULT_STATE_CAP)
-    else:
-        b = minimize_hopcroft(a)
-    _write_automaton(b, args.out)
+    minimize = (minimize_brzozowski if args.minimizer == "brzozowski"
+                else minimize_hopcroft)
+    _write_automaton(minimize(_load_valid(args.automaton), args.cap), args.out)
     return 0
 
 
@@ -232,9 +226,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def cap_flag(p):
+    def cap_flag(p, help="determinization state cap"):
         p.add_argument("--cap", type=_positive_int, default=DEFAULT_STATE_CAP,
-                       help="determinization state cap")
+                       help=help)
 
     p = sub.add_parser("compile", help="compile a pattern to an NFA document")
     group = p.add_mutually_exclusive_group(required=True)
@@ -285,8 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("automaton")
     p.add_argument("--minimizer", choices=["brzozowski", "hopcroft"],
                    default="brzozowski")
-    p.add_argument("--cap", type=_positive_int,
-                   help="Brzozowski's determinization state cap")
+    cap_flag(p, "state cap of the minimizer's subset walks (either "
+                "minimizer takes any automaton and this cap)")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_minimize)
 

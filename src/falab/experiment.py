@@ -206,10 +206,8 @@ def _run_pipeline(key: int, nfa_raw: Automaton,
         flipped = _flip(atoms, labels, table)
         mdfa = (atoms, *_walk(_flip(atoms, *_walk(flipped, cap)), cap))
         # Hopcroft's cross-check refines it (``_refine`` is read off its
-        # module at each call).  The live blocks are all but the dead
-        # state's, as many as the highest block number, and 1 for the
-        # empty language.
-        hop_states = max(max(transform._refine(flipped)), 1)
+        # module at each call) and counts the live blocks.
+        hop_states = transform._live_blocks(transform._refine(flipped))
         t4 = time.perf_counter()
         mdfa_states = len(mdfa[1])
         mdfa_max_fanout = _max_fanout(len(atoms), mdfa[2])

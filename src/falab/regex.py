@@ -4,10 +4,19 @@ Supported syntax: literal bytes, escapes (``\\xHH``, ``\\n``, ``\\r``,
 ``\\t``, ``\\0``, and escaped metacharacters), ``.`` (any byte),
 character classes ``[...]`` / ``[^...]`` with ranges, concatenation,
 alternation ``|``, ``*``, ``+``, ``?``, and counted repetition ``{n}`` /
-``{n,m}`` with bounds capped at 4096 (expanded by duplication, no counter
-states).  Matching is anchored: the automaton's language is exactly the
-set of full matches; unanchored scanning is expressed by the caller with
-an ALL_INPUT start kind or an explicit ``.*`` prefix.
+``{n,m}`` with bounds capped at ``MAX_REPEAT`` (expanded by duplication,
+no counter states).  Matching is anchored: the automaton's language is
+exactly the set of full matches; unanchored scanning is expressed by the
+caller with an ALL_INPUT start kind or an explicit ``.*`` prefix.
+
+Two more bounds keep a short pattern from asking for unbounded work.
+Groups nest at most ``MAX_NESTING`` deep, as the parser recurses on
+each.  A pattern, and each part of it, expands to at most ``MAX_STATES``
+NFA states, as nested counted repeats multiply (``((a{16}){16}){16}`` is
+8,192 states); the parser counts each node's states as it goes.  A
+:class:`RegexParseError` names the ``(`` that passes the first bound,
+and the quantifier (or, in a concatenation or alternation, the part)
+that passes the second.
 
 The module also provides :func:`reference_match`, a direct backtracking
 matcher over the parse tree, used as an independent semantics reference
@@ -20,7 +29,9 @@ from dataclasses import dataclass
 
 from .core import ALPHABET_SIZE, Automaton, StartKind, SymbolClass
 
-MAX_REPEAT = 4096
+MAX_REPEAT = 4096  # the largest bound of a counted repeat
+MAX_NESTING = 100  # the deepest nesting of groups
+MAX_STATES = 1 << 16  # the most NFA states a pattern compiles to
 
 _METACHARS = set("()[]{}|*+?.\\")
 _ESCAPE_NAMES = {"n": 0x0A, "r": 0x0D, "t": 0x09, "0": 0x00}
@@ -64,6 +75,7 @@ class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0  # groups open at pos
 
     def error(self, message: str) -> RegexParseError:
         return RegexParseError(message, self.pos)
@@ -77,45 +89,61 @@ class _Parser:
         return ch
 
     def parse(self):
-        node = self.parse_alt()
+        node, _ = self.parse_alt()
         if self.pos != len(self.text):
             raise self.error(f"unexpected {self.text[self.pos]!r}")
         return node
 
+    # Each parse_* method below returns its node and the number of states
+    # that _Builder gives it.
+
+    def grown(self, size: int, position: int) -> int:
+        """``size``, unless it passes MAX_STATES: then a RegexParseError at
+        ``position``, where the part or quantifier that passed it starts."""
+        if size > MAX_STATES:
+            raise RegexParseError(
+                f"pattern expands to more than {MAX_STATES} states", position)
+        return size
+
     def parse_alt(self):
-        options = [self.parse_concat()]
+        node, size = self.parse_concat()
+        options, total = [node], size + 2  # an entry and an exit state
         while self.peek() == "|":
             self.take()
-            options.append(self.parse_concat())
+            start = self.pos
+            node, part = self.parse_concat()
+            options.append(node)
+            total = self.grown(total + part, start)
         if len(options) == 1:
-            return options[0]
-        return Alt(tuple(options))
+            return node, size
+        return Alt(tuple(options)), total
 
     def parse_concat(self):
-        parts = []
+        parts, total = [], 0
         while self.peek() not in (None, "|", ")"):
-            parts.append(self.parse_repeat())
+            start = self.pos
+            node, size = self.parse_repeat()
+            parts.append(node)
+            total = self.grown(total + size, start)
         if len(parts) == 1:
-            return parts[0]
-        return Concat(tuple(parts))
+            return parts[0], total
+        return Concat(tuple(parts)), total or 1  # empty: one state
 
     def parse_repeat(self):
-        node = self.parse_atom()
+        node, size = self.parse_atom()
         while True:
-            ch = self.peek()
-            if ch == "*":
+            start, ch = self.pos, self.peek()
+            if ch in ("*", "+", "?"):
                 self.take()
-                node = Repeat(node, 0, None)
-            elif ch == "+":
-                self.take()
-                node = Repeat(node, 1, None)
-            elif ch == "?":
-                self.take()
-                node = Repeat(node, 0, 1)
+                lo, hi = {"*": (0, None), "+": (1, None), "?": (0, 1)}[ch]
             elif ch == "{":
-                node = Repeat(node, *self.parse_counts())
+                lo, hi = self.parse_counts()
             else:
-                return node
+                return node, size
+            node = Repeat(node, lo, hi)
+            size = self.grown(size + 2 if hi is None else
+                              lo * size + (hi - lo) * (size + 1) + (lo == 0),
+                              start)
             # reject stacked quantifiers such as "a**"
             if self.peek() in ("*", "+", "?", "{"):
                 raise self.error("quantifier follows quantifier")
@@ -149,12 +177,16 @@ class _Parser:
         if ch is None:
             raise self.error("unexpected end of pattern")
         if ch == "(":
+            if self.depth == MAX_NESTING:
+                raise self.error(f"groups nested deeper than {MAX_NESTING}")
             self.take()
-            node = self.parse_alt()
+            self.depth += 1
+            inner = self.parse_alt()
+            self.depth -= 1
             if self.peek() != ")":
                 raise self.error("unbalanced '('")
             self.take()
-            return node
+            return inner
         if ch == ")":
             raise self.error("unbalanced ')'")
         if ch in "*+?":
@@ -163,15 +195,15 @@ class _Parser:
             raise self.error(f"unexpected {ch!r}")
         if ch == ".":
             self.take()
-            return Chars(SymbolClass.full())
+            return Chars(SymbolClass.full()), 2
         if ch == "[":
-            return Chars(self.parse_class())
+            return Chars(self.parse_class()), 2
         if ch == "\\":
-            return Chars(SymbolClass.of([self.parse_escape()]))
+            return Chars(SymbolClass.of([self.parse_escape()])), 2
         if ord(ch) > 0xFF:
             raise self.error(f"non-byte character {ch!r}")
         self.take()
-        return Chars(SymbolClass.of([ord(ch)]))
+        return Chars(SymbolClass.of([ord(ch)])), 2
 
     def parse_escape(self) -> int:
         self.take()  # backslash

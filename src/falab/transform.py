@@ -19,18 +19,18 @@ table: ``determinize`` builds its ``Automaton`` from it, and ``equivalent``
 reads a shortest separating word off its joint walk's table
 (:func:`_witness`).  One reversal, the kernel's ``flip``
 (:func:`_flip`), turns a walked table into the program of its reversal,
-completed with a dead state, and serves both minimizers: Brzozowski's
-next walk runs on it, and the one Hopcroft refinement (``_refine``)
-refines it, whether it is the flipped walk of an NFA (the report
-pipeline's cross-check, on the same table that Brzozowski walks) or of
-a DFA (``minimize_hopcroft``, to which that walk is the DFA trimmed and
-renumbered breadth-first).  The scan, the walk, the flip and the
-refinement all run in the kernel this module loads: the compiled
-``_simkernel`` when the extension was built (``python setup.py
-build_ext --inplace``) for the same program ``FORMAT``, and otherwise
-``_simkernel_py``, whose plain-Python loops are the specification both
-follow; a compiled module of another format is ignored with a
-``RuntimeWarning``.
+completed with a dead state, and serves both minimizers, which share
+one contract: each takes any automaton and a cap on its walks, and
+returns the minimal DFA.  Brzozowski's next walk runs on the flip, and
+the one Hopcroft refinement (``_refine``) refines it: ``_quotient``
+merges its blocks into the minimal DFA's table, and ``_live_blocks``
+counts them (the report pipeline's cross-check refines the flip that its
+Brzozowski walks).  The scan, the walk, the flip and the refinement all
+run in the kernel this module loads: the compiled ``_simkernel`` when
+the extension was built (``python setup.py build_ext --inplace``) for
+the same program ``FORMAT``, and otherwise ``_simkernel_py``, whose
+plain-Python loops are the specification both follow; a compiled module
+of another format is ignored with a ``RuntimeWarning``.
 
 Deterministic automata here are partial: a missing transition means
 rejection, and the implicit dead state is never materialized or counted.
@@ -403,45 +403,52 @@ def _refine(program: tuple) -> list[int]:
     return _kernel.refine(program).tolist()
 
 
-def minimize_hopcroft(a: Automaton) -> Automaton:
-    """Partition-refinement minimization of a DFA.
+def _live_blocks(block_of: list[int]) -> int:
+    """The state count of the minimal DFA whose :func:`_refine` blocks
+    these are.  Blocks are numbered in order of their smallest member, so
+    the start's is 0, and the dead state is last; its block is no state,
+    so the live blocks are as many as the highest block number.  In the
+    empty language that block holds the start too, and is the lone one."""
+    return max(max(block_of), 1)
 
-    The input must be deterministic (determinize first).  Its subset walk
-    (:func:`_subsets`, every subset a single state) is the DFA trimmed to
-    its reachable states and renumbered breadth-first, as
-    :func:`determinize` numbers its output, over the atoms of its edge
+
+def _quotient(atoms: list[int], labels, table: array,
+              block_of: list[int]) -> tuple[list, array]:
+    """The minimal DFA of a walked table, given the :func:`_refine` blocks
+    of its :func:`_flip`: ``(labels, table)``, laid out as :func:`_subsets`
+    returns them, with one state per live block (:func:`_live_blocks`),
+    numbered by its smallest walked member.  The empty language gives a
+    lone state with no moves."""
+    natoms, dead = len(atoms), block_of[-1]
+    # Live block b is state b - (b > dead): state k is block k + (k >=
+    # dead), or block 0, the dead one, in the empty language.  A reversed
+    # pass leaves each block its smallest member.
+    first = dict(zip(reversed(block_of), range(len(block_of) - 1, -1, -1)))
+    reps = [first[k + (0 < dead <= k)] for k in range(_live_blocks(block_of))]
+    # -1 targets read block_of[-1], the dead state's block, too
+    state = [-1 if b == dead else b - (b > dead) for b in block_of]
+    rows = (table[rep * natoms:(rep + 1) * natoms] for rep in reps)
+    return ([labels[rep] for rep in reps],
+            array("i", [state[t] for row in rows for t in row]))
+
+
+def minimize_hopcroft(a: Automaton, cap: int = DEFAULT_STATE_CAP) -> Automaton:
+    """Partition-refinement minimization of any automaton, on
+    :func:`minimize_brzozowski`'s contract: the minimal DFA, or
+    :class:`CapExceededError` when the walk passes ``cap``.
+
+    The subset walk (:func:`_subsets`) determinizes ``a``; of a DFA it is
+    the DFA trimmed to its reachable states and renumbered breadth-first,
+    as :func:`determinize` numbers its output, over the atoms of its edge
     classes (bytes no edge reads lead only to the dead state and split
-    nothing); :func:`_refine` refines that table, flipped.  So the output
-    does not depend on the input's numbering, and a :func:`determinize`
-    output is walked unchanged.  States indistinguishable from the dead
-    state are dropped, so counts match :func:`minimize_brzozowski`;
-    output states are the blocks, numbered in order of their smallest
-    walked member.
+    nothing).  :func:`_refine` refines that table, flipped, and
+    :func:`_quotient` merges its blocks, so the output does not depend on
+    the input's numbering, and is isomorphic to
+    :func:`minimize_brzozowski`'s.
     """
-    if not is_deterministic(a):
-        raise ValueError("minimize_hopcroft requires a deterministic automaton")
-    atoms, labels, table = _subsets(a, a.state_count)
-    natoms = len(atoms)
-    block_of = _refine(_flip(atoms, labels, table))
-    dead = block_of[-1]
-    if block_of[0] == dead:
-        # empty language: a lone start state, no edges, no accepts
-        return Automaton(state_count=1, starts={0: StartKind.START_OF_DATA})
-    # Blocks are numbered in order of their smallest member: a state is
-    # its block's smallest member when its block is the next new one.
-    reps, seen = [], 0  # the smallest member of each live block
-    for s, b in enumerate(block_of):
-        if b == seen:
-            seen += 1
-            if b != dead:
-                reps.append(s)
-    # live block b is output state b - (b > dead); -1 targets reach dead
-    quotient = array("i")
-    for rep in reps:
-        quotient.extend(-1 if b == dead else b - (b > dead) for b in
-                        map(block_of.__getitem__,
-                            table[rep * natoms:(rep + 1) * natoms]))
-    return _table_automaton(atoms, [labels[rep] for rep in reps], quotient)
+    atoms, labels, table = _subsets(a, cap)
+    return _table_automaton(atoms, *_quotient(
+        atoms, labels, table, _refine(_flip(atoms, labels, table))))
 
 
 # ---------------------------------------------------------------------------

@@ -53,6 +53,11 @@ def random_regex(rng: SplitMix64, depth: int, alphabet_size: int) -> str:
     return inner + f"{{{lo},{lo + rng.below(3)}}}"
 
 
+def nested_groups(depth: int) -> str:
+    """``a`` inside ``depth`` nested groups."""
+    return "(" * depth + "a" + ")" * depth
+
+
 def regex_corpus(count: int, seed: int, depth: int = 4,
                  max_alphabet: int = 8) -> list[str]:
     rng = SplitMix64(seed)

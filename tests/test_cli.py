@@ -12,13 +12,16 @@ import json
 import pytest
 
 from falab.cli import main
-from falab.core import Automaton, StartKind, SymbolClass
-from falab.documents import PatternSet, save_automaton, save_pattern_set
+from falab.core import (Automaton, StartKind, SymbolClass, is_deterministic,
+                        isomorphic)
+from falab.documents import (PatternSet, load_automaton, save_automaton,
+                             save_pattern_set)
 from falab.generators import Pattern, RegexSource, gen_dotstar
-from falab.regex import compile_regex
+from falab.regex import MAX_NESTING, compile_regex
 from falab.transform import accepts, determinize
 
 from conftest import cli_with_python_kernel
+from corpus import nested_groups
 
 SOD = StartKind.START_OF_DATA
 
@@ -108,10 +111,11 @@ CASES = [
                   "{out}"], 2),
     ("generate", ["dotstar", "--seed", "1", "--count", "0", "--out",
                   "{out}"], 2),
-    # --cap bounds Brzozowski's walks; Hopcroft's walk is one DFA's.
-    ("minimize", ["{dfa}", "--minimizer", "hopcroft", "--cap", "1"], 2),
+    # --cap bounds either minimizer's walks.
+    ("minimize", ["{dfa}", "--minimizer", "hopcroft", "--cap", "1"], 1),
     ("minimize", ["{dfa}", "--minimizer", "hopcroft"], 0),
     ("minimize", ["{dfa}", "--minimizer", "brzozowski", "--cap", "1"], 1),
+    ("minimize", ["{dfa}", "--minimizer", "hopcroft", "--cap", "0"], 2),
 ]
 
 
@@ -197,6 +201,41 @@ def test_merge_names_the_bad_file_only(paths, capsys, content, message):
     err = capsys.readouterr().err
     assert err.startswith(f"falab: error: {bad}: {message}")
     assert "ab.json" not in err
+
+
+@pytest.mark.parametrize("depth", [MAX_NESTING, MAX_NESTING + 1, 5000])
+def test_compile_refuses_groups_nested_too_deep(capsys, depth):
+    code = main(["compile", "--regex", nested_groups(depth), "--start-kind",
+                 "start-of-data"])
+    err = capsys.readouterr().err
+    if depth == MAX_NESTING:
+        assert (code, err) == (0, "")
+    else:
+        assert (code, err) == (1, f"falab: error: groups nested deeper than "
+                                  f"{MAX_NESTING} at position {MAX_NESTING}\n")
+
+
+def test_hopcroft_cap_bounds_its_walk(paths, capsys):
+    argv = ["minimize", paths["dfa"], "--minimizer", "hopcroft", "--cap", "1"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        "falab: error: determinization exceeded the state cap (1); raise the "
+        "cap to proceed\n")
+
+
+def test_hopcroft_minimizes_an_nfa_document(tmp_path, capsys):
+    nfa = compile_regex("(a|ab)*b[ab]", SOD)
+    assert not is_deterministic(nfa)
+    save_automaton(nfa, str(tmp_path / "nfa.json"))
+    minimal = {}
+    for minimizer in ("brzozowski", "hopcroft"):
+        out = str(tmp_path / f"{minimizer}.json")
+        assert main(["minimize", str(tmp_path / "nfa.json"), "--minimizer",
+                     minimizer, "--out", out]) == 0
+        minimal[minimizer] = load_automaton(out)
+    assert capsys.readouterr().err == ""
+    assert minimal["hopcroft"].state_count > 1
+    assert isomorphic(minimal["hopcroft"], minimal["brzozowski"])
 
 
 def test_inverted_length_range_names_both_lengths(paths, capsys):

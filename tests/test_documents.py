@@ -17,7 +17,9 @@ from falab.experiment import emit_report
 from falab.generators import (DotStarSource, HammingSource,
                               LevenshteinSource, Pattern, RandomRecipe,
                               RegexSource)
-from falab.regex import escape_literal
+from falab.regex import MAX_NESTING, escape_literal
+
+from corpus import nested_groups
 
 
 class TestWriteTextAtomic:
@@ -388,6 +390,24 @@ class TestDocumentErrors:
                 edited(PATTERN_SET, f"/patterns/3/{field}", True))
         assert exc.value.path == f"/patterns/3/{field}"
         assert exc.value.message == "expected a number"
+
+    @pytest.mark.parametrize("depth", [MAX_NESTING, MAX_NESTING + 1, 5000])
+    def test_regex_groups_nested_too_deep(self, tmp_path, depth):
+        # As falab report-per-pattern loads it: the entry is refused with
+        # its path, not with a RecursionError.
+        file = tmp_path / "deep.json"
+        file.write_text(json.dumps(edited(PATTERN_SET, "/patterns/0/text",
+                                          nested_groups(depth))))
+        if depth == MAX_NESTING:
+            ps = load_pattern_set(str(file))
+            assert ps.patterns[0].source.text == nested_groups(depth)
+            return
+        with pytest.raises(DocumentError) as exc:
+            load_pattern_set(str(file))
+        assert exc.value.path == "/patterns/0"
+        assert exc.value.message == (f"groups nested deeper than "
+                                     f"{MAX_NESTING} at position "
+                                     f"{MAX_NESTING}")
 
     def test_the_fixtures_themselves_load(self):
         assert automaton_from_document(AUTOMATON).state_count == 2

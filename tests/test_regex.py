@@ -4,12 +4,13 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from corpus import random_regex
+from corpus import nested_groups, random_regex
+from falab import regex
 from falab.core import StartKind
 from falab.generators import SplitMix64
-from falab.regex import (RegexParseError, compile_regex, escape_literal,
-                         parse_class_string, reference_match,
-                         render_class_string)
+from falab.regex import (MAX_NESTING, MAX_STATES, RegexParseError,
+                         compile_regex, escape_literal, parse_class_string,
+                         parse_regex, reference_match, render_class_string)
 from falab.transform import accepts
 
 
@@ -103,6 +104,57 @@ class TestParseErrors:
     def test_unbounded_counted_form_unsupported(self):
         with pytest.raises(RegexParseError):
             compile_regex("a{2,}")
+
+    @pytest.mark.parametrize("depth", [MAX_NESTING, MAX_NESTING + 1, 5000])
+    def test_nesting_bound(self, depth):
+        if depth == MAX_NESTING:
+            assert accepts(compile_regex(nested_groups(depth)), b"a")
+            return
+        # The first group too deep is refused before the parser recurses
+        # into it.
+        with pytest.raises(RegexParseError,
+                           match=f"groups nested deeper than {MAX_NESTING} "
+                                 f"at position {MAX_NESTING}$") as err:
+            compile_regex(nested_groups(depth))
+        assert err.value.position == MAX_NESTING
+
+    @pytest.mark.parametrize("text, position", [
+        ("((a{4096}){4096})", 10),  # about 33.5M states: the quantifier
+        ("(a{4096}){8}a", 12),      # one part too many
+        ("(a{4096}){8}|a", 13),     # one option too many
+        ("((a{4096}){8})*", 14),
+    ])
+    def test_expansion_bound(self, text, position):
+        # Parsed only: compiling these would ask for the states refused.
+        with pytest.raises(RegexParseError,
+                           match=rf"more than {MAX_STATES} states at "
+                                 rf"position {position}$") as err:
+            parse_regex(text)
+        assert err.value.position == position
+
+    def test_expansion_bound_admits_its_own_size(self):
+        parse_regex("(a{4096}){8}")  # 65,536 states, the bound itself
+        assert compile_regex("a{4096}").state_count == 8192
+        assert compile_regex("((a{16}){16}){16}").state_count == 8192
+
+    def test_expansion_counts_the_compiled_states(self):
+        # A pattern parses with its own state count as the bound and is
+        # refused one below it, so the parser counts what _Builder builds.
+        # (A part repeated zero times builds nothing, but is bounded too,
+        # so a draw with one is left out.)
+        rng = SplitMix64(17)
+        texts = ["a|", "(|b)*", "a{0}b", "a{0,2}b?", "(a|bc)+", "a(){3}"]
+        texts += [text for text in (random_regex(rng, 3, 3)
+                                    for _ in range(200))
+                  if "{0}" not in text and "{0,0}" not in text]
+        sizes = [compile_regex(text).state_count for text in texts]
+        with pytest.MonkeyPatch.context() as patch:
+            for text, states in zip(texts, sizes):
+                patch.setattr(regex, "MAX_STATES", states)
+                parse_regex(text)
+                patch.setattr(regex, "MAX_STATES", states - 1)
+                with pytest.raises(RegexParseError, match="states at"):
+                    parse_regex(text)
 
 
 class TestAgainstReferenceMatcher:

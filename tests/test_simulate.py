@@ -128,6 +128,11 @@ def streams(seed: int, count: int = 4, length: int = 12) -> list[bytes]:
 BYTES_LIKE = [pytest.param(bytearray, id="bytearray"),
               pytest.param(memoryview, id="memoryview"),
               pytest.param(lambda b: array("B", b), id="array")]
+# Every other byte of a buffer: not C-contiguous, so the kernels refuse
+# it, and Simulator.run and active_rule_frequency copy it first.
+STRIDED = pytest.param(
+    lambda b: memoryview(bytes(x for c in b for x in (c, c)))[::2],
+    id="strided")
 
 
 def chain(kind: StartKind) -> Automaton:
@@ -258,7 +263,7 @@ def run_tests(kernel: str):
             assert run(a, b"a").reports == ((0, 1, None),)
 
         @pytest.mark.parametrize("wrap", [pytest.param(bytes, id="bytes"),
-                                          *BYTES_LIKE])
+                                          *BYTES_LIKE, STRIDED])
         def test_reports_come_in_state_order(self, wrap):
             # Pattern 5's accepting state, 3, numbers below pattern 2's,
             # 5, so each cycle's reports in state order are not in order
@@ -384,7 +389,7 @@ def active_rule_tests(kernel: str):
             assert (stats.min_active, stats.max_active) == (0, 0)
             assert stats.start_only_fraction == 0.0
 
-        @pytest.mark.parametrize("wrap", BYTES_LIKE)
+        @pytest.mark.parametrize("wrap", [*BYTES_LIKE, STRIDED])
         def test_any_bytes_like_input(self, wrap):
             rules = connected_components(
                 merge_patterns(regex_rules(5, ALL), [7, 3, 5]))
@@ -799,6 +804,19 @@ def test_kernels_take_any_bytes_like_data(kernel, wrap):
                 == _simkernel_py.step_stream(program, data, mode))
     assert (kernel.active_sets(program, wrap(data))
             == _simkernel_py.active_sets(program, data))
+
+
+@pytest.mark.parametrize("data", [b"", b"\x00\x01"], ids=["empty", "two"])
+def test_kernels_refuse_strided_data(kernel, data):
+    program = flat_program([{0: (1,)}, {}], [0], [])
+    view = STRIDED.values[0](data)
+    for call in (lambda: kernel.step_stream(program, view),
+                 lambda: kernel.step_stream(program, view,
+                                            (ints(0, 0), b"\x00\x00")),
+                 lambda: kernel.active_sets(program, view)):
+        with pytest.raises(BufferError, match="^memoryview: underlying "
+                                              "buffer is not C-contiguous$"):
+            call()
 
 
 @pytest.mark.parametrize("data", ["", "ab"], ids=["empty", "two"])

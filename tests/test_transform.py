@@ -476,16 +476,31 @@ class TestMinimizers:
     @pytest.mark.parametrize("mode", START_MODES)
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
-    def test_hopcroft_output_is_the_minimal_dfa(self, mode, data):
+    def test_hopcroft_output_is_the_minimal_dfa(self, c_kernel, mode, data):
+        # Any automaton, as for Brzozowski: the NFA, and its DFA, whose
+        # walk is that DFA.
         nfa = data.draw(nfas(mode))
-        hop = minimize_hopcroft(determinize(nfa))
-        assert validate(hop) == []
-        assert isomorphic(hop, minimize_brzozowski(nfa))
-        assert equivalent(nfa, hop)
-        if not is_deterministic(nfa):
-            with pytest.raises(ValueError,
-                               match="requires a deterministic automaton"):
-                minimize_hopcroft(nfa)
+        minimal = minimize_brzozowski(nfa)
+        for kernel in (_simkernel_py, c_kernel):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(transform, "_kernel", kernel)
+                for a in (nfa, determinize(nfa)):
+                    hop = minimize_hopcroft(a)
+                    assert validate(hop) == []
+                    assert isomorphic(hop, minimal)
+                    assert equivalent(nfa, hop)
+
+    def test_hopcroft_walk_past_the_cap(self, kernel):
+        nfa = compile_regex("[ab]*a[ab]{3}", SOD)
+        assert not is_deterministic(nfa)
+        size = determinize(nfa).state_count
+        assert minimize_hopcroft(nfa, size).state_count == 16
+        with pytest.raises(CapExceededError, match=rf"cap \({size - 1}\)") \
+                as info:
+            minimize_hopcroft(nfa, size - 1)
+        assert info.value.cap == size - 1
+        with pytest.raises(ValueError, match="at least 1"):
+            minimize_hopcroft(nfa, 0)
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
