@@ -24,10 +24,10 @@ from dataclasses import asdict
 
 from ._version import __version__
 from .core import StartKind, stats, validate
-from .documents import (DocumentError, PatternSet, load_automaton,
+from .documents import (DocumentError, PatternSet, _dump,
+                        automaton_to_document, load_automaton,
                         load_pattern_set, render_trace, save_automaton,
-                        save_pattern_set, write_text_atomic,
-                        automaton_to_document)
+                        save_pattern_set, write_text_atomic)
 from .experiment import (emit_report, experiment_x_axis,
                          incremental_merge_experiment, per_pattern_experiment,
                          report_growth)
@@ -63,7 +63,7 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _write_automaton(a, out: str | None) -> None:
-    _emit(json.dumps(automaton_to_document(a), indent=2) + "\n", out)
+    _emit(_dump(automaton_to_document(a)), out)
 
 
 def _load_valid(path: str):
@@ -280,7 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--minimizer", choices=["brzozowski", "hopcroft"],
                    default="brzozowski")
     cap_flag(p, "state cap of the minimizer's subset walks (either "
-                "minimizer takes any automaton and this cap)")
+                "minimizer takes any automaton and walks its subsets "
+                "first, as the reports do)")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_minimize)
 

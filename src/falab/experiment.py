@@ -7,7 +7,8 @@ exclude unreachable states and the implicit dead state.  The determinize
 stage is the subset walk alone: ``dfa_states`` counts its subsets.  Both
 minimizers start from that walk's table, reversed once by the kernel's
 ``flip``: the Hopcroft cross-check refines the reversal, and Brzozowski
-walks it, flips that walk and walks again.  No automaton is reversed.
+walks it, flips that walk and walks again, as ``minimize_brzozowski``
+does.  No automaton is reversed.
 The minimal DFA stays the table of the last walk: ``mdfa_states`` counts
 its rows and ``mdfa_max_fanout`` their distinct targets.  So no DFA
 ``Automaton`` is built, except the minimal DFA of each row that the
@@ -33,9 +34,10 @@ from .core import Automaton, StartKind, stats
 from .documents import write_text_atomic
 from .generators import Pattern, SplitMix64, compile_pattern, pattern_size
 from .regex import escape_literal
-from .transform import (CapExceededError, DEFAULT_STATE_CAP, _flip, _subsets,
-                        _table_automaton, _walk, _witness, equivalent,
-                        merge_patterns, optimize_nfa, remove_epsilon, trim)
+from .transform import (CapExceededError, DEFAULT_STATE_CAP, _brzozowski,
+                        _flip, _subsets, _table_automaton, _witness,
+                        equivalent, merge_patterns, optimize_nfa,
+                        remove_epsilon, trim)
 
 CAP_TOKEN = "CAP_EXCEEDED"
 SPOT_CHECK_ROWS = 4
@@ -200,11 +202,9 @@ def _run_pipeline(key: int, nfa_raw: Automaton,
         dfa_states = len(labels)
         t3 = time.perf_counter()
         # One reversal of the walk serves both minimizers.  Brzozowski
-        # walks it: the walk is accessible, so that gives the minimal DFA
-        # of the reversed language, and flipping and walking that gives
-        # the minimal DFA.
+        # walks it, as minimize_brzozowski does.
         flipped = _flip(atoms, labels, table)
-        mdfa = (atoms, *_walk(_flip(atoms, *_walk(flipped, cap)), cap))
+        mdfa = (atoms, *_brzozowski(atoms, flipped, cap))
         # Hopcroft's cross-check refines it (``_refine`` is read off its
         # module at each call) and counts the live blocks.
         hop_states = transform._live_blocks(transform._refine(flipped))

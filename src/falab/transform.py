@@ -21,16 +21,20 @@ reads a shortest separating word off its joint walk's table
 (:func:`_flip`), turns a walked table into the program of its reversal,
 completed with a dead state, and serves both minimizers, which share
 one contract: each takes any automaton and a cap on its walks, and
-returns the minimal DFA.  Brzozowski's next walk runs on the flip, and
-the one Hopcroft refinement (``_refine``) refines it: ``_quotient``
-merges its blocks into the minimal DFA's table, and ``_live_blocks``
-counts them (the report pipeline's cross-check refines the flip that its
-Brzozowski walks).  The scan, the walk, the flip and the refinement all
-run in the kernel this module loads: the compiled ``_simkernel`` when
-the extension was built (``python setup.py build_ext --inplace``) for
-the same program ``FORMAT``, and otherwise ``_simkernel_py``, whose
-plain-Python loops are the specification both follow; a compiled module
-of another format is ignored with a ``RuntimeWarning``.
+returns the minimal DFA.  Both start from the subset walk of the
+automaton, flipped; no automaton is ever reversed.  Brzozowski
+(``_brzozowski``) walks the flip, which gives the minimal DFA of the
+reversed language, flips that walk and walks again, so its state cap
+trips where the report pipeline's does.  The one Hopcroft refinement
+(``_refine``) refines the flip: ``_quotient`` merges its blocks into
+the minimal DFA's table, and ``_live_blocks`` counts them (the report
+pipeline's cross-check refines the flip that its Brzozowski walks).  The
+scan, the walk, the flip and the refinement all run in the kernel this
+module loads: the compiled ``_simkernel`` when the extension was built
+(``python setup.py build_ext --inplace``) for the same program
+``FORMAT``, and otherwise ``_simkernel_py``, whose plain-Python loops
+are the specification both follow; a compiled module of another format
+is ignored with a ``RuntimeWarning``.
 
 Deterministic automata here are partial: a missing transition means
 rejection, and the implicit dead state is never materialized or counted.
@@ -338,35 +342,6 @@ def _table_automaton(atoms: list[int], labels, table: array) -> Automaton:
     )
 
 
-def reverse(a: Automaton) -> Automaton:
-    """Mirror-language automaton: flipped edges, starts and accepts swapped.
-
-    An ALL_INPUT start matches after any prefix, so in the mirror it is
-    followed by any suffix: it moves by an epsilon edge to a fresh
-    accepting state, the last, that loops on every byte, and which
-    replaces it among the accepts.  The result may momentarily violate
-    the "has a start" invariant when the input accepts nothing;
-    determinization handles that case.
-    """
-    unanchored = sorted(s for s, k in a.starts.items()
-                        if k is StartKind.ALL_INPUT)
-    edges = tuple((d, c, s) for s, c, d in a.edges)
-    eps = tuple((d, s) for s, d in a.epsilon_edges)
-    finals = frozenset(a.starts)
-    if unanchored:
-        fresh = a.state_count
-        edges += ((fresh, SymbolClass.full(), fresh),)
-        eps += tuple((s, fresh) for s in unanchored)
-        finals = finals.difference(unanchored) | {fresh}
-    return Automaton(
-        state_count=a.state_count + bool(unanchored),
-        edges=edges,
-        epsilon_edges=eps,
-        starts={s: StartKind.START_OF_DATA for s in sorted(a.accepts)},
-        accepts=finals,
-    )
-
-
 def _flip(atoms: list[int], labels, table: array) -> tuple:
     """The kernel's ``flip`` of a walked table, laid out as
     :func:`_subsets` returns it: the program of the table, completed with
@@ -376,18 +351,32 @@ def _flip(atoms: list[int], labels, table: array) -> tuple:
     return _kernel.flip(len(atoms), labels, table)
 
 
-def minimize_brzozowski(a: Automaton, cap: int = DEFAULT_STATE_CAP) -> Automaton:
-    """Reverse, determinize, reverse, determinize: the minimal DFA.
+def _brzozowski(atoms: list[int], flipped: tuple,
+                cap: int) -> tuple[array, array]:
+    """The minimal DFA, ``(labels, table)``, of an accessible DFA table
+    given as its :func:`_flip`: walking the flip gives the minimal DFA of
+    the reversed language, and walking that one's flip the minimal DFA.
+    The second walk finds no more states than the table has, so on a
+    table that fits ``cap`` only the first can pass it."""
+    return _walk(_flip(atoms, *_walk(flipped, cap)), cap)
 
-    The middle DFA stays a table: the second walk runs on the first
-    walk's table flipped (:func:`_flip`), started from its accepting
-    states, and accepts in the subsets that hold its start.  Output is
-    the unique minimal DFA modulo the (never materialized) dead state;
-    its state count excludes that dead state by construction.  Raises
-    :class:`CapExceededError` when either walk passes ``cap``.
+
+def minimize_brzozowski(a: Automaton, cap: int = DEFAULT_STATE_CAP) -> Automaton:
+    """Determinize, reverse, determinize, reverse, determinize: the
+    minimal DFA, from the subset walk of ``a`` (:func:`_subsets`) and
+    :func:`_brzozowski` of its flip, as the report pipeline computes it.
+
+    The DFAs between stay tables, reversed by the kernel's ``flip``.
+    Output is the unique minimal DFA modulo the (never materialized) dead
+    state; its state count excludes that dead state by construction.
+    Raises :class:`CapExceededError` when the walk of ``a``, or the walk
+    that builds the reversed language's minimal DFA, passes ``cap``:
+    exactly where the report marks the row whose NFA is ``a`` as over
+    the cap.
     """
-    atoms, labels, table = _subsets(reverse(a), cap)
-    return _table_automaton(atoms, *_walk(_flip(atoms, labels, table), cap))
+    atoms, labels, table = _subsets(a, cap)
+    return _table_automaton(atoms, *_brzozowski(
+        atoms, _flip(atoms, labels, table), cap))
 
 
 # ---------------------------------------------------------------------------

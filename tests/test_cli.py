@@ -238,6 +238,30 @@ def test_hopcroft_minimizes_an_nfa_document(tmp_path, capsys):
     assert isomorphic(minimal["hopcroft"], minimal["brzozowski"])
 
 
+def test_brzozowski_fits_the_cap_where_the_report_does(tmp_path, capsys):
+    # The forward walk has 16 subsets and the minimal DFA 14 states; the
+    # reversed NFA's walk has over 256.
+    save_automaton(compile_regex("[ab]{12}a[ab]*", StartKind.ALL_INPUT),
+                   str(tmp_path / "nfa.json"))
+    out = str(tmp_path / "minimal.json")
+    assert main(["minimize", str(tmp_path / "nfa.json"), "--cap", "256",
+                 "--out", out]) == 0
+    assert capsys.readouterr().err == ""
+    assert load_automaton(out).state_count == 14
+
+
+def test_automaton_documents_are_written_alike(paths, capsys):
+    # The --out file, stdout and save_automaton hold the same bytes.
+    out = f"{paths['dir']}/determinized.json"
+    assert main(["determinize", paths["ab"], "--out", out]) == 0
+    assert main(["determinize", paths["ab"]]) == 0
+    saved = f"{paths['dir']}/saved.json"
+    save_automaton(determinize(load_automaton(paths["ab"])), saved)
+    with open(out, "rb") as fh, open(saved, "rb") as fs:
+        assert (fh.read() == capsys.readouterr().out.encode()
+                == fs.read())
+
+
 def test_inverted_length_range_names_both_lengths(paths, capsys):
     argv = ["generate", "levenshtein", "--seed", "1", "--count", "2",
             "--min-length", "5", "--max-length", "3", "--distance", "1",

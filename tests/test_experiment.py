@@ -16,16 +16,17 @@ from hypothesis import given, settings, strategies as st
 
 from falab import _simkernel_py, experiment, transform
 from falab.cli import main
-from falab.core import Automaton, StartKind, stats
+from falab.core import Automaton, StartKind, isomorphic, stats
 from falab.documents import PatternSet, save_pattern_set
 from falab.experiment import (CAP_TOKEN, GrowthLabel, ReportRow,
                               classify_growth, per_pattern_experiment)
 from falab.generators import Pattern, RegexSource, compile_pattern, gen_dotstar
 from falab.regex import compile_regex
-from falab.transform import (DEFAULT_STATE_CAP, _table_automaton,
+from falab.transform import (DEFAULT_STATE_CAP, ORACLE_STATE_LIMIT,
+                             CapExceededError, _table_automaton,
                              brute_force_minimal_states, determinize,
                              merge_patterns, minimize_brzozowski,
-                             remove_epsilon, trim)
+                             minimize_hopcroft, remove_epsilon, trim)
 
 from corpus import START_MODES, alternating_chain, nfas
 
@@ -138,7 +139,9 @@ def assert_pipeline_minimizes_like_brzozowski(raw, c_kernel):
     """On both kernels, the pipeline's minimal table is
     ``minimize_brzozowski``'s DFA of the NFA, and the pipeline's Hopcroft
     refinement has one live block per row of that table (one for the
-    empty language)."""
+    empty language).  Both take one route, so the table is also checked
+    against Hopcroft's quotient and, where the DFA is small enough, the
+    pair-marking oracle."""
     refine, refined = transform._refine, []
 
     def keep(program):
@@ -152,10 +155,14 @@ def assert_pipeline_minimizes_like_brzozowski(raw, c_kernel):
             result = experiment._run_pipeline(0, raw, DEFAULT_STATE_CAP)
             minimal = minimize_brzozowski(result.nfa)
         atoms, labels, table = result.mdfa
-        assert _table_automaton(atoms, labels, table).structurally_equal(
-            minimal)
+        mdfa = _table_automaton(atoms, labels, table)
+        assert mdfa.structurally_equal(minimal)
         blocks = refined.pop()
         assert max(len(set(blocks) - {blocks[-1]}), 1) == len(labels)
+    assert isomorphic(mdfa, minimize_hopcroft(result.nfa))
+    dfa = determinize(result.nfa)
+    if dfa.state_count <= ORACLE_STATE_LIMIT:
+        assert brute_force_minimal_states(dfa) == len(labels)
 
 
 @pytest.mark.parametrize("mode", START_MODES)
@@ -220,6 +227,31 @@ def test_reverse_pass_over_the_cap_keeps_the_dfa_count():
     [row] = per_pattern_experiment([pattern], seed=0, cap=m)
     assert (row.status, row.dfa_states, row.mdfa_states) == (CAP_TOKEN, m,
                                                              None)
+
+
+@pytest.mark.parametrize("mode", START_MODES)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_brzozowski_passes_the_cap_where_the_report_does(mode, data):
+    nfa = trim(remove_epsilon(data.draw(nfas(mode))))
+    n = determinize(nfa).state_count
+    for cap in sorted({1, max(n - 1, 1), n, n + 1, 4 * n}):
+        row = experiment._run_pipeline(0, nfa, cap).row
+        try:
+            states = minimize_brzozowski(nfa, cap).state_count
+        except CapExceededError:
+            states = None
+        assert (states is None) == (row.status == CAP_TOKEN)
+        assert states == row.mdfa_states
+
+
+def test_brzozowski_walks_the_automaton_first():
+    # All-input [ab]{12}a[ab]* determinizes into 16 subsets; the subsets
+    # of its reversal remember which of the last 13 bytes were a's.
+    nfa = compile_regex("[ab]{12}a[ab]*", StartKind.ALL_INPUT)
+    row = experiment._run_pipeline(0, nfa, 256).row
+    assert (row.dfa_states, row.mdfa_states, row.status) == (16, 14, "ok")
+    assert minimize_brzozowski(nfa, 256).state_count == 14
 
 
 @pytest.mark.parametrize("timings", [False, True])

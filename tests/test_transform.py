@@ -22,7 +22,8 @@ from falab.transform import (ORACLE_STATE_LIMIT, CapExceededError, accepts,
                              epsilon_closures, equivalent, merge_patterns,
                              minimize_brzozowski, minimize_hopcroft,
                              optimize_nfa, partition_masks, remove_epsilon,
-                             reverse, trim, _program, _subsets, _witness)
+                             trim, _flip, _program, _subsets, _walk,
+                             _witness)
 
 from corpus import (BYTES, START_MODES, alternating_chain, nfas,
                     random_regex)
@@ -421,19 +422,21 @@ class TestFlip:
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
     def test_walked_tables_match_python(self, c_kernel, mode, data):
-        nfa = data.draw(nfas(mode))
-        for a in (nfa, reverse(nfa)):
-            atoms, labels, table = _subsets(a, CAP)
-            self.flipped(c_kernel, len(atoms), labels, table)
+        # The forward walk, and the walk of its flip that the pipeline
+        # flips second.
+        atoms, labels, table = _subsets(data.draw(nfas(mode)), CAP)
+        for walked in ((labels, table),
+                       _walk(_flip(atoms, labels, table), CAP)):
+            self.flipped(c_kernel, len(atoms), *walked)
 
     @pytest.mark.parametrize("kind", [SOD, ALL],
                              ids=["start-of-data", "all-input"])
     def test_multiword_tables_match_python(self, c_kernel, kind):
-        merged = multiword_merge(kind)
-        for a in (merged, reverse(merged)):
-            atoms, labels, table = _subsets(a, CAP)
-            assert len(labels) > 64
-            self.flipped(c_kernel, len(atoms), labels, table)
+        atoms, labels, table = _subsets(multiword_merge(kind), CAP)
+        for walked in ((labels, table),
+                       _walk(_flip(atoms, labels, table), CAP)):
+            assert len(walked[0]) > 64
+            self.flipped(c_kernel, len(atoms), *walked)
 
     # (natoms, labels, table) and its flipped program: the program that
     # the reversal built for Brzozowski's second walk before it moved
