@@ -39,11 +39,23 @@
    nothing, and a long busy one builds each of its busy classes once.
    Only the span between the first and the last nonzero word of a set is
    walked, so a cycle with few active states costs little whatever n is.
-   The per-cycle records read the active states off the set's bits in
-   ascending order, so a cycle's reports come out in state order, each
-   label's at its smallest state, with no sort.  The operation count
-   stays the specification's: the lengths of the rows of the states
-   active before each byte, on its class, plus the always states.
+
+   The per-cycle records work a word of the set at a time.  The summary
+   takes a cycle's count from popcounts, and adds its activations to
+   bit-sliced counters, TALLY bit-planes over the words that a carry
+   ripples through, flushed into the per-state counts before any can
+   overflow.  It reads the reports off the words of the labeled states in
+   ascending order, so they come out in state order, each label's at its
+   smallest state, with no sort.  Counting mode first splits each word's
+   states into pieces, the runs of one rule, as (rule, mask) pairs; per
+   word, a rule is active when the word meets one of its masks, and
+   moving when the word's states that are not raw starts do, and stamps
+   count each rule once.  The operation count stays the specification's:
+   the lengths of the rows of the states active before each byte, on its
+   class, plus the always states.  The step has those rows at hand: until
+   a class is built, it walks every active state's row; a built class
+   keeps its row lengths as bit-planes, and their popcounts against the
+   set give the sum.
 
    flip(natoms, labels, table) takes the dense table of n = len(labels)
    states over natoms atoms that subsets returns: table[s * natoms + i]
@@ -74,6 +86,22 @@
 #include <stdint.h>
 
 #define FORMAT 10
+
+/* The functions that popcount each word of an active set are compiled
+   twice, with and without the POPCNT instruction, and the loader picks
+   the copy that the CPU runs; the default x86-64 target has no POPCNT,
+   and libgcc's __popcountdi2 stands in for it, at a call per word.  The
+   copies need ifunc support from the toolchain and glibc; elsewhere one
+   copy is built. */
+#if defined(__x86_64__) && defined(__ELF__) && defined(__GLIBC__) \
+    && defined(__has_attribute)
+#if __has_attribute(target_clones)
+#define POPCOUNT_CLONES __attribute__((target_clones("popcnt", "default")))
+#endif
+#endif
+#ifndef POPCOUNT_CLONES
+#define POPCOUNT_CLONES
+#endif
 
 /* Buffer views, acquired in this order (DATA only for a scan, RULE_OF
    and RAW_START only with rules), with their names and item formats;
@@ -188,14 +216,19 @@ check(const Program *p)
    a bitset of W words, so one masked shift of the active set's words
    makes all of them.  A state with any other move on the class is rare,
    and steps through its own row of the program.  Until the class is
-   built, every state is rare. */
+   built, every state is rare.  Plane j holds the states whose row on the
+   class has a length with bit j set, so the rows of a set of states add
+   up to the sum over j of 2^j times its states in plane j. */
 typedef struct {
     Py_ssize_t nmasks;
     int32_t *shift;        /* per mask: its offset k */
     uint64_t *mask;        /* per mask: W words, between two spare words,
-                              then the rare states' W words; NULL until
-                              the class is built */
+                              then the rare states' W words and the
+                              planes' W words each; NULL until the class
+                              is built */
     const uint64_t *rare;  /* W words */
+    const uint64_t *plane; /* nplanes * W words */
+    int nplanes;           /* the bit length of the longest row */
     Py_ssize_t walked;     /* the successors its rare rows have set */
 } Class;
 
@@ -210,22 +243,27 @@ build(const Program *p, Py_ssize_t c, Py_ssize_t words, Class *x)
     /* per offset k, at k + n: its moves, then its mask + 1 or 0 */
     int32_t *count = PyMem_Calloc(2 * n + 1, sizeof *count);
     int32_t *seen = PyMem_Malloc((2 * n + 1) * sizeof *seen);
+    int32_t longest = 0;
     int ok = -1;
 
     if (!count || !seen)
         goto done;
     for (Py_ssize_t s = 0; s < n; s++) {
         const int32_t *row = off + s * ncls + c;
+        longest = row[1] - row[0] > longest ? row[1] - row[0] : longest;
         for (int32_t j = row[0]; j < row[1]; j++) {
             Py_ssize_t k = succ[j] - s;
             if (count[k + n]++ == 0)
                 seen[nseen++] = (int32_t)k;
         }
     }
+    while (longest >> x->nplanes)
+        x->nplanes++;
     for (Py_ssize_t i = 0; i < nseen; i++)
         nmasks += count[seen[i] + n] >= words;
     x->shift = PyMem_Malloc((nmasks + 1) * sizeof *x->shift);
-    x->mask = PyMem_Calloc((nmasks + 1) * words + 2, sizeof *x->mask);
+    x->mask = PyMem_Calloc((nmasks + 1 + x->nplanes) * words + 2,
+                           sizeof *x->mask);
     if (!x->shift || !x->mask)
         goto done;
     for (Py_ssize_t i = 0; i < nseen; i++) {
@@ -237,7 +275,7 @@ build(const Program *p, Py_ssize_t c, Py_ssize_t words, Class *x)
         else
             *k = 0;
     }
-    uint64_t *rare = x->mask + 2 + nmasks * words;
+    uint64_t *rare = x->mask + 2 + nmasks * words, *plane = rare + words;
     for (Py_ssize_t s = 0; s < n; s++) {
         const int32_t *row = off + s * ncls + c;
         uint64_t bit = (uint64_t)1 << (s & 63);
@@ -248,8 +286,12 @@ build(const Program *p, Py_ssize_t c, Py_ssize_t words, Class *x)
             else
                 rare[s >> 6] |= bit;
         }
+        for (int k = 0; k < x->nplanes; k++)
+            if ((row[1] - row[0]) >> k & 1)
+                plane[k * words + (s >> 6)] |= bit;
     }
     x->rare = rare;
+    x->plane = plane;
     ok = 0;
 done:
     PyMem_Free(count);
@@ -259,24 +301,81 @@ done:
     return ok;
 }
 
-/* Per-scan scratch: per-state or per-rule arrays of n + 1 items. */
+/* The row lengths of the states of bits[lo..hi] on class x, built. */
+static POPCOUNT_CLONES unsigned long long
+row_work(const Class *x, const uint64_t *bits, Py_ssize_t lo, Py_ssize_t hi,
+         Py_ssize_t words)
+{
+    unsigned long long work = 0;
+
+    for (int k = 0; k < x->nplanes; k++) {
+        const uint64_t *plane = x->plane + k * words;
+        unsigned long long ones = 0;
+        for (Py_ssize_t i = lo; i <= hi; i++)
+            ones += __builtin_popcountll(bits[i] & plane[i]);
+        work += ones << k;
+    }
+    return work;
+}
+
+/* A run of states of one rule within one word of the active set. */
+typedef struct {
+    uint64_t mask;  /* its states' bits */
+    int32_t rule;
+} Piece;
+
+/* Per-scan scratch, each mode's only: per-state or per-rule arrays of
+   n + 1 items, and bitsets of W words. */
 typedef struct {
     Py_ssize_t *seen;        /* per-rule or per-label stamps */
-    Py_ssize_t *moving;      /* per-rule stamps of moving rules */
+    Py_ssize_t *moving;      /* RULES: per-rule stamps of moving rules */
     Py_ssize_t *activation;  /* SUMMARY: cycles each state is active */
-    uint64_t *reporting;     /* SUMMARY: W words, the states with a label */
+    uint64_t *reporting;     /* SUMMARY: the states with a label */
+    uint64_t *tally;         /* SUMMARY: TALLY planes, then a carry */
+    Py_ssize_t words;        /* W */
+    Py_ssize_t since;        /* SUMMARY: the cycles tally has counted */
+    Piece *pieces;           /* RULES: word i's are first[i]..first[i+1]-1 */
+    Py_ssize_t *first;       /* RULES: W + 1 items */
+    uint64_t *moves;         /* RULES: the states that are not raw starts */
     unsigned long long work; /* the operation count so far */
     PyObject *ints;          /* SETS: the state ids as Python ints */
     PyObject *reports;       /* SUMMARY: the (cycle, state) list */
 } Scratch;
 
+/* Split each word of the states into its runs of one rule, in O(n).  A
+   merged program numbers each rule's states contiguously, so its words
+   hold about W + rules pieces in all; rules interleaved state by state
+   give a piece per state. */
+static void
+split_rules(const Program *p, Scratch *w)
+{
+    const int32_t *rule = ITEMS(p, RULE_OF);
+    const unsigned char *raw_start = p->views[RAW_START].buf;
+    Py_ssize_t count = 0;
+
+    for (Py_ssize_t i = 0; i * 64 < p->n; i++) {
+        const int32_t *of = rule + i * 64;
+        int top = p->n - i * 64 < 64 ? (int)(p->n - i * 64) : 64;
+        uint64_t piece = 1, moves = !raw_start[i * 64];
+        w->first[i] = count;
+        for (int b = 1; b < top; b++) {
+            if (of[b] != of[b - 1]) {
+                w->pieces[count++] = (Piece){piece, of[b - 1]};
+                piece = 0;
+            }
+            piece |= (uint64_t)1 << b;
+            moves |= (uint64_t)!raw_start[i * 64 + b] << b;
+        }
+        w->pieces[count++] = (Piece){piece, of[top - 1]};
+        w->moves[i] = moves;
+    }
+    w->first[(p->n + 63) / 64] = count;
+}
+
 /* One cycle's record of the active set, the bits of words lo..hi, in
    each mode: the set; its (active, moving) rule counts; or its active
-   count, after adding its reports and activations to w.  The counting
-   modes add to w->work the length of each active state s's row on the
-   next byte's class, rows[s * stride].  stamp is unique to the cycle t.
-   Each mode has its own loop over the states, so none tests the mode per
-   state. */
+   count, after adding its reports and activations to w.  The stamp of
+   cycle t is t + 1. */
 
 static PyObject *
 record_set(Scratch *w, const uint64_t *bits, Py_ssize_t lo, Py_ssize_t hi)
@@ -294,53 +393,63 @@ record_set(Scratch *w, const uint64_t *bits, Py_ssize_t lo, Py_ssize_t hi)
     return set;
 }
 
-/* Not inlined into run: there, its loop moved with each edit to the
-   summary record, and once ran 7 % slower for it (gcc 12 -O3). */
-static __attribute__((noinline)) PyObject *
-record_rules(const Program *p, Scratch *w, const uint64_t *bits,
-             Py_ssize_t lo, Py_ssize_t hi, const int32_t *rows,
-             Py_ssize_t stride, Py_ssize_t stamp)
+/* Without branches: on is 1 for a piece that meets the word, go for one
+   that meets its states that are not raw starts, and only those stamp
+   their rule. */
+static PyObject *
+record_rules(Scratch *w, const uint64_t *bits, Py_ssize_t lo, Py_ssize_t hi,
+             Py_ssize_t stamp)
 {
-    const int32_t *rule = ITEMS(p, RULE_OF);
-    const unsigned char *raw_start = p->views[RAW_START].buf;
     Py_ssize_t rules = 0, moved = 0;
-    unsigned long long work = 0;
 
-    /* Without branches: moves is 1 for a state that is not a raw start,
-       and only such a state stamps its rule moving. */
-    for (Py_ssize_t i = lo; i <= hi; i++)
-        for (uint64_t word = bits[i]; word; word &= word - 1) {
-            Py_ssize_t s = i * 64 + __builtin_ctzll(word);
-            int32_t r = rule[s];
-            Py_ssize_t moves = !raw_start[s], last = w->moving[r];
-            const int32_t *row = rows + s * stride;
-            work += row[1] - row[0];
-            rules += w->seen[r] != stamp;
-            w->seen[r] = stamp;
-            moved += moves & (last != stamp);
-            w->moving[r] = last + (stamp - last) * moves;
+    for (Py_ssize_t i = lo; i <= hi; i++) {
+        uint64_t word = bits[i], moves = word & w->moves[i];
+        for (const Piece *x = w->pieces + w->first[i],
+                         *end = w->pieces + w->first[i + 1]; x < end; x++) {
+            int32_t r = x->rule;
+            Py_ssize_t on = (word & x->mask) != 0, go = (moves & x->mask) != 0;
+            Py_ssize_t last = w->seen[r], was = w->moving[r];
+            rules += on & (last != stamp);
+            w->seen[r] = last + (stamp - last) * on;
+            moved += go & (was != stamp);
+            w->moving[r] = was + (stamp - was) * go;
         }
-    w->work += work;
+    }
     return Py_BuildValue("(nn)", rules, moved);
 }
 
-static PyObject *
-record_summary(const Program *p, Scratch *w, const uint64_t *bits,
-               Py_ssize_t lo, Py_ssize_t hi, const int32_t *rows,
-               Py_ssize_t stride, Py_ssize_t t, Py_ssize_t stamp)
+/* Summary mode counts activations in TALLY bit-planes over the words:
+   plane j holds bit j of each state's count since the last flush.  A
+   cycle adds its set by rippling a carry through the planes, each plane
+   a pass over the set's words, and flush adds the counts to activation[]
+   every 2^TALLY - 1 cycles, before any of them overflows. */
+#define TALLY 8
+
+static void
+flush(Scratch *w)
 {
+    for (int j = 0; j < TALLY; j++) {
+        uint64_t *plane = w->tally + j * w->words;
+        for (Py_ssize_t i = 0; i < w->words; i++) {
+            for (uint64_t word = plane[i]; word; word &= word - 1)
+                w->activation[i * 64 + __builtin_ctzll(word)] +=
+                    (Py_ssize_t)1 << j;
+            plane[i] = 0;
+        }
+    }
+    w->since = 0;
+}
+
+static POPCOUNT_CLONES PyObject *
+record_summary(const Program *p, Scratch *w, const uint64_t *bits,
+               Py_ssize_t lo, Py_ssize_t hi, Py_ssize_t t)
+{
+    Py_ssize_t stamp = t + 1;
     const int32_t *report = ITEMS(p, REPORT);
     Py_ssize_t count = 0;
-    unsigned long long work = 0;
 
     for (Py_ssize_t i = lo; i <= hi; i++) {
-        for (uint64_t word = bits[i]; word; word &= word - 1) {
-            Py_ssize_t s = i * 64 + __builtin_ctzll(word);
-            const int32_t *row = rows + s * stride;
-            count++;
-            work += row[1] - row[0];
-            w->activation[s]++;
-        }
+        count += __builtin_popcountll(bits[i]);
         /* in ascending order, a label's first state is its smallest, and
            the reports come out in state order */
         for (uint64_t word = bits[i] & w->reporting[i]; word;
@@ -358,7 +467,22 @@ record_summary(const Program *p, Scratch *w, const uint64_t *bits,
             }
         }
     }
-    w->work += work;
+    /* a carry that reaches no plane ends the ripple */
+    uint64_t *carry = w->tally + TALLY * w->words;
+    const uint64_t *add = bits;
+    for (int j = 0; j < TALLY; j++, add = carry) {
+        uint64_t *plane = w->tally + j * w->words, any = 0;
+        for (Py_ssize_t i = lo; i <= hi; i++) {
+            uint64_t up = plane[i] & add[i];
+            plane[i] ^= add[i];
+            carry[i] = up;
+            any |= up;
+        }
+        if (!any)
+            break;
+    }
+    if (++w->since == (1 << TALLY) - 1)
+        flush(w);
     return PyLong_FromSsize_t(count);
 }
 
@@ -408,7 +532,6 @@ set_bits(uint64_t *bits, const int32_t *items, Py_ssize_t count,
 static PyObject *
 scan(const Program *p, Mode mode)
 {
-    static const int32_t no_row[2];  /* the row of a byte with no class */
     const unsigned char *data = p->views[DATA].buf;
     const int32_t *off = ITEMS(p, OFF), *succ = ITEMS(p, SUCC);
     const int32_t *init = ITEMS(p, INIT), *report = ITEMS(p, REPORT);
@@ -430,24 +553,39 @@ scan(const Program *p, Mode mode)
     uint64_t *every = PyMem_Calloc(words + 1, sizeof *every);
     uint64_t *all = PyMem_Malloc((words + 1) * sizeof *all);
     Class *cls = PyMem_Calloc(ncls + 1, sizeof *cls);
+    /* each mode's scratch, and nothing of the others' */
+    int summary = mode == SUMMARY, rules = mode == RULES;
     Scratch w = {
-        .seen = PyMem_Calloc(n + 1, sizeof *w.seen),
-        .moving = PyMem_Calloc(n + 1, sizeof *w.moving),
-        .activation = PyMem_Calloc(n + 1, sizeof *w.activation),
-        .reporting = PyMem_Calloc(words + 1, sizeof *w.reporting),
+        .seen = mode != SETS ? PyMem_Calloc(n + 1, sizeof *w.seen) : NULL,
+        .moving = rules ? PyMem_Calloc(n + 1, sizeof *w.moving) : NULL,
+        .activation = summary ? PyMem_Calloc(n + 1, sizeof *w.activation)
+                              : NULL,
+        .reporting = summary ? PyMem_Calloc(words + 1, sizeof *w.reporting)
+                             : NULL,
+        .tally = summary ? PyMem_Calloc((TALLY + 1) * words + 1,
+                                        sizeof *w.tally) : NULL,
+        .words = words,
+        .pieces = rules ? PyMem_Malloc((n + 1) * sizeof *w.pieces) : NULL,
+        .first = rules ? PyMem_Malloc((words + 1) * sizeof *w.first) : NULL,
+        .moves = rules ? PyMem_Malloc((words + 1) * sizeof *w.moves) : NULL,
         .ints = mode == SETS ? int_list(NULL, n) : NULL,
-        .reports = mode == SUMMARY ? PyList_New(0) : NULL,
+        .reports = summary ? PyList_New(0) : NULL,
     };
     PyObject *out = PyList_New(len), *activation = NULL, *result = NULL;
 
     if (out == NULL || (mode == SETS && w.ints == NULL)
-        || (mode == SUMMARY && w.reports == NULL))
+        || (summary && w.reports == NULL))
         goto done;
-    if (!sets || !every || !all || !cls || !w.seen || !w.moving
-        || !w.activation || !w.reporting) {
+    if (!sets || !every || !all || !cls || (mode != SETS && !w.seen)
+        || (summary && (!w.activation || !w.reporting || !w.tally))
+        || (rules && (!w.moving || !w.pieces || !w.first || !w.moves))) {
         PyErr_NoMemory();
         goto done;
     }
+    if (rules)
+        split_rules(p, &w);
+    for (Py_ssize_t s = 0; summary && s < n; s++)
+        w.reporting[s >> 6] |= (uint64_t)(report[s] >= 0) << (s & 63);
     memset(all, 0xff, (words + 1) * sizeof *all);
     for (Py_ssize_t c = 0; c < ncls; c++)
         cls[c].rare = all;
@@ -456,11 +594,9 @@ scan(const Program *p, Mode mode)
     Py_ssize_t alo = words, ahi = -1, a = words, b = -1;
     set_bits(every, ITEMS(p, ALWAYS), nalways, &alo, &ahi);
     set_bits(cur, init, ninit, &a, &b);
-    for (Py_ssize_t s = 0; s < n; s++)
-        w.reporting[s >> 6] |= (uint64_t)(report[s] >= 0) << (s & 63);
     /* A cycle's work is nalways plus the lengths of the rows of the states
-       active before it, on its byte's class.  record adds the rows for
-       the next byte, so the first cycle's are added here, over init as it
+       active before it, on its byte's class.  The step adds them from the
+       second cycle on; the first cycle's are added here, over init as it
        is, duplicates and all. */
     w.work = (unsigned long long)nalways * len;
     if (len > 0 && data[0] < ncls)
@@ -495,13 +631,20 @@ scan(const Program *p, Mode mode)
             }
             /* the active rare states step through their rows, masked
                moves and all */
+            Py_ssize_t walked = 0;
             for (Py_ssize_t i = a; i <= b; i++)
                 for (uint64_t e = cur[i] & x->rare[i]; e; e &= e - 1) {
                     const int32_t *row = off + (i * 64 + __builtin_ctzll(e))
                                                * ncls + c;
                     set_bits(next, succ + row[0], row[1] - row[0], &lo, &hi);
-                    x->walked += row[1] - row[0];
+                    walked += row[1] - row[0];
                 }
+            /* until the class is built, every active state is rare, and
+               the rows walked are the cycle's work */
+            if (t > 0 && mode != SETS)
+                w.work += x->plane ? row_work(x, cur, a, b, words)
+                                   : (unsigned long long)walked;
+            x->walked += walked;
             if (x->mask == NULL && x->walked >= price
                 && build(p, c, words, x) < 0)
                 goto done;
@@ -509,16 +652,11 @@ scan(const Program *p, Mode mode)
         lo = lo < 0 ? 0 : lo;
         hi = hi >= words ? words - 1 : hi;
         trim(next, &lo, &hi);
-        /* the rows of the next byte's class, or of none */
-        Py_ssize_t after = t + 1 < len && data[t + 1] < ncls ? data[t + 1]
-                                                              : -1;
-        const int32_t *rows = after < 0 ? no_row : off + after;
-        Py_ssize_t stride = after < 0 ? 0 : ncls;
         PyObject *item = mode == SETS ? record_set(&w, next, lo, hi)
-                         : mode == RULES ? record_rules(p, &w, next, lo, hi,
-                                                        rows, stride, t + 1)
-                         : record_summary(p, &w, next, lo, hi, rows, stride,
-                                          t, t + 1);
+                         : rules ? record_rules(&w, next, lo, hi, t + 1)
+                         /* an empty set adds no reports or activations */
+                         : lo > hi ? PyLong_FromSsize_t(0)
+                         : record_summary(p, &w, next, lo, hi, t);
         if (item == NULL)
             goto done;
         PyList_SET_ITEM(out, t, item);
@@ -532,9 +670,9 @@ scan(const Program *p, Mode mode)
     }
     if (mode == SETS)
         result = Py_NewRef(out);
-    else if (mode == RULES)
+    else if (rules)
         result = Py_BuildValue("(OK)", out, w.work);
-    else if ((activation = int_list(w.activation, n)) != NULL)
+    else if ((flush(&w), activation = int_list(w.activation, n)) != NULL)
         result = Py_BuildValue("((OOO)K)", out, activation, w.reports, w.work);
 done:
     for (Py_ssize_t c = 0; cls != NULL && c < ncls; c++) {
@@ -549,6 +687,10 @@ done:
     PyMem_Free(w.moving);
     PyMem_Free(w.activation);
     PyMem_Free(w.reporting);
+    PyMem_Free(w.tally);
+    PyMem_Free(w.pieces);
+    PyMem_Free(w.first);
+    PyMem_Free(w.moves);
     Py_XDECREF(w.ints);
     Py_XDECREF(w.reports);
     Py_XDECREF(activation);
@@ -614,8 +756,13 @@ grow(void *items, Py_ssize_t *room, Py_ssize_t need, size_t itemsize)
 }
 
 /* Room for extra more subsets of up to words words each, with the hash
-   at most half full. */
-static int
+   at most half full.  gcc 12 -O3 emits reserve, load, refine and subsets
+   in that order, so a 64-byte line under reserve keeps the other three
+   where they are on their lines, whatever is edited elsewhere in this
+   file.  Off those places, check's loops, inlined into load, ran about
+   30 % slower at 32 bytes past a line, and the report workloads' walks
+   2-3 % slower with all three on a line. */
+__attribute__((aligned(64))) static int
 reserve(Found *f, Py_ssize_t extra, Py_ssize_t words)
 {
     Py_ssize_t need = f->count + extra;
@@ -972,7 +1119,8 @@ release(Program *p)
 }
 
 /* Check the arguments, scan in the given mode and release every view.
-   The scan's loops are inlined here, but for record_rules'.  An earlier
+   The scan's loops are inlined here, but for those of record_summary and
+   row_work, which the loader picks per CPU (POPCOUNT_CLONES).  An earlier
    step, with a branch on each successor, ran 9 % slower on
    levenshtein-scan at 48 bytes past a 64-byte line; the bit-parallel
    step has not been timed off a line.  Aligning the function keeps edits

@@ -287,8 +287,9 @@ def refine(program) -> array:
     for s in blocks[-1]:
         block_of[s] = len(blocks) - 1
     # the dead state makes the DFA complete, so one half of the first
-    # split suffices as a splitter
-    worklist = {min(range(len(blocks)), key=lambda b: len(blocks[b]))}
+    # split suffices as a splitter, and one block splits nothing
+    worklist = ({min(range(2), key=lambda b: len(blocks[b]))}
+                if len(blocks) == 2 else set())
     while worklist:
         splitter = tuple(blocks[worklist.pop()])
         for i in range(ncls):

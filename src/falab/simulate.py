@@ -18,7 +18,10 @@ steps the active set as a bitset: per byte, a few masked shifts of its
 words plus the rows of the states whose moves fit no shift, rather than
 one write per successor reached.  Each call builds the shifts of a class
 from the program once its activity on the class has cost about as much,
-so a short or dying scan builds none.
+so a short or dying scan builds none.  Its per-cycle records also read
+the set a 64-bit word at a time, not a state at a time: counts and row
+lengths from popcounts, activations through bit-sliced counters, and
+rule counts from each word's runs of one rule's states.
 
 The kernel returns the per-cycle active counts, the per-state activation
 counts and the reports, and keeps no per-cycle sets.  A trace's

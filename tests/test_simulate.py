@@ -7,7 +7,7 @@ from collections import Counter, deque
 from dataclasses import replace
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from falab import _simkernel_py, simulate, transform
 from falab.core import Automaton, StartKind, SymbolClass
@@ -704,6 +704,56 @@ class TestKernelParity:
             assert (kernel.step_stream(program, data, mode)
                     == _simkernel_py.step_stream(program, data, mode))
 
+    @pytest.mark.parametrize("rule_of", [
+        pytest.param(lambda s: s // 10, id="rules-sharing-words"),
+        pytest.param(lambda s: s // 150, id="rule-spanning-words"),
+        pytest.param(lambda s: s % 3, id="interleaved")])
+    @pytest.mark.parametrize("length", [255, 256, 600])
+    @pytest.mark.parametrize("end", [0, 255], ids=["class", "no-class"])
+    def test_word_level_records(self, kernel, rule_of, length, end):
+        # 200 states, four words.  Each state steps to itself and the next
+        # on class 0 and to itself and the one 64 below on class 1, shared
+        # offsets that become shift masks; state 5's rows on both classes
+        # are 20 successors longer, so each class has 5 row-length planes.
+        # init repeats states, which the first byte's work counts twice,
+        # bytes 2 and 255 have no class, and the stream ends on a byte with
+        # a class or without one.  The set fills
+        # up, so each class is built a few bytes in, and the summary's
+        # counts of the always-active state 0 pass the compiled kernel's
+        # flush period of 255 cycles.
+        n = 200
+        rng = SplitMix64(length)
+        step = [{0: [s] + [s + 1] * (s + 1 < n), 1: [s] + [s - 64] * (s >= 64)}
+                for s in range(n)]
+        for c in (0, 1):
+            step[5][c] += [rng.below(n) for _ in range(20)]
+        program = flat_program(step, [3, 3, 7, 7, 7, 150, 3], [0],
+                               [s % 4 - 1 for s in range(n)])
+        rules = (array("i", map(rule_of, range(n))),
+                 bytes(s % 7 == 0 for s in range(n)))
+        data = bytes([0, 2, 255] + [rng.below(2) for _ in range(length - 5)]
+                     + [2, end])
+        # cycle t walks the rows of the states active before it; a class is
+        # built once its walked rows pass n + len(succ) / ncls successors
+        price = n + len(program[3]) // 2
+        walked = [0, 0]
+        built = [None, None]
+        before = {3, 7, 150}
+        for t, active in enumerate(_simkernel_py.active_sets(program, data)):
+            c = data[t]
+            if c < 2 and built[c] is None:
+                walked[c] += sum(len(step[s][c]) for s in before)
+                if walked[c] >= price:
+                    built[c] = t
+            before = active
+        assert all(0 < t < 64 for t in built), built
+        assert max(len(step[s][c]) for s in range(n) for c in (0, 1)) >= 16
+        for mode in (None, rules):
+            assert (kernel.step_stream(program, data, mode)
+                    == _simkernel_py.step_stream(program, data, mode))
+        assert (kernel.active_sets(program, data)
+                == _simkernel_py.active_sets(program, data))
+
     def test_counting_mode_counts_rules(self, kernel):
         # States 0 and 1 belong to rule 0, state 2 to rule 1; states 0 and
         # 2 are raw starts.
@@ -1032,6 +1082,10 @@ def test_malformed_scans_raise_or_match_python(kernel, case):
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(malformed_walks())
+# A refine program that is no flip of a complete DFA, with one initial
+# block: state 0 has no predecessor list, as off[0] is 1.
+@example(("refine", ((2, 1, ints(1, 1, 2), ints(0, 1), ints(), ints(),
+                      ints(0, -1)),)))
 def test_malformed_walks_raise_or_match_python(kernel, case):
     # As for the scans: subsets, flip and refine raise one of the three
     # errors or return what the Python kernel returns.

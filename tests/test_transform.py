@@ -398,6 +398,15 @@ class TestRefine:
         assert self.refined(c_kernel, len(atoms), labels, table) == list(
             range(2_002))
 
+    def test_one_block_splits_nothing(self, c_kernel):
+        # Every state accepts, so the first partition has one block; this
+        # program is no flip (state 0 has no predecessor list, as off[0] is
+        # 1), and neither kernel splits the block.
+        program = (2, 1, ints(1, 1, 2), ints(0, 1), ints(0, 1), ints(),
+                   ints(0, -1))
+        for module in (_simkernel_py, c_kernel):
+            assert module.refine(program) == ints(0, 0)
+
     @pytest.mark.parametrize("ncls", [0, 2])
     def test_empty_program(self, c_kernel, ncls):
         # No states: no blocks, in both kernels.
